@@ -37,7 +37,6 @@ from .path_signature import (
 from .tensor_algebra import GradedTensor, graded_degree
 from .vector_fields import (
     AffineField,
-    FlowConfig,
     FlowDivergence,
     VectorFieldSystem,
     affine_from_file,
@@ -177,12 +176,7 @@ def _builtin_formula(label: str) -> CubatureFormula | None:
 
 def _solver_config(config: dict, threads: int) -> SolverConfig:
     caps = config.get("caps", {})
-    flow = FlowConfig(
-        substeps=int(caps.get("substeps", 32)),
-        exact_affine=bool(caps.get("exact_affine", False)),
-    )
     return SolverConfig(
-        flow=flow,
         leaf_cap=int(caps.get("leaf_cap", 10_000_000)),
         threads=threads,
         batch=int(caps.get("batch", 1 << 16)),

@@ -4,14 +4,14 @@ One step over a gap s replaces Wiener measure by the formula rescaled to
 [0, s]; iterating over a partition produces a tree measure whose branches
 are concatenations of rescaled support paths. The full-tree evaluator sums
 all n^k branches; the sampled evaluator draws branches i.i.d. by weight.
-Both advance states with the flows from vector_fields, batched per tree
-level, and reduce with compensated summation in a fixed order so the result
-is independent of thread count.
+Both advance blocks of states with vector_fields.flow_along_path, which
+flows affine systems in closed form, so on them the only error left is the
+tree measure's own. The full tree is reduced by one compensated sum over
+its leaves in branch order, so the value does not depend on the batch size.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +23,8 @@ from .vector_fields import (
     FlowConfig,
     FlowDivergence,
     VectorFieldSystem,
-    flow_exp,
+    _flow_segment,
+    flow_along_path,
     gamma_field,
 )
 
@@ -72,6 +73,10 @@ def gamma_partition(horizon: float, k: int, gamma: float) -> Partition:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """flow: RK4 settings for generic fields (affine ones flow exactly);
+    leaf_cap: the largest tree klv_full enumerates; batch: the most states
+    flowed as one block; threads: validated, but solves run on one thread."""
+
     flow: FlowConfig = DEFAULT_FLOW
     leaf_cap: int = 10_000_000
     threads: int = 1
@@ -106,16 +111,6 @@ class LeafCapExceeded(ValueError):
         self.required_cap = leaves
 
 
-def _flow_batch(path, sys: VectorFieldSystem, states: np.ndarray,
-                cfg: FlowConfig) -> np.ndarray:
-    """Advance a (P, N) block of states along one control path."""
-    y = states
-    for dt, dx in path.increments():
-        fld = sys.combine(np.concatenate(([dt], dx)))
-        y = flow_exp(fld, 1.0, y, cfg)
-    return y
-
-
 def _branch_of_rank(rank: int, n: int, length: int) -> tuple[int, ...]:
     digits = []
     for _ in range(length):
@@ -125,7 +120,7 @@ def _branch_of_rank(rank: int, n: int, length: int) -> tuple[int, ...]:
 
 
 class _TreeWalker:
-    """Level-synchronous expansion of one subtree, leaves in branch order."""
+    """Level-synchronous expansion of the whole tree, leaves in branch order."""
 
     def __init__(self, level_paths, weights, sys, f, cfg: SolverConfig):
         self.level_paths = level_paths
@@ -136,16 +131,11 @@ class _TreeWalker:
         self.n = len(weights)
         self.k = len(level_paths)
 
-    def run(self, prefix: tuple[int, ...], state: np.ndarray) -> dict:
-        # levels here count the remaining (post-prefix) tree levels from 0
-        w0 = math.prod(self.weights[i] for i in prefix)
+    def run(self, state: np.ndarray) -> dict:
         blocks: list[np.ndarray] = []
-        stats = self._expand(
-            state[None, :], np.array([w0]), 0, prefix_rank=0, prefix=prefix,
-            blocks=blocks,
-        )
-        # one exact sum over the subtree's leaf terms in branch order: the
-        # value cannot depend on how the expansion was chunked or threaded
+        stats = self._expand(state[None, :], np.ones(1), 0, 0, blocks)
+        # one exact sum over all leaf terms in branch order: the value cannot
+        # depend on how the expansion was chunked
         terms = np.concatenate(blocks)
         return {
             "sum": math.fsum(terms),
@@ -153,8 +143,8 @@ class _TreeWalker:
             **stats,
         }
 
-    def _expand(self, states, branch_weights, level, prefix_rank, prefix,
-                blocks) -> dict:
+    def _expand(self, states, branch_weights, level, rank, blocks) -> dict:
+        # states holds the nodes of `level` whose branch ranks start at rank
         if level == self.k:
             vals = np.array([self.f(row) for row in states], dtype=float)
             blocks.append(branch_weights * vals)
@@ -167,38 +157,29 @@ class _TreeWalker:
         if rows > 1 and rows * self.n > self.cfg.batch:
             half = rows // 2
             a = self._expand(states[:half], branch_weights[:half], level,
-                             prefix_rank, prefix, blocks)
+                             rank, blocks)
             b = self._expand(states[half:], branch_weights[half:], level,
-                             prefix_rank + half, prefix, blocks)
+                             rank + half, blocks)
             return _merge(a, b)
         flowed = []
         for i, path in enumerate(self.level_paths[level]):
             try:
-                flowed.append(_flow_batch(path, self.sys, states, self.cfg.flow))
+                flowed.append(
+                    flow_along_path(path, self.sys, states, self.cfg.flow)
+                )
             except FlowDivergence as exc:
-                raise self._locate(exc, states, level, i, prefix_rank, prefix)
+                node = rank + exc.row
+                branch = _branch_of_rank(node, self.n, level) + (i,)
+                raise FlowDivergence(
+                    f"flow diverged on branch {branch} (level {level + 1}): {exc}",
+                    substep=exc.substep,
+                    segment=exc.segment,
+                    row=node,
+                ) from exc
         new_states = np.stack(flowed, axis=1).reshape(rows * self.n, -1)
         new_weights = (branch_weights[:, None] * self.weights[None, :]).reshape(-1)
         return self._expand(new_states, new_weights, level + 1,
-                            prefix_rank * self.n, prefix, blocks)
-
-    def _locate(self, exc, states, level, path_index, prefix_rank, prefix):
-        # rerun rows one by one so the error names the exact branch
-        bad_row = 0
-        for r, row in enumerate(states):
-            try:
-                _flow_batch(self.level_paths[level][path_index], self.sys,
-                            row[None, :], self.cfg.flow)
-            except FlowDivergence:
-                bad_row = r
-                break
-        branch = prefix + _branch_of_rank(prefix_rank + bad_row, self.n, level) \
-            + (path_index,)
-        return FlowDivergence(
-            f"flow diverged on branch {branch} (level {level + len(prefix) + 1}): {exc}",
-            substep=exc.substep,
-            segment=exc.segment,
-        )
+                            rank * self.n, blocks)
 
 
 def _merge(a: dict, b: dict) -> dict:
@@ -220,10 +201,10 @@ def klv_full(
     """Exact expectation under the iterated cubature tree.
 
     Enumerates all n^k branches in lexicographic order (the cap refuses
-    runaway trees). Parallelism splits the root's subtrees across threads;
-    each subtree's leaf terms are summed exactly in branch order and the
-    subtree sums reduced in a fixed order, so the value is bit-identical
-    for every thread count and batch size.
+    runaway trees), level by level in blocks of at most cfg.batch states.
+    Every row of a block is flowed with the same arithmetic and all leaf
+    terms are summed exactly in branch order, so the value is bit-identical
+    for every batch size. A diverging flow names its branch and level.
     """
     if formula.paths is None:
         raise ValueError("klv_full needs path support; see kusuoka_step for Lie support")
@@ -231,37 +212,21 @@ def klv_full(
         raise ValueError(
             f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
         )
-    n = formula.n_points
-    k = partition.k
-    leaves = n**k
+    leaves = formula.n_points**partition.k
     if leaves > cfg.leaf_cap:
         raise LeafCapExceeded(leaves, cfg.leaf_cap)
     level_paths = [rescale(formula, s).paths for s in partition.gaps]
     x = np.asarray(x, dtype=float)
-    walker = _TreeWalker(level_paths[1:], formula.weights, sys, f, cfg)
-
-    def subtree(i: int) -> dict:
-        root = _flow_batch(level_paths[0][i], sys, x[None, :], cfg.flow)[0]
-        return walker.run((i,), root)
-
-    if cfg.threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(subtree, range(n)))
-    else:
-        parts = [subtree(i) for i in range(n)]
-    value = math.fsum(p["sum"] for p in parts)
-    naive = 0.0
-    for p in parts:
-        naive += p["naive"]
+    tree = _TreeWalker(level_paths, formula.weights, sys, f, cfg).run(x)
     return SolverResult(
-        value=value,
+        value=tree["sum"],
         mode="full",
-        leaves_evaluated=sum(p["count"] for p in parts),
+        leaves_evaluated=tree["count"],
         partition=partition,
         diagnostics={
-            "compensation": abs(value - naive),
-            "min_leaf": min(p["min"] for p in parts),
-            "max_leaf": max(p["max"] for p in parts),
+            "compensation": abs(tree["sum"] - tree["naive"]),
+            "min_leaf": tree["min"],
+            "max_leaf": tree["max"],
         },
     )
 
@@ -302,7 +267,7 @@ def klv_sampled(
             if rows.size == 0:
                 continue
             try:
-                states[rows] = _flow_batch(
+                states[rows] = flow_along_path(
                     level_paths[level][i], sys, states[rows], cfg.flow
                 )
             except FlowDivergence as exc:
@@ -310,6 +275,7 @@ def klv_sampled(
                     f"flow diverged at level {level + 1}, support point {i}: {exc}",
                     substep=exc.substep,
                     segment=exc.segment,
+                    row=int(rows[exc.row]),
                 ) from exc
     vals = np.array([f(row) for row in states], dtype=float)
     scale = mass**k
@@ -336,7 +302,8 @@ def kusuoka_step(
     """One flow-level approximation step over a gap s.
 
     Requires Lie support: each certified element is dilated by sqrt(s),
-    mapped to a field, and flowed over unit parameter. With path support,
+    mapped to a field, and flowed over unit parameter (in closed form when
+    the field is affine, by RK4 otherwise). With path support,
     convert first (cubature.lie_form); the truncation of that conversion is
     what the step's accuracy order refers to.
     """
@@ -349,7 +316,7 @@ def kusuoka_step(
     total = []
     for lam, poly in zip(formula.weights, formula.lie_polys):
         fld = gamma_field(poly.dilate(root), sys)
-        total.append(lam * float(f(flow_exp(fld, 1.0, x, cfg))))
+        total.append(lam * float(f(_flow_segment(fld, x, cfg))))
     return math.fsum(total)
 
 

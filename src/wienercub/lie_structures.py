@@ -142,8 +142,13 @@ def bch(
     b: GradedTensor | LiePolynomial,
     tol: float = DYNKIN_TOL,
 ) -> LiePolynomial:
-    """Truncated Baker-Campbell-Hausdorff combination log(exp(a) exp(b))."""
+    """Truncated Baker-Campbell-Hausdorff combination log(exp(a) exp(b)).
+
+    The certificate tolerance is tol times the largest coefficient of
+    exp(a) exp(b) (at least 1): the log's rounding grows with that size.
+    """
     ta = a.tensor if isinstance(a, LiePolynomial) else a
     tb = b.tensor if isinstance(b, LiePolynomial) else b
-    out = log(mul(exp(ta), exp(tb)))
-    return certify(out, tol)
+    prod = mul(exp(ta), exp(tb))
+    scale = max([1.0] + [abs(c) for _, c in prod.items()])
+    return certify(log(prod), tol * scale)

@@ -28,13 +28,30 @@ FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 class FlowDivergence(RuntimeError):
-    """A flow integration left the finite range."""
+    """A flow integration left the finite range; `row` is the first
+    non-finite row of a (P, N) block of states (None for a single state)."""
 
     def __init__(self, message: str, substep: int | None = None,
-                 segment: int | None = None):
+                 segment: int | None = None, row: int | None = None):
         super().__init__(message)
         self.substep = substep
         self.segment = segment
+        self.row = row
+
+
+def _check_finite(y: np.ndarray, message: str, substep: int | None = None):
+    finite = np.isfinite(y)
+    if finite.all():
+        return
+    row = int(np.argmin(finite.all(axis=-1))) if y.ndim == 2 else None
+    raise FlowDivergence(message, substep=substep, row=row)
+
+
+def _affine_map(matrix: np.ndarray, offset: np.ndarray, x) -> np.ndarray:
+    """matrix @ x + offset over leading batch axes, with the same arithmetic
+    for every row count (numpy's one-row matmul rounds differently)."""
+    x = np.asarray(x, dtype=float)
+    return (x[..., None, :] * matrix).sum(axis=-1) + offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +78,7 @@ class AffineField:
         return self.matrix.shape[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # broadcasts over a leading batch axis
-        return np.asarray(x, dtype=float) @ self.matrix.T + self.offset
+        return _affine_map(self.matrix, self.offset, x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.matrix
@@ -281,7 +297,8 @@ def gamma_field(poly: LiePolynomial, sys: VectorFieldSystem) -> Field:
 class FlowConfig:
     """substeps: RK4 steps per unit flow parameter (and per path segment);
     fd_step: finite-difference scale for generic jacobians;
-    exact_affine: replace RK4 by the closed-form affine flow when available."""
+    exact_affine: let flow_exp replace RK4 by the closed-form affine flow.
+    flow_along_path and the tree solvers always flow affine fields exactly."""
 
     substeps: int = 32
     fd_step: float = FD_STEP
@@ -304,7 +321,9 @@ def affine_flow_exact(v: AffineField, t: float, x: np.ndarray) -> np.ndarray:
     aug[:n, :n] = v.matrix
     aug[:n, n] = v.offset
     big = expm(t * aug)
-    return np.asarray(x, dtype=float) @ big[:n, :n].T + big[:n, n]
+    y = _affine_map(big[:n, :n], big[:n, n], x)
+    _check_finite(y, "affine flow left the finite range")
+    return y
 
 
 def flow_exp(
@@ -321,10 +340,7 @@ def flow_exp(
     if t == 0.0:
         return x.copy()
     if cfg.exact_affine and isinstance(v, AffineField):
-        y = affine_flow_exact(v, t, x)
-        if not np.all(np.isfinite(y)):
-            raise FlowDivergence("affine flow left the finite range")
-        return y
+        return affine_flow_exact(v, t, x)
     n_steps = max(1, math.ceil(cfg.substeps * abs(t)))
     h = t / n_steps
     y = x.copy()
@@ -334,12 +350,19 @@ def flow_exp(
         k3 = v(y + (0.5 * h) * k2)
         k4 = v(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise FlowDivergence(
-                f"state left the finite range at substep {step + 1}/{n_steps}",
-                substep=step + 1,
-            )
+        _check_finite(
+            y, f"state left the finite range at substep {step + 1}/{n_steps}",
+            substep=step + 1,
+        )
     return y
+
+
+def _flow_segment(v: Field, x: np.ndarray, cfg: FlowConfig) -> np.ndarray:
+    """Exp(V)(x) over unit parameter: closed form for an affine V, RK4
+    flow_exp for any other field."""
+    if isinstance(v, AffineField):
+        return affine_flow_exact(v, 1.0, x)
+    return flow_exp(v, 1.0, x, cfg)
 
 
 def flow_along_path(
@@ -349,6 +372,9 @@ def flow_along_path(
 
     Each linear segment contributes the autonomous field
     dt*V_0 + sum_i dw^i*V_i flowed over unit parameter; segments chain.
+    x is one state (N,) or a block of states (P, N). An affine segment field
+    flows in closed form, any other by RK4 with cfg.substeps; a non-finite
+    state raises FlowDivergence naming the segment and the first bad row.
     """
     if path.dimension != sys.n_controls:
         raise ValueError(
@@ -359,11 +385,12 @@ def flow_along_path(
     for seg, (dt, dx) in enumerate(path.increments()):
         field = sys.combine(np.concatenate(([dt], dx)))
         try:
-            y = flow_exp(field, 1.0, y, cfg)
+            y = _flow_segment(field, y, cfg)
         except FlowDivergence as exc:
             raise FlowDivergence(
                 f"segment {seg + 1}/{path.n_segments}: {exc}",
                 substep=exc.substep,
                 segment=seg + 1,
+                row=exc.row,
             ) from exc
     return y

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,12 +97,64 @@ def test_full_tree_deterministic_across_threads_and_batches(
         degree3(1), noncommuting_system, f, x_start, part,
         SolverConfig(flow=FlowConfig(substeps=16)),
     ).value
-    for threads, batch in ((4, 1 << 16), (1, 4), (8, 8)):
+    for threads, batch in ((4, 1 << 16), (1, 1), (1, 3), (1, 4), (8, 8)):
         other = klv_full(
             degree3(1), noncommuting_system, f, x_start, part,
             SolverConfig(flow=FlowConfig(substeps=16), threads=threads, batch=batch),
         ).value
         assert other == base  # bit-identical, not merely close
+
+
+def _blowup_system():
+    # V_0(x) = x^2 explodes in finite time; V_1(x) = -x speeds up the branches
+    # that take the falling support path (index 1 of degree3(1))
+    return VectorFieldSystem(
+        (GenericField(lambda x: x**2, 1), AffineField([[-1.0]], [0.0]))
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+@pytest.mark.parametrize("batch", [1 << 16, 1, 3])
+def test_full_tree_divergence_names_a_diverging_branch(batch):
+    sys = _blowup_system()
+    part = gamma_partition(1.0, 4, 1.0)
+    x0 = np.array([1.0])
+    with pytest.raises(FlowDivergence) as err:
+        klv_full(degree3(1), sys, lambda y: float(y[0]), x0, part,
+                 SolverConfig(batch=batch))
+    named = re.search(r"branch \(([\d, ]+)\) \(level (\d+)\)", str(err.value))
+    assert named is not None, str(err.value)
+    branch = tuple(int(i) for i in named.group(1).split(",") if i.strip())
+    assert len(branch) == int(named.group(2))
+    assert err.value.segment == 1
+    # re-flowing the named branch stays finite up to its last level and
+    # diverges there
+    levels = [rescale(degree3(1), s).paths for s in part.gaps]
+    y = x0
+    for level, i in enumerate(branch[:-1]):
+        y = flow_along_path(levels[level][i], sys, y)
+    with pytest.raises(FlowDivergence):
+        flow_along_path(levels[len(branch) - 1][branch[-1]], sys, y)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_full_tree_divergence_of_an_exact_affine_flow():
+    # e^{2000 s} per level of gap 1/4 overflows at the second level
+    with pytest.raises(FlowDivergence) as err:
+        klv_full(degree3(1), gbm(2000.0, 1.0), lambda y: float(y[0]),
+                 np.array([1.0]), gamma_partition(1.0, 4, 1.0))
+    assert re.search(r"branch \(\d, \d\) \(level 2\)", str(err.value))
+    assert err.value.segment == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_sampled_tree_divergence_names_level_and_support_point():
+    with pytest.raises(FlowDivergence) as err:
+        klv_sampled(degree3(1), _blowup_system(), lambda y: float(y[0]),
+                    np.array([1.0]), gamma_partition(1.0, 4, 1.0), 200, 3)
+    assert re.search(r"at level \d, support point [01]:", str(err.value))
+    assert err.value.segment == 1
+    assert 0 <= err.value.row < 200
 
 
 def test_leaf_cap_reports_requirement():

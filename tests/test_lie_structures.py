@@ -118,6 +118,32 @@ def test_bch_agrees_with_product_of_exponentials():
         assert direct.equals(via_group, tol=1e-12)
 
 
+def test_bch_certifies_large_coefficient_products():
+    # two 4-segment paths at truncation 9 whose product signature reaches
+    # coefficients near 10: the log's rounding defect (~2e-10) exceeds the
+    # absolute tolerance, and bch scales it by the coefficient size
+    from wienercub.path_signature import PiecewiseLinearPath, concat, signature
+
+    p = PiecewiseLinearPath.from_increments([
+        (0.29484764288626664, [-0.33835665743145127]),
+        (0.3661502472432269, [-0.3097943967071226]),
+        (0.12891874311072685, [-0.39856599249889374]),
+        (0.21008336675977957, [-0.7773352870648801]),
+    ])
+    q = PiecewiseLinearPath.from_increments([
+        (0.2994256101725174, [-0.49628804877800353]),
+        (0.20372967368208744, [-0.7255087941277619]),
+        (0.20569750596139819, [-0.22888087910787647]),
+        (0.29114721018399703, [-0.6759894115746893]),
+    ])
+    sp, sq = signature(p, 9), signature(q, 9)
+    lp, lq = certify(log(sp)), certify(log(sq))
+    combined = bch(lp, lq)
+    spq = signature(concat(p, q), 9)
+    scale = max(abs(c) for _, c in spq.items())
+    assert exp(combined.tensor).max_coeff_difference(spq) <= 1e-9 * scale
+
+
 def test_bch_output_is_certified():
     out = bch(basis((0,)), basis((1,)))
     assert isinstance(out, LiePolynomial)
