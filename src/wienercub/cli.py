@@ -133,7 +133,8 @@ def _build_payoff(spec: dict, n_vars: int):
     if not 0 <= index < n_vars:
         raise ValueError(f"payoff index {index} outside state dimension {n_vars}")
     if name == "identity":
-        return (lambda y: float(y[index])), {"name": "identity", "index": index}
+        meta = {"name": "identity", "index": index}
+        return MultiPoly.coordinate(n_vars, index), meta
     if name == "power":
         p = float(spec["exponent"])
         return (
@@ -145,8 +146,7 @@ def _build_payoff(spec: dict, n_vars: int):
             tuple(int(e) for e in rec["exps"]): float(rec["coeff"])
             for rec in spec["terms"]
         }
-        poly = MultiPoly(n_vars, terms)
-        return (lambda y: poly(np.asarray(y, dtype=float))), {"name": "poly"}
+        return MultiPoly(n_vars, terms), {"name": "poly"}
     raise ValueError(f"unknown payoff {name!r} (use identity, power, or poly)")
 
 

@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cubature import CubatureFormula, rescale
+from .operator_calculus import MultiPoly
 from .vector_fields import (
     DEFAULT_FLOW,
     AffineField,
     FlowConfig,
     FlowDivergence,
+    GenericField,
     VectorFieldSystem,
     _flow_segment,
     flow_along_path,
@@ -111,6 +113,35 @@ class LeafCapExceeded(ValueError):
         self.required_cap = leaves
 
 
+def _block_payoff(f):
+    """The payoff as a map from a (P, N) block of states to (P,) values: a
+    MultiPoly evaluates the whole block, any other callable is called once
+    per state."""
+    if isinstance(f, MultiPoly):
+        return f
+    return lambda states: np.array([f(row) for row in states], dtype=float)
+
+
+def _check_block_fields(sys: VectorFieldSystem, x: np.ndarray):
+    """The solvers call each field on whole (P, N) blocks of states. Probe
+    every GenericField on two distinct states near x and require the block
+    call to agree with one call per state."""
+    probe = np.stack([x, x + 0.01 * (1.0 + np.abs(x))])
+    for i, v in enumerate(sys.fields):
+        if not isinstance(v, GenericField):
+            continue
+        rows = np.stack([v(p) for p in probe])
+        block = v(probe)
+        scale = np.max(np.abs(rows), initial=0.0, where=np.isfinite(rows))
+        if block.shape != rows.shape or not np.allclose(
+                block, rows, rtol=1e-12, atol=1e-12 * scale, equal_nan=True):
+            raise ValueError(
+                f"field V_{i} must map a (P, N) block of states row by row: "
+                f"on two states near x it gave {block.tolist()} for the block "
+                f"and {rows.tolist()} state by state"
+            )
+
+
 def _branch_of_rank(rank: int, n: int, length: int) -> tuple[int, ...]:
     digits = []
     for _ in range(length):
@@ -122,11 +153,11 @@ def _branch_of_rank(rank: int, n: int, length: int) -> tuple[int, ...]:
 class _TreeWalker:
     """Level-synchronous expansion of the whole tree, leaves in branch order."""
 
-    def __init__(self, level_paths, weights, sys, f, cfg: SolverConfig):
+    def __init__(self, level_paths, weights, sys, payoff, cfg: SolverConfig):
         self.level_paths = level_paths
         self.weights = np.asarray(weights, dtype=float)
         self.sys = sys
-        self.f = f
+        self.payoff = payoff
         self.cfg = cfg
         self.n = len(weights)
         self.k = len(level_paths)
@@ -146,7 +177,7 @@ class _TreeWalker:
     def _expand(self, states, branch_weights, level, rank, blocks) -> dict:
         # states holds the nodes of `level` whose branch ranks start at rank
         if level == self.k:
-            vals = np.array([self.f(row) for row in states], dtype=float)
+            vals = self.payoff(states)
             blocks.append(branch_weights * vals)
             return {
                 "min": float(np.min(vals)),
@@ -205,6 +236,10 @@ def klv_full(
     Every row of a block is flowed with the same arithmetic and all leaf
     terms are summed exactly in branch order, so the value is bit-identical
     for every batch size. A diverging flow names its branch and level.
+
+    f is called on each (P, N) block of leaf states when it is a MultiPoly,
+    and once per leaf state otherwise. Every GenericField of sys must map a
+    (P, N) block of states row by row; this is checked near x first.
     """
     if formula.paths is None:
         raise ValueError("klv_full needs path support; see kusuoka_step for Lie support")
@@ -217,7 +252,9 @@ def klv_full(
         raise LeafCapExceeded(leaves, cfg.leaf_cap)
     level_paths = [rescale(formula, s).paths for s in partition.gaps]
     x = np.asarray(x, dtype=float)
-    tree = _TreeWalker(level_paths, formula.weights, sys, f, cfg).run(x)
+    _check_block_fields(sys, x)
+    tree = _TreeWalker(level_paths, formula.weights, sys, _block_payoff(f),
+                       cfg).run(x)
     return SolverResult(
         value=tree["sum"],
         mode="full",
@@ -245,7 +282,8 @@ def klv_sampled(
 
     Branch indices are drawn per level with probability proportional to the
     weights; the estimator carries mass^k so it stays unbiased even when the
-    weights sum only approximately to one.
+    weights sum only approximately to one. The payoff and field contracts
+    are those of klv_full.
     """
     if formula.paths is None:
         raise ValueError("klv_sampled needs path support")
@@ -258,6 +296,7 @@ def klv_sampled(
     rng = np.random.default_rng(seed)
     k = partition.k
     x = np.asarray(x, dtype=float)
+    _check_block_fields(sys, x)
     draws = rng.choice(formula.n_points, size=(n_samples, k), p=probs)
     states = np.broadcast_to(x, (n_samples, x.shape[0])).copy()
     for level in range(k):
@@ -277,7 +316,7 @@ def klv_sampled(
                     segment=exc.segment,
                     row=int(rows[exc.row]),
                 ) from exc
-    vals = np.array([f(row) for row in states], dtype=float)
+    vals = _block_payoff(f)(states)
     scale = mass**k
     mean = float(np.mean(vals))
     sd = float(np.std(vals, ddof=1))
@@ -362,11 +401,14 @@ def euler_mc(
     """Euler reference estimate of E[f(X_T)]; returns (mean, stderr).
 
     The scheme is weak order one, so it serves as an independent check, not
-    a high-precision oracle; tighten steps and paths as needed.
+    a high-precision oracle; tighten steps and paths as needed. A MultiPoly
+    f is evaluated on each batch of final states at once, any other
+    callable once per path.
     """
     if steps < 1 or paths < 2:
         raise ValueError("need steps >= 1 and paths >= 2")
     x = np.asarray(x, dtype=float)
+    payoff = _block_payoff(f)
     drift = _ito_drift(sys)
     space = sys.fields[1:]
     h = horizon / steps
@@ -396,7 +438,7 @@ def euler_mc(
                     f"{bad} path(s) left the finite range at step {step + 1}/{steps}",
                     substep=step + 1,
                 )
-        vals = np.array([f(row) for row in states], dtype=float)
+        vals = payoff(states)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals**2))
         done += b

@@ -9,7 +9,6 @@ term, never to the operator side.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -137,14 +136,37 @@ class MultiPoly:
             out[tuple(down)] = out.get(tuple(down), 0.0) + c * e[j]
         return MultiPoly(self.n_vars, out, _trusted=True)
 
-    def __call__(self, x) -> float:
+    def __call__(self, x):
+        """Value at a point (N,), as a float, or at each row of a block
+        (P, N), as a (P,) array.
+
+        A point is summed exactly (math.fsum over the terms). A block is
+        summed term by term in storage order, each term built by repeated
+        multiplication, so each row's value is the same for every block size
+        and within a few ulp of the point value.
+        """
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[1] == self.n_vars:
+            return self._eval_block(x)
         if x.shape != (self.n_vars,):
-            raise ValueError(f"expected point of shape ({self.n_vars},), got {x.shape}")
+            raise ValueError(
+                f"expected point of shape ({self.n_vars},) or block of shape "
+                f"(P, {self.n_vars}), got {x.shape}"
+            )
         return math.fsum(
             c * math.prod(x[j] ** e[j] for j in range(self.n_vars) if e[j])
             for e, c in self._terms.items()
         )
+
+    def _eval_block(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(x.shape[0])
+        for e, c in self._terms.items():
+            term = np.full(x.shape[0], c)
+            for j, ej in enumerate(e):
+                for _ in range(ej):
+                    term *= x[:, j]
+            out += term
+        return out
 
     def max_coeff_difference(self, other: "MultiPoly") -> float:
         self._check(other)
@@ -259,10 +281,7 @@ def remainder_box_bound(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
     tail = exp(u2)
     tail = tail - tail.project(m)
     poly = taylor_operator(tail, sys, f)
-    axes = [np.linspace(-box, box, grid_points)] * f.n_vars
-    best = 0.0
-    for pt in itertools.product(*axes):
-        val = abs(poly(np.asarray(pt)))
-        if val > best:
-            best = val
-    return best
+    axes = np.meshgrid(*[np.linspace(-box, box, grid_points)] * f.n_vars,
+                       indexing="ij")
+    grid = np.stack(axes, axis=-1).reshape(-1, f.n_vars)
+    return float(np.max(np.abs(poly(grid)), initial=0.0))

@@ -14,6 +14,7 @@ from wienercub.vector_fields import (
     flow_along_path,
     gbm,
 )
+from wienercub.operator_calculus import MultiPoly
 from wienercub.klv_solver import (
     Partition,
     gamma_partition,
@@ -103,6 +104,72 @@ def test_full_tree_deterministic_across_threads_and_batches(
             SolverConfig(flow=FlowConfig(substeps=16), threads=threads, batch=batch),
         ).value
         assert other == base  # bit-identical, not merely close
+
+
+def test_full_tree_polynomial_payoff_deterministic_across_batches(
+    noncommuting_system, cubic_payoff, x_start
+):
+    part = gamma_partition(1.0, 6, 2.0)
+    values = {
+        klv_full(degree3(1), noncommuting_system, cubic_payoff, x_start, part,
+                 SolverConfig(batch=batch)).value
+        for batch in (1, 3, SolverConfig().batch)
+    }
+    assert len(values) == 1  # bit-identical, not merely close
+
+
+def test_polynomial_payoff_matches_scalar_wrapper(
+    noncommuting_system, cubic_payoff, x_start
+):
+    # the block path sums a leaf's terms in another order than the exact
+    # point path, so the two agree to rounding only
+    part = gamma_partition(1.0, 5, 2.0)
+    scalar = lambda y: float(cubic_payoff(y))
+    full = [klv_full(degree3(1), noncommuting_system, f, x_start, part).value
+            for f in (cubic_payoff, scalar)]
+    sampled = [
+        klv_sampled(degree3(1), noncommuting_system, f, x_start, part, 500, 4)
+        for f in (cubic_payoff, scalar)
+    ]
+    euler = [euler_mc(noncommuting_system, f, x_start, 1.0, 8, 500, 4, batch=128)
+             for f in (cubic_payoff, scalar)]
+    assert full[0] == pytest.approx(full[1], rel=1e-14, abs=0.0)
+    assert sampled[0].value == pytest.approx(sampled[1].value, rel=1e-14, abs=0.0)
+    assert sampled[0].stderr == pytest.approx(sampled[1].stderr, rel=1e-14, abs=0.0)
+    assert euler[0] == pytest.approx(euler[1], rel=1e-14, abs=0.0)
+
+
+def test_coordinate_payoff_is_bit_identical_to_scalar_coordinate():
+    part = gamma_partition(1.0, 6, 2.0)
+    args = (degree5_d1(), gbm(0.05, 0.3))
+    poly = klv_full(*args, MultiPoly.coordinate(1, 0), np.array([1.0]), part)
+    scalar = klv_full(*args, lambda y: float(y[0]), np.array([1.0]), part)
+    assert poly.value == scalar.value
+
+
+def test_per_point_generic_field_is_rejected():
+    # a field written for one point, fed a (P, 1) block, reads only the first
+    # row: before the solvers checked fields, klv_full returned 0.6051
+    # silently instead of 0.6710
+    part = gamma_partition(1.0, 4, 4.0)
+    x0 = np.array([0.5])
+    f = lambda y: float(y[0])
+    drift = AffineField([[0.0]], [0.0])
+    per_point = VectorFieldSystem(
+        (drift, GenericField(lambda x: np.array([np.sin(x[0])]), 1))
+    )
+    with pytest.raises(ValueError, match="field V_1"):
+        klv_full(degree5_d1(), per_point, f, x0, part)
+    with pytest.raises(ValueError, match="field V_1"):
+        klv_sampled(degree5_d1(), per_point, f, x0, part, 100, 1)
+    mixing = VectorFieldSystem(
+        (GenericField(lambda x: np.sin(x[:1]) + 0.0 * x, 1), drift)
+    )
+    with pytest.raises(ValueError, match="field V_0"):
+        klv_full(degree5_d1(), mixing, f, x0, part)
+    vectorized = VectorFieldSystem((drift, GenericField(np.sin, 1)))
+    value = klv_full(degree5_d1(), vectorized, f, x0, part).value
+    assert value == pytest.approx(0.6709710583409587, abs=1e-12)
 
 
 def _blowup_system():

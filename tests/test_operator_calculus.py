@@ -54,6 +54,34 @@ def test_multipoly_scalar_product_forms():
     assert (f * 0.5).coeff((2,)) == 1.5
 
 
+@pytest.mark.parametrize("poly", [
+    MultiPoly(3),
+    MultiPoly.constant(3, -2.5),
+    MultiPoly(3, {(3, 0, 0): 1.5, (1, 1, 1): -2.0, (0, 2, 1): 0.75,
+                  (0, 0, 2): -0.3, (1, 0, 0): 4.0, (0, 0, 0): 0.2}),
+])
+def test_multipoly_block_matches_point_evaluation(poly):
+    # a block is summed term by term, a point exactly: they may differ only
+    # by rounding, at most 8 ulp of the sum of the absolute terms
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (500, 3))
+    block = poly(pts)
+    assert block.shape == (500,)
+    for row, got in zip(pts, block):
+        size = math.fsum(abs(c * math.prod(row**np.array(e)))
+                         for e, c in poly.items())
+        assert abs(got - poly(row)) <= 8 * math.ulp(size)
+    # a row's value does not depend on the block it sits in
+    assert np.array_equal(np.concatenate([poly(pts[:7]), poly(pts[7:])]), block)
+
+
+def test_multipoly_rejects_a_block_of_the_wrong_width():
+    poly = MultiPoly(2, {(1, 2): 1.0})
+    with pytest.raises(ValueError, match=r"\(P, 2\)"):
+        poly(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"\(2,\)"):
+        poly(np.zeros(3))
+
+
 def test_lie_derivative_by_hand():
     # V(x, y) = (y, -x), f = x^2 + y^2 is invariant under the rotation
     v = AffineField([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0])
