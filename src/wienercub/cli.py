@@ -34,7 +34,7 @@ from .path_signature import (
     brownian_expected_signature,
     monte_carlo_expected_signature,
 )
-from .tensor_algebra import GradedTensor, graded_degree
+from .tensor_algebra import GradedTensor
 from .vector_fields import (
     AffineField,
     FlowDivergence,

@@ -131,7 +131,14 @@ def _check_block_fields(sys: VectorFieldSystem, x: np.ndarray):
         if not isinstance(v, GenericField):
             continue
         rows = np.stack([v(p) for p in probe])
-        block = v(probe)
+        try:
+            block = v(probe)
+        except Exception as exc:
+            raise ValueError(
+                f"field V_{i} must map a (P, N) block of states row by row: "
+                f"its call on a block of two states raised "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         scale = np.max(np.abs(rows), initial=0.0, where=np.isfinite(rows))
         if block.shape != rows.shape or not np.allclose(
                 block, rows, rtol=1e-12, atol=1e-12 * scale, equal_nan=True):
@@ -378,10 +385,11 @@ def _ito_drift(sys: VectorFieldSystem):
         return lambda x: x @ corrected.matrix.T + corrected.offset
 
     def drift(x):
-        out = np.array([sys.fields[0](row) for row in x], dtype=float)
+        out = np.array(sys.fields[0](x), dtype=float)
         for v in space:
+            vx = v(x)
             out += 0.5 * np.array(
-                [v.jacobian(row) @ v(row) for row in x], dtype=float
+                [v.jacobian(row) @ vrow for row, vrow in zip(x, vx)], dtype=float
             )
         return out
 
@@ -403,11 +411,14 @@ def euler_mc(
     The scheme is weak order one, so it serves as an independent check, not
     a high-precision oracle; tighten steps and paths as needed. A MultiPoly
     f is evaluated on each batch of final states at once, any other
-    callable once per path.
+    callable once per path. Generic fields are probed as in `klv_full` and
+    then called once per batch and step; their Jacobians, which take one
+    point, are called once per path and step.
     """
     if steps < 1 or paths < 2:
         raise ValueError("need steps >= 1 and paths >= 2")
     x = np.asarray(x, dtype=float)
+    _check_block_fields(sys, x)
     payoff = _block_payoff(f)
     drift = _ito_drift(sys)
     space = sys.fields[1:]
@@ -429,8 +440,7 @@ def euler_mc(
             else:
                 move = drift(states) * h
                 for i, v in enumerate(space):
-                    vx = np.array([v(row) for row in states], dtype=float)
-                    move += vx * (rt * z[:, i : i + 1])
+                    move += v(states) * (rt * z[:, i : i + 1])
             states = states + move
             if not np.all(np.isfinite(states)):
                 bad = int(np.sum(~np.isfinite(states).all(axis=1)))

@@ -8,7 +8,9 @@ Brownian order: dB ~ sqrt(dt) contributes 1, dt contributes 2.
 Elements are stored sparsely as word -> coefficient maps and truncated at a
 fixed graded degree. Products drop every word whose graded degree exceeds
 the truncation, which makes projection compatible with multiplication:
-project(m, a*b) == project(m, project(m,a) * project(m,b)).
+project(m, a*b) == project(m, project(m,a) * project(m,b)). `mul` visits
+only the pairs of words that survive this cut-off, and its result is
+bit-identical to the all-pairs product.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ class AlgebraError(ValueError):
 
 def graded_degree(word: Word) -> int:
     """Length of the word plus the number of occurrences of the letter 0."""
-    return len(word) + sum(1 for a in word if a == 0)
+    return len(word) + word.count(0)
 
 
 def check_word(word: Word, dimension: int) -> None:
@@ -295,17 +297,24 @@ class GradedTensor:
 
 
 def mul(a: GradedTensor, b: GradedTensor) -> GradedTensor:
-    """Truncated concatenation product."""
+    """Truncated concatenation product.
+
+    Only pairs (u, v) with graded_degree(u) + graded_degree(v) <= truncation
+    are visited: `fits[r]` holds the terms of b of graded degree <= r, in b's
+    own order, and each word u of a runs over fits[m - deg(u)]. For a fixed
+    u every v gives a distinct u + v, so each output word receives its sums
+    in the same order as the all-pairs loop, and the result, key order
+    included, is bit-identical to it.
+    """
     a._check_compat(b)
     m = a.truncation
     out: dict[Word, float] = {}
     bitems = [(v, graded_degree(v), cv) for v, cv in b._coeffs.items()]
+    fits = [[(v, cv) for v, gv, cv in bitems if gv <= r] for r in range(m + 1)]
     for u, cu in a._coeffs.items():
-        gu = graded_degree(u)
-        for v, gv, cv in bitems:
-            if gu + gv <= m:
-                w = u + v
-                out[w] = out.get(w, 0.0) + cu * cv
+        for v, cv in fits[m - graded_degree(u)]:
+            w = u + v
+            out[w] = out.get(w, 0.0) + cu * cv
     return GradedTensor(a.dimension, m, {w: c for w, c in out.items() if c != 0.0},
                         _trusted=True)
 

@@ -9,6 +9,7 @@ from wienercub.vector_fields import (
     AffineField,
     GenericField,
     VectorFieldSystem,
+    bracket_field,
     FlowConfig,
     FlowDivergence,
     flow_along_path,
@@ -321,6 +322,48 @@ def test_euler_divergence_detection():
     )
     with pytest.raises(FlowDivergence):
         euler_mc(blowup, lambda y: float(y[0]), np.array([40.0]), 1.0, 8, 64, 1)
+
+
+def test_euler_rejects_per_point_generic_field():
+    per_point = VectorFieldSystem((
+        AffineField([[0.0]], [0.0]),
+        GenericField(lambda x: np.array([np.sin(x[0])]), 1),
+    ))
+    with pytest.raises(ValueError, match="field V_1"):
+        euler_mc(per_point, lambda y: float(y[0]), np.array([0.5]), 1.0, 4, 16, 1)
+
+
+def test_euler_block_field_calls_match_row_loop():
+    # euler_mc calls fields on whole blocks; a field that loops over the rows
+    # itself must give the same estimate bit for bit
+    def c(x):
+        return np.sqrt(1.0 + x * x)
+
+    def rows(fn):
+        return lambda x: fn(x) if x.ndim == 1 else np.array([fn(r) for r in x])
+
+    def system(wrap):
+        return VectorFieldSystem(
+            (GenericField(wrap(lambda x: 0.1 * c(x)), 1), GenericField(wrap(c), 1))
+        )
+
+    args = (lambda y: float(y[0]), np.array([0.4]), 1.0, 8, 500, 3)
+    vectorized = euler_mc(system(lambda fn: fn), *args, batch=128)
+    looped = euler_mc(system(rows), *args, batch=128)
+    assert vectorized == looped
+
+
+def test_generic_bracket_field_rejected_by_probe():
+    # the finite-difference Jacobian of a GenericField takes one point, so a
+    # bracket of generic fields cannot be called on a block of states
+    sys = VectorFieldSystem((
+        AffineField([[0.0]], [0.0]),
+        bracket_field(GenericField(np.sin, 1), GenericField(np.cos, 1)),
+    ))
+    with pytest.raises(ValueError, match="field V_1") as err:
+        klv_full(degree5_d1(), sys, lambda y: float(y[0]), np.array([0.5]),
+                 gamma_partition(1.0, 2, 1.0))
+    assert isinstance(err.value.__cause__, TypeError)
 
 
 def test_dimension_mismatch_rejected(noncommuting_system):

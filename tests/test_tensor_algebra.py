@@ -93,6 +93,58 @@ def test_mul_respects_graded_cutoff():
     assert len(mul(a, b)) == 0
 
 
+def _all_pairs_mul(a, b):
+    # reference: try every pair of words and drop those past the cut-off
+    m = a.truncation
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            if graded_degree(u) + graded_degree(v) <= m:
+                out[u + v] = out.get(u + v, 0.0) + cu * cv
+    return GradedTensor(a.dimension, m, {w: c for w, c in out.items() if c != 0.0})
+
+
+def _all_pairs_exp(a):
+    result = term = GradedTensor.unit(a.dimension, a.truncation)
+    for k in range(1, a.truncation + 1):
+        term = _all_pairs_mul(term, a).scale(1.0 / k)
+        if len(term) == 0:
+            break
+        result = result + term
+    return result
+
+
+def _all_pairs_log(g):
+    x = g - GradedTensor.unit(g.dimension, g.truncation)
+    result = GradedTensor.zero(g.dimension, g.truncation)
+    term = GradedTensor.unit(g.dimension, g.truncation)
+    for k in range(1, g.truncation + 1):
+        term = _all_pairs_mul(term, x)
+        if len(term) == 0:
+            break
+        result = result + term.scale(((-1.0) ** (k + 1)) / k)
+    return result
+
+
+@pytest.mark.parametrize("dimension, truncation", [(1, 9), (2, 6), (3, 4)])
+@pytest.mark.parametrize("dense", [True, False])
+def test_mul_exp_log_bit_identical_to_all_pairs_reference(dimension, truncation, dense):
+    rng = np.random.default_rng(100 * dimension + truncation)
+    nonzero = len(all_words(dimension, truncation)) if dense else 12
+
+    def element(constant):
+        t = random_tensor(rng, dimension, truncation, nonzero=nonzero)
+        return t.scale(0.5) + GradedTensor.unit(dimension, truncation).scale(constant)
+
+    for _ in range(3):
+        a, b = element(float(rng.uniform(-1.0, 1.0))), element(0.0)
+        assert list(mul(a, b).items()) == list(_all_pairs_mul(a, b).items())
+        assert list(mul(b, a).items()) == list(_all_pairs_mul(b, a).items())
+        x, g = element(0.0), element(1.0)
+        assert list(exp(x).items()) == list(_all_pairs_exp(x).items())
+        assert list(log(g).items()) == list(_all_pairs_log(g).items())
+
+
 def test_dilation_scales_by_graded_degree():
     t = GradedTensor(1, 5, {(): 2.0, (1,): 1.0, (0,): 1.0, (0, 1, 1): 1.0})
     lam = 0.5
