@@ -3,11 +3,14 @@
 One step over a gap s replaces Wiener measure by the formula rescaled to
 [0, s]; iterating over a partition produces a tree measure whose branches
 are concatenations of rescaled support paths. The full-tree evaluator sums
-all n^k branches; the sampled evaluator draws branches i.i.d. by weight.
-Both advance blocks of states with vector_fields.flow_along_path, which
-flows affine systems in closed form, so on them the only error left is the
-tree measure's own. The full tree is reduced by one compensated sum over
-its leaves in branch order, so the value does not depend on the batch size.
+all n^k branches; the sampled evaluator draws branches i.i.d. by weight and
+flows each distinct drawn node once, so level j costs at most
+min(N, n^(j+1)) rows for N samples, and a non-MultiPoly payoff is called
+once per distinct leaf. Both advance blocks of states with
+vector_fields.flow_along_path, which flows affine systems in closed form,
+so on them the only error left is the tree measure's own. The full tree is
+reduced by one compensated sum over its leaves in branch order, so the
+value does not depend on the batch size.
 """
 from __future__ import annotations
 
@@ -77,7 +80,8 @@ def gamma_partition(horizon: float, k: int, gamma: float) -> Partition:
 class SolverConfig:
     """flow: RK4 settings for generic fields (affine ones flow exactly);
     leaf_cap: the largest tree klv_full enumerates; batch: the most states
-    flowed as one block; threads: validated, but solves run on one thread."""
+    klv_full flows as one block (klv_sampled does not read it); threads:
+    validated, but solves run on one thread."""
 
     flow: FlowConfig = DEFAULT_FLOW
     leaf_cap: int = 10_000_000
@@ -289,8 +293,14 @@ def klv_sampled(
 
     Branch indices are drawn per level with probability proportional to the
     weights; the estimator carries mass^k so it stays unbiased even when the
-    weights sum only approximately to one. The payoff and field contracts
-    are those of klv_full.
+    weights sum only approximately to one. Drawn branches share prefixes, so
+    the solve walks the drawn subtree: each distinct drawn node is flowed
+    once, at most min(n_samples, n^(j+1)) rows at level j, and the mean and
+    stderr are taken over the per-sample leaf values. The field contract is
+    that of klv_full; f is called on the block of distinct leaves when it is
+    a MultiPoly, and once per distinct leaf otherwise.
+    diagnostics["nodes_per_level"] lists the nodes flowed at each level and
+    diagnostics["distinct_leaves"] the leaves evaluated.
     """
     if formula.paths is None:
         raise ValueError("klv_sampled needs path support")
@@ -304,26 +314,40 @@ def klv_sampled(
     k = partition.k
     x = np.asarray(x, dtype=float)
     _check_block_fields(sys, x)
-    draws = rng.choice(formula.n_points, size=(n_samples, k), p=probs)
-    states = np.broadcast_to(x, (n_samples, x.shape[0])).copy()
+    n = formula.n_points
+    draws = rng.choice(n, size=(n_samples, k), p=probs)
+    # nodes holds one state per distinct drawn node of the current level,
+    # in branch order; node_of maps each sample to its node
+    nodes = x[None, :]
+    node_of = np.zeros(n_samples, dtype=np.intp)
+    nodes_per_level = []
     for level in range(k):
-        idx = draws[:, level]
-        for i in range(formula.n_points):
-            rows = np.flatnonzero(idx == i)
+        key = node_of * n + draws[:, level]
+        drawn = np.zeros(nodes.shape[0] * n, dtype=bool)
+        drawn[key] = True
+        child = np.flatnonzero(drawn)
+        node_of = (np.cumsum(drawn) - 1)[key]
+        parent, point = np.divmod(child, n)
+        flowed = np.empty((child.size, x.shape[0]))
+        for i in range(n):
+            rows = np.flatnonzero(point == i)
             if rows.size == 0:
                 continue
             try:
-                states[rows] = flow_along_path(
-                    level_paths[level][i], sys, states[rows], cfg.flow
+                flowed[rows] = flow_along_path(
+                    level_paths[level][i], sys, nodes[parent[rows]], cfg.flow
                 )
             except FlowDivergence as exc:
+                # report the first sample that passes through the failing node
                 raise FlowDivergence(
                     f"flow diverged at level {level + 1}, support point {i}: {exc}",
                     substep=exc.substep,
                     segment=exc.segment,
-                    row=int(rows[exc.row]),
+                    row=int(np.argmax(node_of == rows[exc.row])),
                 ) from exc
-    vals = _block_payoff(f)(states)
+        nodes = flowed
+        nodes_per_level.append(int(child.size))
+    vals = _block_payoff(f)(nodes)[node_of]
     scale = mass**k
     mean = float(np.mean(vals))
     sd = float(np.std(vals, ddof=1))
@@ -333,7 +357,12 @@ def klv_sampled(
         leaves_evaluated=n_samples,
         partition=partition,
         stderr=scale * sd / math.sqrt(n_samples),
-        diagnostics={"min_leaf": float(np.min(vals)), "max_leaf": float(np.max(vals))},
+        diagnostics={
+            "min_leaf": float(np.min(vals)),
+            "max_leaf": float(np.max(vals)),
+            "nodes_per_level": nodes_per_level,
+            "distinct_leaves": nodes_per_level[-1],
+        },
     )
 
 

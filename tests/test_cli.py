@@ -110,6 +110,21 @@ def test_solve_sampled_mode(tmp_path, capsys):
     assert data["mode"] == "sampled" and data["stderr"] > 0
 
 
+def test_solve_sampled_reports_distinct_nodes_per_level(tmp_path, capsys):
+    # degree3 in one dimension has n = 2 support points
+    samples, k = 20, 6
+    cfg = write_config(
+        tmp_path, mode="sampled", samples=samples, partition={"gamma": 2.0, "k": k}
+    )
+    code, out, _ = run(["solve", "--config", cfg], capsys)
+    assert code == 0
+    diag = json.loads(out)["diagnostics"]
+    nodes = diag["nodes_per_level"]
+    assert len(nodes) == k
+    assert all(m <= min(samples, 2 ** (j + 1)) for j, m in enumerate(nodes))
+    assert diag["distinct_leaves"] == nodes[-1]
+
+
 def test_solve_leaf_cap_exit(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

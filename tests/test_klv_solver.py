@@ -372,3 +372,81 @@ def test_dimension_mismatch_rejected(noncommuting_system):
             degree3(2), noncommuting_system, lambda y: float(y[0]),
             np.array([1.0, 0.0]), gamma_partition(1.0, 2, 1.0), FLOW64,
         )
+
+
+def _per_sample_reference(formula, sys, f, x, partition, n_samples, seed):
+    # the sampled solver as it was before it walked the drawn subtree: every
+    # sample is flowed at every level, and the payoff runs on every leaf
+    lam = np.asarray(formula.weights, dtype=float)
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(formula.n_points, size=(n_samples, partition.k),
+                       p=lam / lam.sum())
+    states = np.broadcast_to(x, (n_samples, x.shape[0])).copy()
+    for level, gap in enumerate(partition.gaps):
+        paths = rescale(formula, gap).paths
+        for i in range(formula.n_points):
+            rows = np.flatnonzero(draws[:, level] == i)
+            if rows.size:
+                states[rows] = flow_along_path(paths[i], sys, states[rows])
+    if isinstance(f, MultiPoly):
+        vals = f(states)
+    else:
+        vals = np.array([f(row) for row in states], dtype=float)
+    scale = math.fsum(formula.weights) ** partition.k
+    return (scale * float(np.mean(vals)),
+            scale * float(np.std(vals, ddof=1)) / math.sqrt(n_samples))
+
+
+def _sqrt_system():
+    c = lambda x: np.sqrt(1.0 + x * x)
+    return VectorFieldSystem(
+        (GenericField(lambda x: 0.1 * c(x), 1), GenericField(c, 1))
+    )
+
+
+_SAMPLED_CASES = {
+    # name: (formula, system, payoff, x, k); every n^k is below 20 000
+    "gbm": lambda pair: (degree5_d1(), gbm(0.05, 0.3), MultiPoly.coordinate(1, 0),
+                         np.array([1.0]), 6),
+    "noncommuting": lambda pair: (
+        degree3(2),
+        VectorFieldSystem(pair.fields + (AffineField([[0.1, 0.0], [0.2, -0.1]],
+                                                     [0.0, 0.2]),)),
+        MultiPoly(2, {(3, 0): 1.0, (0, 2): 0.5, (1, 1): -1.0}),
+        np.array([0.7, -0.3]), 5),
+    "generic": lambda pair: (degree5_d1(), _sqrt_system(), lambda y: float(y[0]),
+                             np.array([0.4]), 4),
+}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("n_samples", [2, 500, 20_000])
+@pytest.mark.parametrize("case", sorted(_SAMPLED_CASES))
+def test_sampled_tree_bit_identical_to_per_sample_reference(
+    case, n_samples, seed, noncommuting_system
+):
+    formula, sys, f, x, k = _SAMPLED_CASES[case](noncommuting_system)
+    part = gamma_partition(1.0, k, 2.0)
+    result = klv_sampled(formula, sys, f, x, part, n_samples, seed)
+    value, stderr = _per_sample_reference(formula, sys, f, x, part, n_samples, seed)
+    assert result.value == value
+    assert result.stderr == stderr
+    nodes = result.diagnostics["nodes_per_level"]
+    assert len(nodes) == k
+    assert all(1 <= m <= min(n_samples, formula.n_points ** (j + 1))
+               for j, m in enumerate(nodes))
+    assert result.diagnostics["distinct_leaves"] == nodes[-1]
+
+
+def test_sampled_tree_calls_a_scalar_payoff_once_per_distinct_leaf():
+    calls = []
+
+    def f(y):
+        calls.append(1)
+        return float(y[0])
+
+    result = klv_sampled(degree3(1), gbm(0.05, 0.3), f, np.array([1.0]),
+                         gamma_partition(1.0, 3, 1.0), 10_000, 5)
+    assert len(calls) <= 2**3
+    assert len(calls) == result.diagnostics["distinct_leaves"]
+    assert result.leaves_evaluated == 10_000
