@@ -2,15 +2,18 @@
 
 One step over a gap s replaces Wiener measure by the formula rescaled to
 [0, s]; iterating over a partition produces a tree measure whose branches
-are concatenations of rescaled support paths. The full-tree evaluator sums
-all n^k branches; the sampled evaluator draws branches i.i.d. by weight and
+are concatenations of rescaled support paths, and its value is the product
+of level operators Q_{s_1} ... Q_{s_k} f. The full-tree evaluator sums all
+n^k branches; the sampled evaluator draws branches i.i.d. by weight and
 flows each distinct drawn node once, so level j costs at most
 min(N, n^(j+1)) rows for N samples, and a non-MultiPoly payoff is called
-once per distinct leaf. Both advance blocks of states with
-vector_fields.flow_along_path, which flows affine systems in closed form,
-so on them the only error left is the tree measure's own. The full tree is
-reduced by one compensated sum over its leaves in branch order, so the
-value does not depend on the batch size.
+once per distinct leaf. Both share one prologue and one level step
+(vector_fields._LevelStep), built once per solve from the support paths of
+every level: affine systems flow in closed form through segment maps from
+one expm call, so on them the only error left is the tree measure's own,
+and generic systems flow a whole level in one RK4 pass per segment. The
+full tree is reduced by one compensated sum over its leaves in branch
+order, so the value does not depend on the batch size.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .vector_fields import (
     GenericField,
     VectorFieldSystem,
     _flow_segment,
-    flow_along_path,
+    _LevelStep,
     gamma_field,
 )
 
@@ -161,17 +164,41 @@ def _branch_of_rank(rank: int, n: int, length: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+def _prepare_tree(name: str, formula: CubatureFormula, sys: VectorFieldSystem,
+                  x, partition: Partition, cfg: SolverConfig):
+    """The prologue both tree solvers share: check the formula against the
+    system, probe the fields near x, and build the level step from the
+    support paths rescaled to every gap of the partition."""
+    if formula.paths is None:
+        raise ValueError(
+            f"{name} needs path support; see kusuoka_step for Lie support")
+    if formula.dimension != sys.n_controls:
+        raise ValueError(
+            f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
+        )
+    x = np.asarray(x, dtype=float)
+    _check_block_fields(sys, x)
+    level_paths = [rescale(formula, s).paths for s in partition.gaps]
+    return x, _LevelStep(sys, level_paths, cfg.flow)
+
+
+def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
+    """A divergence of the level step, restated at the tree position `where`;
+    row is the position's index in the solver's own numbering."""
+    return FlowDivergence(f"flow diverged {where}: {exc}", substep=exc.substep,
+                          segment=exc.segment, row=row)
+
+
 class _TreeWalker:
     """Level-synchronous expansion of the whole tree, leaves in branch order."""
 
-    def __init__(self, level_paths, weights, sys, payoff, cfg: SolverConfig):
-        self.level_paths = level_paths
+    def __init__(self, step: _LevelStep, weights, payoff, cfg: SolverConfig):
+        self.step = step
         self.weights = np.asarray(weights, dtype=float)
-        self.sys = sys
         self.payoff = payoff
         self.cfg = cfg
         self.n = len(weights)
-        self.k = len(level_paths)
+        self.k = step.lengths.shape[0]
 
     def run(self, state: np.ndarray) -> dict:
         blocks: list[np.ndarray] = []
@@ -203,22 +230,13 @@ class _TreeWalker:
             b = self._expand(states[half:], branch_weights[half:], level,
                              rank + half, blocks)
             return _merge(a, b)
-        flowed = []
-        for i, path in enumerate(self.level_paths[level]):
-            try:
-                flowed.append(
-                    flow_along_path(path, self.sys, states, self.cfg.flow)
-                )
-            except FlowDivergence as exc:
-                node = rank + exc.row
-                branch = _branch_of_rank(node, self.n, level) + (i,)
-                raise FlowDivergence(
-                    f"flow diverged on branch {branch} (level {level + 1}): {exc}",
-                    substep=exc.substep,
-                    segment=exc.segment,
-                    row=node,
-                ) from exc
-        new_states = np.stack(flowed, axis=1).reshape(rows * self.n, -1)
+        try:
+            new_states = self.step.every_point(level, states)
+        except FlowDivergence as exc:
+            child = rank * self.n + exc.row
+            branch = _branch_of_rank(child, self.n, level + 1)
+            raise _diverged(exc, f"on branch {branch} (level {level + 1})",
+                            child // self.n) from exc
         new_weights = (branch_weights[:, None] * self.weights[None, :]).reshape(-1)
         return self._expand(new_states, new_weights, level + 1,
                             rank * self.n, blocks)
@@ -244,28 +262,24 @@ def klv_full(
 
     Enumerates all n^k branches in lexicographic order (the cap refuses
     runaway trees), level by level in blocks of at most cfg.batch states.
-    Every row of a block is flowed with the same arithmetic and all leaf
-    terms are summed exactly in branch order, so the value is bit-identical
-    for every batch size. A diverging flow names its branch and level.
+    Each level moves its block along every support path with the level step
+    built once per solve: on an affine system every point's segment maps
+    (from one expm call per solve) act on the whole block; on a generic one
+    all rows of the level flow in one RK4 pass per segment. Every row is
+    flowed with the same arithmetic and all leaf terms are summed exactly in
+    branch order, so the value is bit-identical for every batch size. A
+    diverging flow names its branch, level and segment.
 
     f is called on each (P, N) block of leaf states when it is a MultiPoly,
     and once per leaf state otherwise. Every GenericField of sys must map a
     (P, N) block of states row by row; this is checked near x first.
+    diagnostics["weight_mass"] is the exact sum of the formula's weights.
     """
-    if formula.paths is None:
-        raise ValueError("klv_full needs path support; see kusuoka_step for Lie support")
-    if formula.dimension != sys.n_controls:
-        raise ValueError(
-            f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
-        )
     leaves = formula.n_points**partition.k
     if leaves > cfg.leaf_cap:
         raise LeafCapExceeded(leaves, cfg.leaf_cap)
-    level_paths = [rescale(formula, s).paths for s in partition.gaps]
-    x = np.asarray(x, dtype=float)
-    _check_block_fields(sys, x)
-    tree = _TreeWalker(level_paths, formula.weights, sys, _block_payoff(f),
-                       cfg).run(x)
+    x, step = _prepare_tree("klv_full", formula, sys, x, partition, cfg)
+    tree = _TreeWalker(step, formula.weights, _block_payoff(f), cfg).run(x)
     return SolverResult(
         value=tree["sum"],
         mode="full",
@@ -275,6 +289,7 @@ def klv_full(
             "compensation": abs(tree["sum"] - tree["naive"]),
             "min_leaf": tree["min"],
             "max_leaf": tree["max"],
+            "weight_mass": math.fsum(formula.weights),
         },
     )
 
@@ -295,25 +310,25 @@ def klv_sampled(
     weights; the estimator carries mass^k so it stays unbiased even when the
     weights sum only approximately to one. Drawn branches share prefixes, so
     the solve walks the drawn subtree: each distinct drawn node is flowed
-    once, at most min(n_samples, n^(j+1)) rows at level j, and the mean and
-    stderr are taken over the per-sample leaf values. The field contract is
-    that of klv_full; f is called on the block of distinct leaves when it is
-    a MultiPoly, and once per distinct leaf otherwise.
-    diagnostics["nodes_per_level"] lists the nodes flowed at each level and
-    diagnostics["distinct_leaves"] the leaves evaluated.
+    once, at most min(n_samples, n^(j+1)) rows at level j, by the level step
+    of klv_full (one RK4 pass per segment over the whole level on a generic
+    system), and the mean and stderr are taken over the per-sample leaf
+    values. The checks and the field contract are those of klv_full; f is
+    called on the block of distinct leaves when it is a MultiPoly, and once
+    per distinct leaf otherwise. A diverging flow names its level, support
+    point and segment, and its row is the first sample through the node.
+    diagnostics["nodes_per_level"] lists the nodes flowed at each level,
+    diagnostics["distinct_leaves"] the leaves evaluated and
+    diagnostics["weight_mass"] the exact sum of the weights.
     """
-    if formula.paths is None:
-        raise ValueError("klv_sampled needs path support")
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
+    x, step = _prepare_tree("klv_sampled", formula, sys, x, partition, cfg)
     lam = np.asarray(formula.weights, dtype=float)
     mass = math.fsum(formula.weights)
     probs = lam / lam.sum()
-    level_paths = [rescale(formula, s).paths for s in partition.gaps]
     rng = np.random.default_rng(seed)
     k = partition.k
-    x = np.asarray(x, dtype=float)
-    _check_block_fields(sys, x)
     n = formula.n_points
     draws = rng.choice(n, size=(n_samples, k), p=probs)
     # nodes holds one state per distinct drawn node of the current level,
@@ -328,24 +343,12 @@ def klv_sampled(
         child = np.flatnonzero(drawn)
         node_of = (np.cumsum(drawn) - 1)[key]
         parent, point = np.divmod(child, n)
-        flowed = np.empty((child.size, x.shape[0]))
-        for i in range(n):
-            rows = np.flatnonzero(point == i)
-            if rows.size == 0:
-                continue
-            try:
-                flowed[rows] = flow_along_path(
-                    level_paths[level][i], sys, nodes[parent[rows]], cfg.flow
-                )
-            except FlowDivergence as exc:
-                # report the first sample that passes through the failing node
-                raise FlowDivergence(
-                    f"flow diverged at level {level + 1}, support point {i}: {exc}",
-                    substep=exc.substep,
-                    segment=exc.segment,
-                    row=int(np.argmax(node_of == rows[exc.row])),
-                ) from exc
-        nodes = flowed
+        try:
+            nodes = step.along(level, nodes[parent], point)
+        except FlowDivergence as exc:
+            raise _diverged(
+                exc, f"at level {level + 1}, support point {point[exc.row]}",
+                int(np.argmax(node_of == exc.row))) from exc
         nodes_per_level.append(int(child.size))
     vals = _block_payoff(f)(nodes)[node_of]
     scale = mass**k
@@ -362,6 +365,7 @@ def klv_sampled(
             "max_leaf": float(np.max(vals)),
             "nodes_per_level": nodes_per_level,
             "distinct_leaves": nodes_per_level[-1],
+            "weight_mass": mass,
         },
     )
 

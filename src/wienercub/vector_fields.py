@@ -365,6 +365,135 @@ def _flow_segment(v: Field, x: np.ndarray, cfg: FlowConfig) -> np.ndarray:
     return flow_exp(v, 1.0, x, cfg)
 
 
+def _segment_field(sys: VectorFieldSystem, coefficients: np.ndarray) -> Field:
+    """The field sum_j c_j V_j with coefficients shared by all states, shape
+    (d+1,), or one set per row of a block, shape (P, d+1). A field whose
+    coefficients are all zero is not called. A row whose coefficients are
+    all zero gets the zero vector, so a flow leaves it exactly as it was."""
+    kept = [(coefficients[..., j, None], v) for j, v in enumerate(sys.fields)
+            if coefficients[..., j].any()]
+
+    def func(x):
+        out = 0.0
+        for c, v in kept:
+            out = out + c * v(x)
+        return out
+
+    return GenericField(func, sys.dimension)
+
+
+def _segment_maps(sys: VectorFieldSystem, coefficients: np.ndarray) -> np.ndarray:
+    """Exponentials of the augmented (N+1)-square matrices of the affine
+    fields sum_j c_j V_j, for coefficients of shape (..., d+1), from one
+    expm call. Each matrix is summed in field order, as combine sums it."""
+    n = sys.dimension
+    aug = np.zeros(coefficients.shape[:-1] + (n + 1, n + 1))
+    for j, v in enumerate(sys.fields):
+        c = coefficients[..., j, None]
+        aug[..., :n, :n] += c[..., None] * v.matrix
+        aug[..., :n, n] += c * v.offset
+    return expm(aug)
+
+
+class _LevelStep:
+    """The level operator of a cubature tree: moves a block of states along
+    the rescaled support paths of one level.
+
+    Built once per solve from the paths of every level: the segment
+    coefficients (dt, dx) go into one table, padded with zero segments to
+    the longest path, and an affine system exponentiates every segment field
+    in one expm call. A diverging flow raises FlowDivergence whose segment
+    and row name the failing segment and output row.
+    """
+
+    def __init__(self, sys: VectorFieldSystem, level_paths, cfg: FlowConfig):
+        for paths in level_paths:
+            for path in paths:
+                if path.dimension != sys.n_controls:
+                    raise ValueError(
+                        f"path has {path.dimension} space coordinates, "
+                        f"system expects {sys.n_controls}"
+                    )
+        self.sys = sys
+        self.cfg = cfg
+        self.lengths = np.array([[p.n_segments for p in paths]
+                                 for paths in level_paths])
+        self.coefficients = np.zeros(
+            self.lengths.shape + (self.lengths.max(), sys.n_controls + 1))
+        for level, paths in enumerate(level_paths):
+            for i, path in enumerate(paths):
+                for seg, (dt, dx) in enumerate(path.increments()):
+                    self.coefficients[level, i, seg] = np.concatenate(([dt], dx))
+        self.maps = (_segment_maps(sys, self.coefficients) if sys.is_affine
+                     else None)
+
+    def _segments(self, coefficients, maps, lengths, y):
+        """Flow y, one state (N,) or a block (P, N), along consecutive
+        segments: coefficients (S, d+1) shared by all rows or (P, S, d+1) one
+        path per row; maps the S exponentials of an affine system, None for a
+        generic one, which flows all rows in one RK4 flow_exp call per
+        segment; lengths the path length in segments, shared or per row."""
+        n = self.sys.dimension
+        for seg in range(coefficients.shape[-2]):
+            try:
+                if maps is None:
+                    field = _segment_field(self.sys, coefficients[..., seg, :])
+                    y = flow_exp(field, 1.0, y, self.cfg)
+                else:
+                    y = _affine_map(maps[seg, :n, :n], maps[seg, :n, n], y)
+                    _check_finite(y, "affine flow left the finite range")
+            except FlowDivergence as exc:
+                total = lengths if exc.row is None else np.broadcast_to(
+                    lengths, y.shape[:1])[exc.row]
+                raise FlowDivergence(
+                    f"segment {seg + 1}/{total}: {exc}",
+                    substep=exc.substep,
+                    segment=seg + 1,
+                    row=exc.row,
+                ) from exc
+        return y
+
+    def _along_one(self, level: int, i: int, y: np.ndarray) -> np.ndarray:
+        m = self.lengths[level, i]
+        maps = None if self.maps is None else self.maps[level, i]
+        return self._segments(self.coefficients[level, i, :m], maps, m, y)
+
+    def along(self, level: int, states: np.ndarray, point: np.ndarray):
+        """states[r] flowed along the path of support point point[r]. A
+        generic system flows every row in one RK4 pass per segment; an
+        affine one applies each point's maps to the rows of that point."""
+        if self.maps is None:
+            lengths = self.lengths[level][point]
+            return self._segments(self.coefficients[level][point, :lengths.max()],
+                                  None, lengths, states)
+        out = np.empty_like(states)
+        for i in np.unique(point):
+            rows = np.flatnonzero(point == i)
+            try:
+                out[rows] = self._along_one(level, i, states[rows])
+            except FlowDivergence as exc:
+                exc.row = int(rows[exc.row])
+                raise
+        return out
+
+    def every_point(self, level: int, states: np.ndarray) -> np.ndarray:
+        """Every state flowed along every support path: row r * n + i of the
+        (P * n, N) result is states[r] moved along point i's path."""
+        p, n = states.shape[0], self.lengths.shape[1]
+        if self.maps is None:
+            return self.along(level, np.repeat(states, n, axis=0),
+                              np.tile(np.arange(n), p))
+        # an affine point's maps act on the whole block, shared by its rows
+        out = np.empty((p, n, states.shape[1]))
+        for i in range(n):
+            try:
+                out[:, i] = self._along_one(level, i, states)
+            except FlowDivergence as exc:
+                exc.row = exc.row * n + i
+                raise
+        return out.reshape(p * n, -1)
+
+
 def flow_along_path(
     path, sys: VectorFieldSystem, x: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW
 ) -> np.ndarray:
@@ -375,22 +504,7 @@ def flow_along_path(
     x is one state (N,) or a block of states (P, N). An affine segment field
     flows in closed form, any other by RK4 with cfg.substeps; a non-finite
     state raises FlowDivergence naming the segment and the first bad row.
+    This is the one-path case of the tree solvers' level step.
     """
-    if path.dimension != sys.n_controls:
-        raise ValueError(
-            f"path has {path.dimension} space coordinates, "
-            f"system expects {sys.n_controls}"
-        )
-    y = np.asarray(x, dtype=float)
-    for seg, (dt, dx) in enumerate(path.increments()):
-        field = sys.combine(np.concatenate(([dt], dx)))
-        try:
-            y = _flow_segment(field, y, cfg)
-        except FlowDivergence as exc:
-            raise FlowDivergence(
-                f"segment {seg + 1}/{path.n_segments}: {exc}",
-                substep=exc.substep,
-                segment=seg + 1,
-                row=exc.row,
-            ) from exc
-    return y
+    return _LevelStep(sys, [[path]], cfg)._along_one(
+        0, 0, np.asarray(x, dtype=float))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -450,3 +451,154 @@ def test_sampled_tree_calls_a_scalar_payoff_once_per_distinct_leaf():
     assert len(calls) <= 2**3
     assert len(calls) == result.diagnostics["distinct_leaves"]
     assert result.leaves_evaluated == 10_000
+
+
+def test_sampled_tree_checks_dimension_before_drawing_or_probing(monkeypatch):
+    calls = []
+
+    def field(x):
+        calls.append(1)
+        return np.sin(x)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("klv_sampled drew branches before its checks")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    one_control = VectorFieldSystem(
+        (GenericField(field, 1), AffineField([[0.3]], [0.0]))
+    )
+    with pytest.raises(ValueError, match="formula drives 2 controls, system has 1"):
+        klv_sampled(degree3(2), one_control, lambda y: float(y[0]),
+                    np.array([0.5]), gamma_partition(1.0, 2, 1.0), 100, 1)
+    assert calls == []
+
+
+def test_tree_solvers_report_weight_mass():
+    part = gamma_partition(1.0, 3, 2.0)
+    f = lambda y: float(y[0])
+    for formula in (degree3(1), degree5_d1()):
+        mass = math.fsum(formula.weights)
+        full = klv_full(formula, gbm(0.05, 0.3), f, np.array([1.0]), part)
+        sampled = klv_sampled(formula, gbm(0.05, 0.3), f, np.array([1.0]),
+                              part, 100, 2)
+        assert full.diagnostics["weight_mass"] == mass
+        assert sampled.diagnostics["weight_mass"] == mass
+    assert mass == pytest.approx(1.0, abs=1e-14)
+
+
+def _per_branch_reference(formula, sys, f, x, partition, flow):
+    # the full tree as a sum over branches, each flowed on its own, one path
+    # after another, by flow_along_path
+    levels = [rescale(formula, s).paths for s in partition.gaps]
+    terms = []
+    for branch in itertools.product(range(formula.n_points), repeat=partition.k):
+        y, weight = x, 1.0
+        for level, i in enumerate(branch):
+            y = flow_along_path(levels[level][i], sys, y, flow)
+            weight = weight * formula.weights[i]
+        terms.append(weight * f(y))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("batch", [1, 3, SolverConfig().batch])
+@pytest.mark.parametrize("drift", ["affine", "generic"])
+def test_full_tree_generic_fields_bit_identical_to_per_branch_flows(drift, batch):
+    # degree5_d1 has paths of 3, 1 and 3 segments, so the one-pass level step
+    # pads the middle path with zero segments; that must leave its rows as
+    # they are, bit for bit
+    v0 = (AffineField([[0.1]], [0.2]) if drift == "affine"
+          else GenericField(lambda x: 0.2 * np.cos(x), 1))
+    sys = VectorFieldSystem((v0, GenericField(np.sin, 1)))
+    part = gamma_partition(1.0, 3, 2.0)
+    cfg = SolverConfig(flow=FlowConfig(substeps=8), batch=batch)
+    f = lambda y: float(y[0])
+    x0 = np.array([0.5])
+    got = klv_full(degree5_d1(), sys, f, x0, part, cfg).value
+    assert got == _per_branch_reference(degree5_d1(), sys, f, x0, part, cfg.flow)
+
+
+def test_sampled_tree_flows_a_level_in_one_rk4_pass():
+    # each level is one RK4 pass per segment over all its rows, so V_0 runs
+    # 4 * substeps times per segment of the longest path (3 for degree5_d1),
+    # not once per segment of every path (3 + 1 + 3), plus the three calls
+    # of the field probe (two states, then the block of both)
+    calls = []
+
+    def v0(x):
+        calls.append(x.shape)
+        return 0.1 * np.sqrt(1.0 + x * x)
+
+    sys = VectorFieldSystem(
+        (GenericField(v0, 1), GenericField(lambda x: np.sqrt(1.0 + x * x), 1))
+    )
+    k, substeps = 3, 4
+    result = klv_sampled(
+        degree5_d1(), sys, lambda y: float(y[0]), np.array([0.4]),
+        gamma_partition(1.0, k, 2.0), 2_000, 5,
+        SolverConfig(flow=FlowConfig(substeps=substeps)),
+    )
+    assert len(calls) == k * 3 * 4 * substeps + 3
+    nodes = result.diagnostics["nodes_per_level"]
+    flow_rows = [shape[0] for shape in calls[3:]]
+    assert flow_rows == [m for m in nodes for _ in range(3 * 4 * substeps)]
+
+
+def _reflow_divergence_segment(formula, sys, x, partition, branch):
+    # flow the branch path by path; its last path must diverge, and the
+    # segment it diverges on is returned
+    levels = [rescale(formula, s).paths for s in partition.gaps]
+    y = x
+    for level, i in enumerate(branch[:-1]):
+        y = flow_along_path(levels[level][i], sys, y)
+    with pytest.raises(FlowDivergence) as err:
+        flow_along_path(levels[len(branch) - 1][branch[-1]], sys, y)
+    return err.value.segment
+
+
+# a generic and an affine system whose degree5_d1 trees diverge inside a
+# path: the affine one (x e^{-400 w}) overflows on segment 2 of point 2
+_MULTI_SEGMENT_BLOWUPS = {"generic": _blowup_system, "affine": lambda: gbm(0.0, -400.0)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+@pytest.mark.parametrize("batch", [1 << 16, 1, 3])
+@pytest.mark.parametrize("system", sorted(_MULTI_SEGMENT_BLOWUPS))
+def test_full_tree_divergence_names_the_segment_of_a_multi_segment_path(
+    system, batch
+):
+    sys = _MULTI_SEGMENT_BLOWUPS[system]()
+    part = gamma_partition(1.0, 4, 1.0)
+    x0 = np.array([1.0])
+    with pytest.raises(FlowDivergence) as err:
+        klv_full(degree5_d1(), sys, lambda y: float(y[0]), x0, part,
+                 SolverConfig(batch=batch))
+    named = re.search(r"branch \(([\d, ]+)\) \(level (\d+)\)", str(err.value))
+    branch = tuple(int(i) for i in named.group(1).split(",") if i.strip())
+    assert len(branch) == int(named.group(2))
+    assert err.value.segment == _reflow_divergence_segment(
+        degree5_d1(), sys, x0, part, branch)
+    assert err.value.segment > 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+@pytest.mark.parametrize("system", sorted(_MULTI_SEGMENT_BLOWUPS))
+def test_sampled_tree_divergence_names_the_segment_of_a_multi_segment_path(system):
+    sys = _MULTI_SEGMENT_BLOWUPS[system]()
+    part = gamma_partition(1.0, 4, 1.0)
+    x0 = np.array([1.0])
+    n_samples, seed = 200, 3
+    formula = degree5_d1()
+    with pytest.raises(FlowDivergence) as err:
+        klv_sampled(formula, sys, lambda y: float(y[0]), x0, part,
+                    n_samples, seed)
+    named = re.search(r"at level (\d+), support point (\d+):", str(err.value))
+    level, point = int(named.group(1)), int(named.group(2))
+    # the draws klv_sampled makes for this seed; row is the failing sample
+    lam = np.asarray(formula.weights, dtype=float)
+    draws = np.random.default_rng(seed).choice(
+        formula.n_points, size=(n_samples, part.k), p=lam / lam.sum())
+    branch = tuple(int(i) for i in draws[err.value.row, :level])
+    assert branch[-1] == point
+    assert err.value.segment == _reflow_divergence_segment(
+        formula, sys, x0, part, branch)
+    assert err.value.segment > 1
