@@ -33,6 +33,7 @@ from .vector_fields import (
     VectorFieldSystem,
     _flow_segment,
     _LevelStep,
+    _matvec,
     gamma_field,
 )
 
@@ -420,10 +421,7 @@ def _ito_drift(sys: VectorFieldSystem):
     def drift(x):
         out = np.array(sys.fields[0](x), dtype=float)
         for v in space:
-            vx = v(x)
-            out += 0.5 * np.array(
-                [v.jacobian(row) @ vrow for row, vrow in zip(x, vx)], dtype=float
-            )
+            out += 0.5 * _matvec(v.jacobian(x), v(x))
         return out
 
     return drift
@@ -445,8 +443,8 @@ def euler_mc(
     a high-precision oracle; tighten steps and paths as needed. A MultiPoly
     f is evaluated on each batch of final states at once, any other
     callable once per path. Generic fields are probed as in `klv_full` and
-    then called once per batch and step; their Jacobians, which take one
-    point, are called once per path and step.
+    then called, with their Jacobians, once per batch and step; a field's
+    jacobian_func takes one state, so it is called once per path and step.
     """
     if steps < 1 or paths < 2:
         raise ValueError("need steps >= 1 and paths >= 2")

@@ -87,10 +87,6 @@ def is_lie_element(a: GradedTensor, tol: float = DYNKIN_TOL) -> bool:
     return dynkin_defect(a) <= tol
 
 
-# the classical name for the same check
-dynkin_is_lie = is_lie_element
-
-
 @dataclass(frozen=True)
 class LiePolynomial:
     """A tensor together with a bracketing certificate.

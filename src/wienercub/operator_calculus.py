@@ -14,8 +14,9 @@ import math
 import numpy as np
 
 from .tensor_algebra import GradedTensor, exp
-from .lie_structures import LiePolynomial, certify
-from .vector_fields import AffineField, FlowConfig, VectorFieldSystem, flow_exp, gamma_field
+from .lie_structures import LiePolynomial
+from .vector_fields import (AffineField, VectorFieldSystem, affine_flow_exact,
+                            gamma_field)
 
 Exponents = tuple[int, ...]
 
@@ -257,9 +258,7 @@ def flow_tensor_gap(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
         raise ValueError(f"s must be positive, got {s!r}")
     u = w.dilate(math.sqrt(s))
     tensor_side = taylor_operator(exp(u.tensor), sys, f)(x)
-    field = gamma_field(u, sys)
-    y = flow_exp(field, 1.0, np.asarray(x, dtype=float),
-                 FlowConfig(exact_affine=True))
+    y = affine_flow_exact(gamma_field(u, sys), 1.0, np.asarray(x, dtype=float))
     return abs(float(f(y)) - tensor_side)
 
 

@@ -17,12 +17,10 @@ from typing import Iterable
 import numpy as np
 
 from .tensor_algebra import (
-    AlgebraError,
     GradedTensor,
     Word,
     all_words,
     exp,
-    graded_degree,
     log,
     mul,
 )

@@ -258,11 +258,6 @@ class GradedTensor:
                 out[w] = v
         return GradedTensor(self.dimension, self.truncation, out, _trusted=True)
 
-    def max_graded_degree(self) -> int:
-        if not self._coeffs:
-            return 0
-        return max(graded_degree(w) for w in self._coeffs)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:

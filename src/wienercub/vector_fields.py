@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -45,6 +45,12 @@ def _check_finite(y: np.ndarray, message: str, substep: int | None = None):
         return
     row = int(np.argmin(finite.all(axis=-1))) if y.ndim == 2 else None
     raise FlowDivergence(message, substep=substep, row=row)
+
+
+def _matvec(jac: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """J @ y taken row by row: a Jacobian (N, N) or (P, N, N) applied to a
+    vector (N,) or a block (P, N)."""
+    return np.einsum("...ij,...j->...i", jac, y)
 
 
 def _affine_map(matrix: np.ndarray, offset: np.ndarray, x) -> np.ndarray:
@@ -81,10 +87,8 @@ class AffineField:
         return _affine_map(self.matrix, self.offset, x)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix
-
-    def scaled(self, c: float) -> "AffineField":
-        return AffineField(c * self.matrix, c * self.offset)
+        """The matrix, once per row of a block (a read-only view)."""
+        return np.broadcast_to(self.matrix, np.shape(x)[:-1] + self.matrix.shape)
 
     @classmethod
     def zero(cls, dimension: int) -> "AffineField":
@@ -93,17 +97,18 @@ class AffineField:
 
 @dataclass(frozen=True, eq=False)
 class GenericField:
-    """Callback field; jacobian callback optional (finite differences else).
+    """Callback field on one state (N,) or a block of states (P, N).
 
-    `note` carries accuracy advisories picked up by derived fields, e.g.
-    brackets built from finite-difference jacobians.
+    jacobian(x) maps (N,) to (N, N) and (P, N) to (P, N, N). A jacobian_func
+    takes one state and is called once per row of a block; without one, the
+    Jacobian is taken by central differences of step fd_step * (1 + |x_j|)
+    on the whole block, with the same arithmetic for every row.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     dimension: int
     jacobian_func: Callable[[np.ndarray], np.ndarray] | None = None
     fd_step: float = FD_STEP
-    note: str = ""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -111,15 +116,23 @@ class GenericField:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.jacobian_func is not None:
+            if x.ndim > 1:
+                return np.array([self.jacobian(row) for row in x])
             return np.asarray(self.jacobian_func(x), dtype=float)
-        n = self.dimension
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = self.fd_step * (1.0 + abs(float(x[j])))
-            e = np.zeros(n)
-            e[j] = h
-            jac[:, j] = (self(x + e) - self(x - e)) / (2.0 * h)
+        jac = np.empty(x.shape + (self.dimension,))
+        for j in range(self.dimension):
+            e = np.zeros_like(x)
+            e[..., j] = self.fd_step * (1.0 + np.abs(x[..., j]))
+            jac[..., j] = (self(x + e) - self(x - e)) / (2.0 * e[..., j, None])
         return jac
+
+
+class _Combination(GenericField):
+    """A linear combination of fields; its jacobian_func, like its func,
+    takes one state or a whole block."""
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self.jacobian_func(np.asarray(x, dtype=float))
 
 
 Field = AffineField | GenericField
@@ -134,16 +147,9 @@ def bracket_field(v: Field, w: Field) -> Field:
         return AffineField(b @ a - a @ b, b @ v.offset - a @ w.offset)
 
     def func(x, v=v, w=w):
-        return w.jacobian(x) @ v(x) - v.jacobian(x) @ w(x)
+        return _matvec(w.jacobian(x), v(x)) - _matvec(v.jacobian(x), w(x))
 
-    notes = [f.note for f in (v, w) if isinstance(f, GenericField) and f.note]
-    if any(
-        isinstance(f, GenericField) and f.jacobian_func is None for f in (v, w)
-    ):
-        notes.append("finite-difference jacobian, O(h^2)")
-    return GenericField(
-        func, v.dimension, note="; ".join(dict.fromkeys(notes))
-    )
+    return GenericField(func, v.dimension)
 
 
 @dataclass(frozen=True)
@@ -180,39 +186,47 @@ class VectorFieldSystem:
             raise ValueError(
                 f"need {len(self.fields)} coefficients, got shape {c.shape}"
             )
-        return combine_fields(list(self.fields), c)
+        return combine_fields(self.fields, c)
 
 
-def combine_fields(fields: list[Field], coefficients: np.ndarray) -> Field:
-    if all(isinstance(f, AffineField) for f in fields):
+def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
+    """The field sum_j c_j V_j, with coefficients of shape (m,) shared by all
+    states, or (P, m), one set per row of a (P, N) block of states.
+
+    A field whose coefficients are all zero is not called, and a row whose
+    coefficients are all zero gets the zero vector, so a flow leaves it
+    exactly as it was. Shared coefficients on affine fields give an
+    AffineField; otherwise the value is summed in field order and the
+    Jacobian is the same combination of the fields' Jacobians, both on one
+    state or on a whole block.
+    """
+    c = np.asarray(coefficients, dtype=float)
+    if c.ndim == 1 and all(isinstance(f, AffineField) for f in fields):
         n = fields[0].dimension
         a = np.zeros((n, n))
         b = np.zeros(n)
-        for c, f in zip(coefficients, fields):
-            if c != 0.0:
-                a += c * f.matrix
-                b += c * f.offset
+        for cj, f in zip(c, fields):
+            if cj != 0.0:
+                a += cj * f.matrix
+                b += cj * f.offset
         return AffineField(a, b)
-    kept = [(float(c), f) for c, f in zip(coefficients, fields) if c != 0.0]
+    kept = [j for j in range(len(fields)) if c[..., j].any()]
+    terms = [fields[j] for j in kept]
+    weights = c[..., kept]
 
-    def func(x, kept=tuple(kept)):
+    def func(x):
         out = 0.0
-        for c, f in kept:
-            out = out + c * f(x)
+        for i, f in enumerate(terms):
+            out = out + weights[..., i, None] * f(x)
         return out
 
-    def jac(x, kept=tuple(kept)):
-        out = 0.0
-        for c, f in kept:
-            out = out + c * f.jacobian(x)
-        return out
+    def jac(x):
+        if not terms:
+            return np.zeros(x.shape + (x.shape[-1],))
+        stacked = np.stack([f.jacobian(x) for f in terms], axis=-1)
+        return _matvec(stacked, weights[..., None, :])
 
-    note = "; ".join(
-        dict.fromkeys(
-            f.note for _, f in kept if isinstance(f, GenericField) and f.note
-        )
-    )
-    return GenericField(func, fields[0].dimension, jacobian_func=jac, note=note)
+    return _Combination(func, fields[0].dimension, jacobian_func=jac)
 
 
 # -- builtin systems -----------------------------------------------------------
@@ -296,19 +310,16 @@ def gamma_field(poly: LiePolynomial, sys: VectorFieldSystem) -> Field:
 @dataclass(frozen=True)
 class FlowConfig:
     """substeps: RK4 steps per unit flow parameter (and per path segment);
-    fd_step: finite-difference scale for generic jacobians;
     exact_affine: let flow_exp replace RK4 by the closed-form affine flow.
-    flow_along_path and the tree solvers always flow affine fields exactly."""
+    flow_along_path and the tree solvers always flow affine fields exactly.
+    The finite-difference step of a generic Jacobian is GenericField.fd_step."""
 
     substeps: int = 32
-    fd_step: float = FD_STEP
     exact_affine: bool = False
 
     def __post_init__(self):
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
-        if not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
 DEFAULT_FLOW = FlowConfig()
@@ -363,23 +374,6 @@ def _flow_segment(v: Field, x: np.ndarray, cfg: FlowConfig) -> np.ndarray:
     if isinstance(v, AffineField):
         return affine_flow_exact(v, 1.0, x)
     return flow_exp(v, 1.0, x, cfg)
-
-
-def _segment_field(sys: VectorFieldSystem, coefficients: np.ndarray) -> Field:
-    """The field sum_j c_j V_j with coefficients shared by all states, shape
-    (d+1,), or one set per row of a block, shape (P, d+1). A field whose
-    coefficients are all zero is not called. A row whose coefficients are
-    all zero gets the zero vector, so a flow leaves it exactly as it was."""
-    kept = [(coefficients[..., j, None], v) for j, v in enumerate(sys.fields)
-            if coefficients[..., j].any()]
-
-    def func(x):
-        out = 0.0
-        for c, v in kept:
-            out = out + c * v(x)
-        return out
-
-    return GenericField(func, sys.dimension)
 
 
 def _segment_maps(sys: VectorFieldSystem, coefficients: np.ndarray) -> np.ndarray:
@@ -437,7 +431,8 @@ class _LevelStep:
         for seg in range(coefficients.shape[-2]):
             try:
                 if maps is None:
-                    field = _segment_field(self.sys, coefficients[..., seg, :])
+                    field = combine_fields(self.sys.fields,
+                                           coefficients[..., seg, :])
                     y = flow_exp(field, 1.0, y, self.cfg)
                 else:
                     y = _affine_map(maps[seg, :n, :n], maps[seg, :n, n], y)

@@ -354,17 +354,30 @@ def test_euler_block_field_calls_match_row_loop():
     assert vectorized == looped
 
 
-def test_generic_bracket_field_rejected_by_probe():
-    # the finite-difference Jacobian of a GenericField takes one point, so a
-    # bracket of generic fields cannot be called on a block of states
+def test_generic_bracket_field_drives_the_solvers():
+    # [sin, cos] = -sin^2 - cos^2 = -1 by finite differences, so X is
+    # dX = (0.1 X + 0.2) dt - dW and E[X_1] = (x + 2) e^0.1 - 2
     sys = VectorFieldSystem((
-        AffineField([[0.0]], [0.0]),
+        AffineField([[0.1]], [0.2]),
         bracket_field(GenericField(np.sin, 1), GenericField(np.cos, 1)),
     ))
-    with pytest.raises(ValueError, match="field V_1") as err:
-        klv_full(degree5_d1(), sys, lambda y: float(y[0]), np.array([0.5]),
-                 gamma_partition(1.0, 2, 1.0))
-    assert isinstance(err.value.__cause__, TypeError)
+    f, x = (lambda y: float(y[0])), np.array([0.5])
+    truth = 2.5 * math.exp(0.1) - 2.0
+    formula, partition = degree5_d1(), gamma_partition(1.0, 2, 1.0)
+    full = klv_full(formula, sys, f, x, partition)
+    # the same tree, one branch at a time
+    paths = [rescale(formula, gap).paths for gap in partition.gaps]
+    terms = []
+    for i, j in itertools.product(range(formula.n_points), repeat=2):
+        y = flow_along_path(paths[1][j], sys, flow_along_path(paths[0][i], sys, x))
+        terms.append(formula.weights[i] * formula.weights[j] * f(y))
+    assert full.value == math.fsum(terms)
+    assert full.value == pytest.approx(truth, abs=1e-8)
+    sampled = klv_sampled(formula, sys, f, x, partition, 200, 3)
+    assert (sampled.value, sampled.stderr) == _per_sample_reference(
+        formula, sys, f, x, partition, 200, 3)
+    mean, se = euler_mc(sys, f, x, 1.0, 16, 2_000, 5)
+    assert abs(mean - truth) < 4 * se + 1e-2
 
 
 def test_dimension_mismatch_rejected(noncommuting_system):

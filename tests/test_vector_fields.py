@@ -62,6 +62,55 @@ def test_generic_jacobian_finite_differences():
     np.testing.assert_allclose(cube.jacobian(x), expected, atol=1e-9)
 
 
+def _cube(x):
+    return np.stack([x[..., 0] ** 3, x[..., 0] * x[..., 1]], axis=-1)
+
+
+def test_block_finite_difference_jacobian_rows_equal_point_jacobians():
+    block = np.array([[0.8, -0.5], [-1.3, 2.0], [0.0, 0.25]])
+    default, coarse = GenericField(_cube, 2), GenericField(_cube, 2, fd_step=1e-3)
+    for field in (default, coarse):
+        jac = field.jacobian(block)
+        assert jac.shape == (3, 2, 2)
+        for row, x in zip(jac, block):
+            assert np.array_equal(row, field.jacobian(x))
+    assert not np.array_equal(coarse.jacobian(block), default.jacobian(block))
+    bracket = bracket_field(GenericField(np.sin, 2), GenericField(_cube, 2))
+    values = bracket(block)
+    for row, x in zip(values, block):
+        assert np.array_equal(row, bracket(x))
+
+
+def test_jacobian_func_is_called_once_per_row():
+    calls = []
+
+    def jac(x):
+        calls.append(x.shape)
+        return np.array([[3 * x[0] ** 2, 0.0], [x[1], x[0]]])
+
+    field = GenericField(_cube, 2, jacobian_func=jac)
+    block = np.array([[0.8, -0.5], [-1.3, 2.0], [0.0, 0.25], [1.0, 1.0]])
+    got = field.jacobian(block)
+    assert calls == [(2,)] * 4
+    np.testing.assert_array_equal(got, np.stack([jac(x) for x in block]))
+
+
+def test_combine_fields_with_one_coefficient_row_per_state():
+    def never(x):
+        raise AssertionError("a field with zero coefficients was called")
+
+    fields = [GenericField(np.sin, 1), AffineField([[2.0]], [1.0]),
+              GenericField(never, 1)]
+    coefficients = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    block = np.array([[0.3], [-0.7], [1.1]])
+    v = combine_fields(fields, coefficients)
+    np.testing.assert_allclose(
+        v(block), [[math.sin(0.3) + 0.5 * 1.6], [0.0], [2.0 * 3.2]], rtol=1e-15)
+    assert np.array_equal(v(block)[1], [0.0])
+    np.testing.assert_allclose(
+        v.jacobian(block), [[[math.cos(0.3) + 1.0]], [[0.0]], [[4.0]]], rtol=1e-9)
+
+
 def test_combine_fields_affine_stays_affine():
     sys = gbm(0.05, 0.3)
     combined = sys.combine(np.array([0.5, 2.0]))
