@@ -4,25 +4,38 @@ A path is a continuous piecewise-linear map from [0, T] into R^d starting at
 the origin. Coordinate 0 of every signature integral is time itself, so the
 signature lives over the extended alphabet {0, 1, ..., d}. On one linear
 segment the signature is the exponential of the level-one element
-dt * e_0 + sum_i dx_i * e_i, and the signature of a concatenation is the
+x = dt * e_0 + sum_i dx_i * e_i, and the signature of a concatenation is the
 product of the factors (Chen's relation); both identities are exact at any
 truncation, so signatures here carry no discretization error.
+
+`signature` and `monte_carlo_expected_signature` share one Chen step,
+S -> S (x) exp(x), in Horner form. For a word w = w_1 ... w_k,
+
+    (S (x) exp x)[w] = R(w, 1),
+    R(u, j) = S[u] + (x_{u_last} / j) * R(u without its last letter, j + 1),
+    R((), j) = S[()],
+
+which expands to sum_i S[w_1 ... w_i] x_{w_i+1} ... x_{w_k} / (k - i)!.
+`_chen_plan` lists the pairs (u, j) the words of the truncation need, shortest
+u first; the step costs one multiply-add per entry of that program.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .tensor_algebra import (
+    AlgebraError,
     GradedTensor,
     Word,
     all_words,
-    exp,
+    graded_degree,
     log,
-    mul,
 )
 from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
 
@@ -149,17 +162,83 @@ def concat(first: PiecewiseLinearPath, second: PiecewiseLinearPath) -> Piecewise
     return PiecewiseLinearPath(knots, points)
 
 
+class _ChenPlan(NamedTuple):
+    """The word basis and the Horner program of S -> S (x) exp(x).
+
+    `levels[l - 1]` holds the entries (u, j) with |u| = l as triples
+    (index of S[u], index of x_{u_last} / j in the scaled increment, slot of
+    R(u without its last letter, j + 1)); slot 0 is S[()] and the entries
+    take slots 1, 2, ... in order. `outputs[i]` is the slot of R(words[i], 1).
+    The scaled increment lists x_a / j for j = 1 .. depth, letter by letter.
+    """
+
+    words: tuple[Word, ...]
+    levels: tuple[tuple[tuple[int, int, int], ...], ...]
+    outputs: tuple[int, ...]
+    depth: int
+
+
+@lru_cache(maxsize=32)
+def _chen_plan(dimension: int, truncation: int) -> _ChenPlan:
+    """The Horner program of the Chen step over `all_words(dimension, truncation)`.
+
+    R(u, j) is needed when u extends to a word of the truncation by j - 1
+    letters, i.e. when graded_degree(u) + j - 1 <= truncation.
+    """
+    if dimension < 1:
+        raise AlgebraError(f"dimension must be >= 1, got {dimension}")
+    if truncation < 0:
+        raise AlgebraError(f"truncation must be >= 0, got {truncation}")
+    words = tuple(all_words(dimension, truncation))
+    index = {w: i for i, w in enumerate(words)}
+    slot: dict[tuple[Word, int], int] = {}
+    levels = []
+    for length in range(1, max(map(len, words)) + 1):
+        level = []
+        for u in words:
+            if len(u) != length:
+                continue
+            for j in range(1, truncation - graded_degree(u) + 2):
+                slot[u, j] = len(slot) + 1
+                src = slot[u[:-1], j + 1] if length > 1 else 0
+                level.append((index[u], u[-1] * truncation + j - 1, src))
+        levels.append(tuple(level))
+    outputs = tuple(slot[w, 1] if w else 0 for w in words)
+    return _ChenPlan(words, tuple(levels), outputs, truncation)
+
+
+def _chen_step(coeffs: Sequence, x: Sequence, plan: _ChenPlan) -> list:
+    """Coefficients of S (x) exp(x) for the level-one x = sum_a x[a] e_a.
+
+    `coeffs` lists S over `plan.words`; entries may be floats or arrays of
+    one value per path, and the same arithmetic runs on both. One
+    multiply-add per program entry.
+    """
+    scaled = [xa / j for xa in x for j in range(1, plan.depth + 1)]
+    r = [coeffs[0]]
+    for level in plan.levels:
+        r += [coeffs[s] + scaled[k] * r[src] for s, k, src in level]
+    return [r[i] for i in plan.outputs]
+
+
 def signature(path: PiecewiseLinearPath, truncation: int) -> GradedTensor:
-    """Truncated signature, time adjoined as coordinate 0."""
+    """Truncated signature, time adjoined as coordinate 0.
+
+    Chen's relation, one segment at a time: S <- S (x) exp(dt e_0 + dx),
+    each step the Horner program of the module docstring (one multiply-add
+    per program entry). Only nonzero coefficients are kept.
+    """
     d = path.dimension
-    sig = GradedTensor.unit(d, truncation)
+    plan = _chen_plan(d, truncation)
+    coeffs = [1.0] + [0.0] * (len(plan.words) - 1)
     for dt, dx in path.increments():
-        seg: dict[Word, float] = {(0,): dt}
-        for i in range(d):
-            if dx[i] != 0.0:
-                seg[(i + 1,)] = float(dx[i])
-        sig = mul(sig, exp(GradedTensor(d, truncation, seg, _trusted=True)))
-    return sig
+        coeffs = _chen_step(coeffs, [float(dt), *dx.tolist()], plan)
+    return GradedTensor(
+        d,
+        truncation,
+        {w: c for w, c in zip(plan.words, coeffs) if c != 0.0},
+        _trusted=True,
+    )
 
 
 def log_signature(
@@ -181,21 +260,34 @@ def brownian_rescale(path: PiecewiseLinearPath, horizon: float) -> PiecewiseLine
     return PiecewiseLinearPath(knots, points)
 
 
+def _check_horizon(horizon: float) -> None:
+    """Reject a horizon that is not a positive finite number (NaN included)."""
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
+
+
 def brownian_expected_signature(
     dimension: int, truncation: int, horizon: float = 1.0
 ) -> GradedTensor:
     """Expected Stratonovich signature of Brownian motion with time adjoined.
 
     Closed form: exp(T*e_0 + (T/2) * sum_i e_i e_i), projected to the
-    truncation. The Monte Carlo estimator below provides the independent
-    cross-check.
+    truncation. Expanding the exponential, a word has a nonzero coefficient
+    exactly when it is a concatenation of k blocks `0` and `ii` (one such
+    split at most), and then the coefficient is T^a (T/2)^(k-a) / k! with a
+    the number of blocks `0`. Every block has graded degree 2. The Monte
+    Carlo estimator below provides the independent cross-check.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    gen: dict[Word, float] = {(0,): float(horizon)}
-    for i in range(1, dimension + 1):
-        gen[(i, i)] = 0.5 * horizon
-    return exp(GradedTensor(dimension, truncation, gen, _trusted=True))
+    _check_horizon(horizon)
+    blocks = [(0,)] + [(i, i) for i in range(1, dimension + 1)]
+    coeffs: dict[Word, float] = {}
+    for k in range(truncation // 2 + 1):
+        for split in itertools.product(blocks, repeat=k):
+            a = split.count((0,))
+            c = horizon**a * (0.5 * horizon) ** (k - a) / math.factorial(k)
+            if c != 0.0:
+                coeffs[sum(split, ())] = c
+    return GradedTensor(dimension, truncation, coeffs, _trusted=True)
 
 
 def monte_carlo_expected_signature(
@@ -209,19 +301,18 @@ def monte_carlo_expected_signature(
 ) -> tuple[GradedTensor, dict[Word, float]]:
     """Sample mean of signatures of piecewise-linear Brownian interpolations.
 
-    Returns the empirical mean tensor and a per-word standard error. The
-    per-step update is the splitting recursion behind Chen's relation,
-    vectorized over a batch of paths.
+    Returns the empirical mean tensor and a per-word standard error. Each
+    batch of paths draws one `rng.standard_normal((b, dimension))` per time
+    step and applies the Chen step of the module docstring to arrays of one
+    coefficient per path: one multiply-add of arrays per program entry.
     """
     if n_paths < 2 or n_steps < 1:
         raise ValueError("need n_paths >= 2 and n_steps >= 1")
-    words = all_words(dimension, truncation)
-    index = {w: i for i, w in enumerate(words)}
-    # all ways to split each word into (prefix kept from the running
-    # signature, suffix taken from the new segment)
-    splits: list[list[tuple[int, Word]]] = [
-        [(index[w[:j]], w[j:]) for j in range(len(w) + 1)] for w in words
-    ]
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+    _check_horizon(horizon)
+    plan = _chen_plan(dimension, truncation)
+    words = plan.words
     h = horizon / n_steps
     sum_ = np.zeros(len(words))
     sumsq = np.zeros(len(words))
@@ -229,26 +320,13 @@ def monte_carlo_expected_signature(
     while done < n_paths:
         b = min(batch_size, n_paths - done)
         coeffs = [np.zeros(b) for _ in words]
-        coeffs[index[()]] = np.ones(b)
+        coeffs[0] = np.ones(b)
         for _ in range(n_steps):
             db = rng.standard_normal((b, dimension)) * math.sqrt(h)
-            seg: list[np.ndarray | float] = []
-            for w in words:
-                c: np.ndarray | float = 1.0 / math.factorial(len(w))
-                for a in w:
-                    c = c * (h if a == 0 else db[:, a - 1])
-                seg.append(c)
-            new = []
-            for i, w in enumerate(words):
-                acc = None
-                for iu, v in splits[i]:
-                    term = coeffs[iu] * seg[index[v]]
-                    acc = term if acc is None else acc + term
-                new.append(acc)
-            coeffs = new
-        for i in range(len(words)):
-            sum_[i] += coeffs[i].sum()
-            sumsq[i] += (coeffs[i] ** 2).sum()
+            coeffs = _chen_step(coeffs, [h, *db.T], plan)
+        for i, c in enumerate(coeffs):
+            sum_[i] += c.sum()
+            sumsq[i] += (c**2).sum()
         done += b
     mean = sum_ / n_paths
     var = np.maximum(sumsq / n_paths - mean**2, 0.0) * (n_paths / (n_paths - 1))

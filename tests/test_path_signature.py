@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wienercub.tensor_algebra import GradedTensor, graded_degree, mul
+from wienercub.tensor_algebra import AlgebraError, GradedTensor, all_words, exp, mul
 from wienercub.path_signature import (
     PiecewiseLinearPath,
     concat,
@@ -168,3 +168,118 @@ def test_monte_carlo_reproducible_and_batching_consistent():
     truth = brownian_expected_signature(1, 3)
     for est in (runs[0], other):
         assert est.max_coeff_difference(truth) < 0.15
+
+
+def _product_signature(path, m):
+    """Chen's relation read literally: one tensor exponential per segment."""
+    d = path.dimension
+    sig = GradedTensor.unit(d, m)
+    for dt, dx in path.increments():
+        seg = {(0,): dt, **{(i + 1,): float(c) for i, c in enumerate(dx) if c != 0.0}}
+        sig = mul(sig, exp(GradedTensor(d, m, seg)))
+    return sig
+
+
+@pytest.mark.parametrize("d,m", [(1, 9), (2, 6), (3, 4), (3, 5)])
+def test_signature_matches_product_of_exponentials(d, m):
+    rng = np.random.default_rng(100 * d + m)
+    for _ in range(3):
+        gaps = rng.uniform(0.2, 1.0, 6)
+        path = PiecewiseLinearPath.from_increments(
+            [(float(g), rng.uniform(-0.8, 0.8, d)) for g in gaps / gaps.sum()]
+        )
+        got, ref = dict(signature(path, m).items()), dict(_product_signature(path, m).items())
+        assert got.keys() == ref.keys()
+        for w, c in ref.items():
+            assert abs(got[w] - c) <= 1e-14 * max(1.0, abs(c)), w
+
+
+def test_signature_word_set_when_a_coordinate_never_moves():
+    path = PiecewiseLinearPath.from_increments(
+        [(0.3, (0.5, 0.0)), (0.2, (-0.4, 0.0)), (0.5, (0.9, 0.0))]
+    )
+    got = {w for w, _ in signature(path, 5).items()}
+    assert got == {w for w, _ in _product_signature(path, 5).items()}
+    assert got and not any(2 in w for w in got)
+    with pytest.raises(AlgebraError):
+        signature(path, -1)
+
+
+def _split_recursion_estimate(d, m, horizon, n_paths, n_steps, rng, batch_size):
+    """The estimator written as the splitting recursion behind Chen's
+    relation: every split of a word into a prefix from the running signature
+    and a suffix from the segment exponential, on the estimator's draws."""
+    words = all_words(d, m)
+    index = {w: i for i, w in enumerate(words)}
+    h = horizon / n_steps
+    sum_, sumsq, done = np.zeros(len(words)), np.zeros(len(words)), 0
+    while done < n_paths:
+        b = min(batch_size, n_paths - done)
+        coeffs = [np.zeros(b) for _ in words]
+        coeffs[0] = np.ones(b)
+        for _ in range(n_steps):
+            db = rng.standard_normal((b, d)) * math.sqrt(h)
+            seg = []
+            for w in words:
+                c = 1.0 / math.factorial(len(w))
+                for a in w:
+                    c = c * (h if a == 0 else db[:, a - 1])
+                seg.append(c)
+            coeffs = [
+                sum(coeffs[index[w[:j]]] * seg[index[w[j:]]] for j in range(len(w) + 1))
+                for w in words
+            ]
+        sum_ += [c.sum() for c in coeffs]
+        sumsq += [(c**2).sum() for c in coeffs]
+        done += b
+    mean = sum_ / n_paths
+    var = np.maximum(sumsq / n_paths - mean**2, 0.0) * (n_paths / (n_paths - 1))
+    return dict(zip(words, mean)), dict(zip(words, np.sqrt(var / n_paths)))
+
+
+@pytest.mark.parametrize("d,m", [(1, 3), (2, 4), (3, 3)])
+@pytest.mark.parametrize("batch_size", [600, 250])
+def test_monte_carlo_matches_split_recursion_on_the_same_draws(d, m, batch_size):
+    n = 600
+    est, stderr = monte_carlo_expected_signature(
+        d, m, 1.0, n, 12, np.random.default_rng(9), batch_size=batch_size
+    )
+    ref_mean, ref_se = _split_recursion_estimate(
+        d, m, 1.0, n, 12, np.random.default_rng(9), batch_size
+    )
+    assert stderr.keys() == ref_se.keys()
+    for w, mu in ref_mean.items():
+        # scale of the per-path values averaged into the mean
+        rms = math.sqrt(mu * mu + n * ref_se[w] ** 2)
+        assert abs(est.coeff(w) - mu) <= 1e-13 * rms, w
+        if any(w):
+            assert abs(stderr[w] - ref_se[w]) <= 1e-13 * ref_se[w], w
+        else:
+            # a pure-time coefficient is the same on every path: both
+            # stderrs are rounding of sumsq/n - mean^2, so bound their size
+            assert max(stderr[w], ref_se[w]) <= 1e-7 * rms / math.sqrt(n), w
+
+
+def test_monte_carlo_rejects_bad_batch_size():
+    for batch_size in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            monte_carlo_expected_signature(
+                1, 2, 1.0, 10, 4, np.random.default_rng(0), batch_size=batch_size
+            )
+
+
+def test_monte_carlo_and_closed_form_reject_bad_horizon():
+    for horizon in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            monte_carlo_expected_signature(1, 2, horizon, 10, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            brownian_expected_signature(1, 2, horizon)
+
+
+@pytest.mark.parametrize("d,m,horizon", [(1, 9, 1.0), (2, 6, 0.3), (3, 5, 2.5)])
+def test_expected_signature_is_the_exponential_of_its_generator(d, m, horizon):
+    gen = {(0,): horizon, **{(i, i): horizon / 2 for i in range(1, d + 1)}}
+    ref = exp(GradedTensor(d, m, gen))
+    got = brownian_expected_signature(d, m, horizon)
+    assert {w for w, _ in got.items()} == {w for w, _ in ref.items()}
+    assert got.max_coeff_difference(ref) <= 1e-15 * max(abs(c) for _, c in ref.items())
