@@ -21,6 +21,7 @@ from .lie_structures import DYNKIN_TOL, LiePolynomial, NotLieElement, certify
 from .path_signature import (
     PiecewiseLinearPath,
     brownian_expected_signature,
+    _check_horizon,
     brownian_rescale,
     log_signature,
     signature,
@@ -238,15 +239,20 @@ def degree5_d1() -> CubatureFormula:
     )
 
 
-def rescale(formula: CubatureFormula, horizon: float) -> CubatureFormula:
-    """Carry a unit-horizon formula to [0, horizon]: Brownian-rescale the
-    paths, or dilate Lie support by sqrt(horizon). Weights are unchanged."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+def _check_unit_horizon(formula: CubatureFormula) -> None:
+    """Reject a formula whose horizon is not 1 (within the mass tolerance):
+    rescaling, and the tree solvers, start from unit-horizon support."""
     if abs(formula.horizon - 1.0) > _MASS_TOL:
         raise ValueError(
             f"rescale expects a unit-horizon formula, got horizon {formula.horizon!r}"
         )
+
+
+def rescale(formula: CubatureFormula, horizon: float) -> CubatureFormula:
+    """Carry a unit-horizon formula to [0, horizon]: Brownian-rescale the
+    paths, or dilate Lie support by sqrt(horizon). Weights are unchanged."""
+    _check_horizon(horizon)
+    _check_unit_horizon(formula)
     if formula.paths is not None:
         return CubatureFormula(
             dimension=formula.dimension,

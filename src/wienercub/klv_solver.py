@@ -8,10 +8,12 @@ n^k branches; the sampled evaluator draws branches i.i.d. by weight and
 flows each distinct drawn node once, so level j costs at most
 min(N, n^(j+1)) rows for N samples, and a non-MultiPoly payoff is called
 once per distinct leaf. Both share one prologue and one level step
-(vector_fields._LevelStep), built once per solve from the support paths of
-every level: affine systems flow in closed form through segment maps from
-one expm call, so on them the only error left is the tree measure's own,
-and generic systems flow a whole level in one RK4 pass per segment. The
+(vector_fields._LevelStep), built once per solve from the unit-horizon
+support paths and the partition's gaps, as arrays: one table of segment
+increments for every level, and on affine systems the segment maps from
+one batched vector_fields.expm call, so on them the flows are closed-form
+and the only error left is the tree measure's own. Generic systems flow a
+whole level in one RK4 pass per segment. The
 full tree is reduced by one compensated sum over its leaves in branch
 order, so the value does not depend on the batch size.
 """
@@ -22,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubature import CubatureFormula, rescale
+from .cubature import CubatureFormula, _check_unit_horizon
 from .operator_calculus import MultiPoly
+from .path_signature import _check_horizon
 from .vector_fields import (
     DEFAULT_FLOW,
     AffineField,
@@ -49,6 +52,9 @@ class Partition:
             raise ValueError("partition needs at least two times")
         if abs(self.times[0]) > 1e-12:
             raise ValueError(f"partition must start at 0, got {self.times[0]!r}")
+        for t in self.times:
+            if not math.isfinite(t):
+                raise ValueError(f"partition times must be finite, got {t!r}")
         for a, b in zip(self.times, self.times[1:]):
             if not b > a:
                 raise ValueError(f"times must increase strictly: {a!r} !< {b!r}")
@@ -69,8 +75,7 @@ class Partition:
 def gamma_partition(horizon: float, k: int, gamma: float) -> Partition:
     """t_j = T (1 - (1 - j/k)^gamma); gamma = 1 is the uniform grid, larger
     gamma packs the short steps toward T."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    _check_horizon(horizon)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if gamma < 1.0:
@@ -169,7 +174,7 @@ def _prepare_tree(name: str, formula: CubatureFormula, sys: VectorFieldSystem,
                   x, partition: Partition, cfg: SolverConfig):
     """The prologue both tree solvers share: check the formula against the
     system, probe the fields near x, and build the level step from the
-    support paths rescaled to every gap of the partition."""
+    unit-horizon support paths and the gaps of the partition."""
     if formula.paths is None:
         raise ValueError(
             f"{name} needs path support; see kusuoka_step for Lie support")
@@ -177,10 +182,10 @@ def _prepare_tree(name: str, formula: CubatureFormula, sys: VectorFieldSystem,
         raise ValueError(
             f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
         )
+    _check_unit_horizon(formula)
     x = np.asarray(x, dtype=float)
     _check_block_fields(sys, x)
-    level_paths = [rescale(formula, s).paths for s in partition.gaps]
-    return x, _LevelStep(sys, level_paths, cfg.flow)
+    return x, _LevelStep(sys, formula.paths, partition.gaps, cfg.flow)
 
 
 def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
@@ -199,7 +204,7 @@ class _TreeWalker:
         self.payoff = payoff
         self.cfg = cfg
         self.n = len(weights)
-        self.k = step.lengths.shape[0]
+        self.k = step.coefficients.shape[0]
 
     def run(self, state: np.ndarray) -> dict:
         blocks: list[np.ndarray] = []

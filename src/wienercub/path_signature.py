@@ -252,8 +252,7 @@ def brownian_rescale(path: PiecewiseLinearPath, horizon: float) -> PiecewiseLine
     space by its square root, so the signature dilates by sqrt(horizon)."""
     if abs(path.horizon - 1.0) > 1e-9:
         raise ValueError(f"rescale expects a unit-horizon path, got {path.horizon!r}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    _check_horizon(horizon)
     root = math.sqrt(horizon)
     knots = tuple(t * horizon for t in path.knots)
     points = tuple(tuple(c * root for c in p) for p in path.points)
@@ -315,7 +314,11 @@ def monte_carlo_expected_signature(
     words = plan.words
     h = horizon / n_steps
     sum_ = np.zeros(len(words))
-    sumsq = np.zeros(len(words))
+    # the variance is taken about the first path's values, so it does not
+    # cancel against the mean: a word equal on every path gets exactly 0
+    shift = None
+    shifted_sum = np.zeros(len(words))
+    shifted_sumsq = np.zeros(len(words))
     done = 0
     while done < n_paths:
         b = min(batch_size, n_paths - done)
@@ -324,12 +327,16 @@ def monte_carlo_expected_signature(
         for _ in range(n_steps):
             db = rng.standard_normal((b, dimension)) * math.sqrt(h)
             coeffs = _chen_step(coeffs, [h, *db.T], plan)
+        if shift is None:
+            shift = [c[0] for c in coeffs]
         for i, c in enumerate(coeffs):
             sum_[i] += c.sum()
-            sumsq[i] += (c**2).sum()
+            dev = c - shift[i]
+            shifted_sum[i] += dev.sum()
+            shifted_sumsq[i] += (dev**2).sum()
         done += b
     mean = sum_ / n_paths
-    var = np.maximum(sumsq / n_paths - mean**2, 0.0) * (n_paths / (n_paths - 1))
+    var = np.maximum(shifted_sumsq - shifted_sum**2 / n_paths, 0.0) / (n_paths - 1)
     stderr = np.sqrt(var / n_paths)
     tensor = GradedTensor(
         dimension,

@@ -101,6 +101,9 @@ def test_rescale_scales_knots_and_values():
     assert validate(formula, tol=1e-10).ok
     with pytest.raises(ValueError):
         rescale(formula, 1.0)  # only unit-horizon sources
+    for horizon in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            rescale(degree5_d1(), horizon)
 
 
 def test_lie_form_log_signatures():

@@ -13,6 +13,7 @@ from wienercub.vector_fields import (
     bracket_field,
     FlowConfig,
     FlowDivergence,
+    _LevelStep,
     flow_along_path,
     gbm,
 )
@@ -45,6 +46,15 @@ def test_gamma_partition_shapes():
         gamma_partition(1.0, 4, 0.5)
     with pytest.raises(ValueError):
         Partition((0.0, 0.5, 0.5, 1.0))
+
+
+def test_partitions_reject_non_finite_horizons():
+    for horizon in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            gamma_partition(horizon, 3, 2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="partition times must be finite"):
+            Partition((0.0, 0.5, bad))
 
 
 def test_tree_value_matches_scalar_product_formula():
@@ -378,6 +388,33 @@ def test_generic_bracket_field_drives_the_solvers():
         formula, sys, f, x, partition, 200, 3)
     mean, se = euler_mc(sys, f, x, 1.0, 16, 2_000, 5)
     assert abs(mean - truth) < 4 * se + 1e-2
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 4.5])
+@pytest.mark.parametrize("formula", [degree5_d1(), degree3(1), degree3(2), degree3(3)],
+                         ids=["degree5_d1", "degree3_1", "degree3_2", "degree3_3"])
+def test_level_step_table_equals_rescaled_path_increments(formula, gamma):
+    sys = VectorFieldSystem(tuple(AffineField.zero(1)
+                                  for _ in range(formula.dimension + 1)))
+    for k in (1, 5, 12):
+        gaps = gamma_partition(1.0, k, gamma).gaps
+        table = _LevelStep(sys, formula.paths, gaps, FlowConfig()).coefficients
+        for level, s in enumerate(gaps):
+            for i, path in enumerate(rescale(formula, s).paths):
+                rows = [np.concatenate(([dt], dx)) for dt, dx in path.increments()]
+                assert (table[level, i, :len(rows)] == rows).all(), (k, level, i)
+                assert not table[level, i, len(rows):].any()
+
+
+def test_tree_solvers_reject_a_formula_off_the_unit_horizon():
+    formula = rescale(degree3(1), 0.5)
+    part = gamma_partition(1.0, 2, 1.0)
+    message = "unit-horizon formula, got horizon 0.5"
+    with pytest.raises(ValueError, match=message):
+        klv_full(formula, gbm(0.1, 0.2), lambda y: float(y[0]), [1.0], part)
+    with pytest.raises(ValueError, match=message):
+        klv_sampled(formula, gbm(0.1, 0.2), lambda y: float(y[0]), [1.0], part,
+                    10, 0)
 
 
 def test_dimension_mismatch_rejected(noncommuting_system):

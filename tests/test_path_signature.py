@@ -274,6 +274,17 @@ def test_monte_carlo_and_closed_form_reject_bad_horizon():
             monte_carlo_expected_signature(1, 2, horizon, 10, 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="horizon must be positive"):
             brownian_expected_signature(1, 2, horizon)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            brownian_rescale(PiecewiseLinearPath.straight_line((0.3,)), horizon)
+
+
+def test_monte_carlo_stderr_of_a_pure_time_word_is_zero():
+    # (0, 0) is h^2/2 summed the same way on every path, so it has no spread
+    _, stderr = monte_carlo_expected_signature(
+        2, 4, 1.0, 600, 12, np.random.default_rng(9))
+    assert stderr[(0, 0)] == 0.0
+    assert stderr[(0,)] == 0.0
+    assert stderr[(1, 1)] > 0.0
 
 
 @pytest.mark.parametrize("d,m,horizon", [(1, 9, 1.0), (2, 6, 0.3), (3, 5, 2.5)])

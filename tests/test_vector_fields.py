@@ -20,6 +20,7 @@ from wienercub.vector_fields import (
     nested_bracket_field,
     gamma_field,
     affine_flow_exact,
+    expm,
     flow_exp,
     flow_along_path,
 )
@@ -31,6 +32,13 @@ def test_affine_field_evaluation_and_batching():
     batch = v(np.array([[1.0, 1.0], [0.0, 0.0]]))
     np.testing.assert_allclose(batch, [[3.5, -1.0], [0.5, 0.0]])
     np.testing.assert_allclose(v.jacobian(np.zeros(2)), [[1.0, 2.0], [0.0, -1.0]])
+
+
+def test_affine_field_rejects_non_finite_entries():
+    for matrix, offset in (([[math.inf]], [0.0]), ([[0.0]], [math.nan]),
+                           ([[1.0, -math.inf], [0.0, 1.0]], [0.0, 0.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            AffineField(matrix, offset)
 
 
 def test_affine_bracket_by_hand():
@@ -159,6 +167,32 @@ def test_scalar_affine_flow_closed_form():
     np.testing.assert_allclose(affine_flow_exact(v, t, np.array([x])), [expected])
     got = flow_exp(v, t, np.array([x]), FlowConfig(substeps=128))
     np.testing.assert_allclose(got, [expected], atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.1, 1.0, 5.0])
+def test_expm_matches_mpmath_on_augmented_stacks(sigma):
+    mpmath = pytest.importorskip("mpmath")
+    # augmented matrices of 2-D affine fields: the last row stays zero
+    stack = np.zeros((16, 3, 3))
+    stack[:, :2, :] = np.random.default_rng(5).normal(0.0, sigma, (16, 2, 3))
+    got = expm(stack)
+    with mpmath.workdps(40):
+        for a, e in zip(stack, got):
+            ref = mpmath.expm(mpmath.matrix(a.tolist()))
+            err = mpmath.mnorm(ref - mpmath.matrix(e.tolist()), 1)
+            assert err <= 1e-14 * mpmath.mnorm(ref, 1), (sigma, a)
+
+
+def test_expm_of_zero_is_the_identity_and_keeps_the_shape():
+    assert (expm(np.zeros((2, 4, 3, 3))) == np.eye(3)).all()
+    assert expm(np.zeros((2, 4, 3, 3))).shape == (2, 4, 3, 3)
+    assert (expm(np.zeros((2, 2))) == np.eye(2)).all()
+    # an overflowed matrix stays non-finite, so a flow reports divergence
+    assert not np.isfinite(expm(np.array([[[math.inf]], [[math.nan]]]))).any()
+    # a one-matrix call and a stacked call agree with the scalar exponential
+    assert expm(np.array([[0.3]]))[0, 0] == pytest.approx(math.exp(0.3), rel=1e-15)
+    np.testing.assert_allclose(expm(np.array([[[-40.0]], [[2.5]]]))[:, 0, 0],
+                               [math.exp(-40.0), math.exp(2.5)], rtol=1e-14)
 
 
 def test_flow_exp_exact_affine_toggle():
