@@ -153,24 +153,24 @@ def _build_payoff(spec: dict, n_vars: int):
 def _build_formula(spec: dict) -> CubatureFormula:
     if "file" in spec:
         return cubature.from_file(spec["file"])
-    builtin = spec.get("builtin")
-    if builtin == "degree3":
-        return cubature.degree3(int(spec.get("dimension", 1)))
-    if builtin == "degree5_d1":
-        return cubature.degree5_d1()
-    raise ValueError(
-        f"cubature spec needs 'file' or builtin in {{degree3, degree5_d1}}: {spec!r}"
-    )
+    label = str(spec.get("builtin"))
+    if "dimension" in spec:
+        label += f":{int(spec['dimension'])}"
+    formula = _builtin_formula(label)
+    if formula is None:
+        raise ValueError("cubature spec needs 'file' or builtin in "
+                         f"{{degree3, degree5_d1}}: {spec!r}")
+    return formula
 
 
 def _builtin_formula(label: str) -> CubatureFormula | None:
-    """Builtin specs addressable from the command line: degree3:2, degree5_d1."""
-    if label == "degree5_d1":
+    """Builtin specs addressable from the command line and from a config:
+    degree3 (dimension 1), degree3:<d>, degree5_d1 (or degree5_d1:1)."""
+    name, _, dimension = label.partition(":")
+    if name == "degree3":
+        return cubature.degree3(int(dimension or 1))
+    if name == "degree5_d1" and dimension in ("", "1"):
         return cubature.degree5_d1()
-    if label.startswith("degree3:"):
-        return cubature.degree3(int(label.split(":", 1)[1]))
-    if label == "degree3":
-        return cubature.degree3(1)
     return None
 
 
@@ -287,16 +287,14 @@ def _run_single(config: dict, k: int, threads: int, seed: int):
     gamma = float(config.get("partition", {}).get("gamma", formula.degree - 1))
     part = gamma_partition(horizon, k, gamma)
     cfg = _solver_config(config, threads)
-    mode = config.get("mode", "full")
-    if mode == "full":
+    # ExperimentConfig.from_args admits only the modes full and sampled
+    if config.get("mode", "full") == "full":
         result = klv_full(formula, system, payoff, x0, part, cfg)
-    elif mode == "sampled":
+    else:
         result = klv_sampled(
             formula, system, payoff, x0, part,
             int(config.get("samples", 100_000)), seed, cfg,
         )
-    else:
-        raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
     reference = _closed_form_reference(sys_spec, payoff_meta, x0, horizon)
     return result, reference, payoff_meta
 

@@ -64,8 +64,7 @@ class CubatureFormula:
             )
         if any(not w > 0.0 for w in self.weights):
             raise ValueError(f"weights must be strictly positive: {self.weights!r}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        _check_horizon(self.horizon)
         if self.paths is not None:
             for j, p in enumerate(self.paths):
                 if p.dimension != self.dimension:

@@ -10,17 +10,18 @@ min(N, n^(j+1)) rows for N samples, and a non-MultiPoly payoff is called
 once per distinct leaf. Both share one prologue and one level step
 (vector_fields._LevelStep), built once per solve from the unit-horizon
 support paths and the partition's gaps, as arrays: one table of segment
-increments for every level, and on affine systems the segment maps from
-one batched vector_fields.expm call, so on them the flows are closed-form
-and the only error left is the tree measure's own. Generic systems flow a
-whole level in one RK4 pass per segment. The
-full tree is reduced by one compensated sum over its leaves in branch
-order, so the value does not depend on the batch size.
+increments for every level, padded with zero segments to the longest path,
+and on affine systems the segment maps from one batched vector_fields.expm
+call, so on them the flows are closed-form and the only error left is the
+tree measure's own. A level is one step per segment over all its rows: the
+gathered segment map of each row on an affine system, one RK4 pass on a
+generic one. The full tree is reduced by one compensated sum over its
+leaves in branch order, so the value does not depend on the batch size.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,9 +35,9 @@ from .vector_fields import (
     FlowDivergence,
     GenericField,
     VectorFieldSystem,
-    _flow_segment,
     _LevelStep,
     _matvec,
+    flow_exp,
     gamma_field,
 )
 
@@ -269,9 +270,9 @@ def klv_full(
     Enumerates all n^k branches in lexicographic order (the cap refuses
     runaway trees), level by level in blocks of at most cfg.batch states.
     Each level moves its block along every support path with the level step
-    built once per solve: on an affine system every point's segment maps
-    (from one expm call per solve) act on the whole block; on a generic one
-    all rows of the level flow in one RK4 pass per segment. Every row is
+    built once per solve, one step per segment over all rows: on an affine
+    system each row's segment map (from one expm call per solve) is gathered
+    and applied; on a generic one the rows flow in one RK4 pass. Every row is
     flowed with the same arithmetic and all leaf terms are summed exactly in
     branch order, so the value is bit-identical for every batch size. A
     diverging flow names its branch, level and segment.
@@ -317,11 +318,12 @@ def klv_sampled(
     weights sum only approximately to one. Drawn branches share prefixes, so
     the solve walks the drawn subtree: each distinct drawn node is flowed
     once, at most min(n_samples, n^(j+1)) rows at level j, by the level step
-    of klv_full (one RK4 pass per segment over the whole level on a generic
-    system), and the mean and stderr are taken over the per-sample leaf
-    values. The checks and the field contract are those of klv_full; f is
-    called on the block of distinct leaves when it is a MultiPoly, and once
-    per distinct leaf otherwise. A diverging flow names its level, support
+    of klv_full (one step per segment over the whole level: gathered maps on
+    an affine system, one RK4 pass on a generic one), and the mean and
+    stderr are taken over the per-sample leaf values. The checks and the
+    field contract are those of klv_full; f is called on the block of
+    distinct leaves when it is a MultiPoly, and once per distinct leaf
+    otherwise. A diverging flow names its level, support
     point and segment, and its row is the first sample through the node.
     diagnostics["nodes_per_level"] lists the nodes flowed at each level,
     diagnostics["distinct_leaves"] the leaves evaluated and
@@ -398,10 +400,11 @@ def kusuoka_step(
         raise ValueError(f"gap must be positive, got {s!r}")
     root = math.sqrt(s)
     x = np.asarray(x, dtype=float)
+    exact = replace(cfg, exact_affine=True)
     total = []
     for lam, poly in zip(formula.weights, formula.lie_polys):
         fld = gamma_field(poly.dilate(root), sys)
-        total.append(lam * float(f(_flow_segment(fld, x, cfg))))
+        total.append(lam * float(f(flow_exp(fld, 1.0, x, exact))))
     return math.fsum(total)
 
 
@@ -414,14 +417,12 @@ def _ito_drift(sys: VectorFieldSystem):
     """
     space = sys.fields[1:]
     if sys.is_affine:
-        n = sys.dimension
         a = sys.fields[0].matrix.copy()
         b = sys.fields[0].offset.copy()
         for v in space:
             a += 0.5 * (v.matrix @ v.matrix)
             b += 0.5 * (v.matrix @ v.offset)
-        corrected = AffineField(a, b)
-        return lambda x: x @ corrected.matrix.T + corrected.offset
+        return AffineField(a, b)
 
     def drift(x):
         out = np.array(sys.fields[0](x), dtype=float)
@@ -462,21 +463,20 @@ def euler_mc(
     rt = math.sqrt(h)
     rng = np.random.default_rng(seed)
     total = 0.0
-    total_sq = 0.0
+    # the variance is taken about the first path's value, so it does not
+    # cancel against the mean: identical paths get a stderr of exactly 0
+    shift = None
+    shifted = 0.0
+    shifted_sq = 0.0
     done = 0
     while done < paths:
         b = min(batch, paths - done)
         states = np.broadcast_to(x, (b, x.shape[0])).copy()
         for step in range(steps):
             z = rng.standard_normal((b, len(space)))
-            if sys.is_affine:
-                move = drift(states) * h
-                for i, v in enumerate(space):
-                    move += (states @ v.matrix.T + v.offset) * (rt * z[:, i : i + 1])
-            else:
-                move = drift(states) * h
-                for i, v in enumerate(space):
-                    move += v(states) * (rt * z[:, i : i + 1])
+            move = drift(states) * h
+            for i, v in enumerate(space):
+                move += v(states) * (rt * z[:, i : i + 1])
             states = states + move
             if not np.all(np.isfinite(states)):
                 bad = int(np.sum(~np.isfinite(states).all(axis=1)))
@@ -485,9 +485,12 @@ def euler_mc(
                     substep=step + 1,
                 )
         vals = payoff(states)
+        if shift is None:
+            shift = float(vals[0])
+        dev = vals - shift
         total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
+        shifted += float(np.sum(dev))
+        shifted_sq += float(np.sum(dev**2))
         done += b
-    mean = total / paths
-    var = max(total_sq / paths - mean**2, 0.0) * (paths / (paths - 1))
-    return mean, math.sqrt(var / paths)
+    var = max(shifted_sq - shifted**2 / paths, 0.0) / (paths - 1)
+    return total / paths, math.sqrt(var / paths)

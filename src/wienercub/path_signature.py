@@ -46,7 +46,8 @@ _KNOT_TOL = 1e-12
 class PiecewiseLinearPath:
     """Knot representation: values points[j] at times knots[j], joined linearly.
 
-    knots[0] == 0 and points[0] is the origin; knots increase strictly.
+    knots[0] == 0 and points[0] is the origin; knots increase strictly;
+    knots and points are finite.
     """
 
     knots: tuple[float, ...]
@@ -59,6 +60,8 @@ class PiecewiseLinearPath:
             raise ValueError(
                 f"knot/point count mismatch: {len(self.knots)} vs {len(self.points)}"
             )
+        if not all(math.isfinite(t) for t in self.knots):
+            raise ValueError(f"knots must be finite, got {self.knots!r}")
         if abs(self.knots[0]) > _KNOT_TOL:
             raise ValueError(f"first knot must be 0, got {self.knots[0]!r}")
         for a, b in zip(self.knots, self.knots[1:]):
@@ -69,6 +72,8 @@ class PiecewiseLinearPath:
             raise ValueError("path dimension must be >= 1")
         if any(len(p) != d for p in self.points):
             raise ValueError("inconsistent point dimensions")
+        if not all(math.isfinite(c) for p in self.points for c in p):
+            raise ValueError(f"points must be finite, got {self.points!r}")
         if any(abs(c) > _KNOT_TOL for c in self.points[0]):
             raise ValueError(f"path must start at the origin, got {self.points[0]!r}")
 

@@ -53,10 +53,16 @@ def _matvec(jac: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _affine_map(matrix: np.ndarray, offset: np.ndarray, x) -> np.ndarray:
-    """matrix @ x + offset over leading batch axes, with the same arithmetic
-    for every row count (numpy's one-row matmul rounds differently)."""
+    """matrix @ x + offset over leading batch axes, for one matrix (N, N)
+    shared by all rows or one per row (P, N, N), summed column by column:
+    each row gets the same arithmetic for every row count (numpy's one-row
+    matmul rounds differently), and no (P, N, N) product is formed."""
     x = np.asarray(x, dtype=float)
-    return (x[..., None, :] * matrix).sum(axis=-1) + offset
+    out = x[..., :1] * matrix[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j:j + 1] * matrix[..., j]
+    out += offset
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,14 +418,6 @@ def flow_exp(
     return y
 
 
-def _flow_segment(v: Field, x: np.ndarray, cfg: FlowConfig) -> np.ndarray:
-    """Exp(V)(x) over unit parameter: closed form for an affine V, RK4
-    flow_exp for any other field."""
-    if isinstance(v, AffineField):
-        return affine_flow_exact(v, 1.0, x)
-    return flow_exp(v, 1.0, x, cfg)
-
-
 def _segment_maps(sys: VectorFieldSystem, coefficients: np.ndarray) -> np.ndarray:
     """Exponentials of the augmented (N+1)-square matrices of the affine
     fields sum_j c_j V_j, for coefficients of shape (..., d+1), from one
@@ -473,72 +471,39 @@ class _LevelStep:
         self.maps = (_segment_maps(sys, self.coefficients) if sys.is_affine
                      else None)
 
-    def _segments(self, coefficients, maps, lengths, y):
-        """Flow y, one state (N,) or a block (P, N), along consecutive
-        segments: coefficients (S, d+1) shared by all rows or (P, S, d+1) one
-        path per row; maps the S exponentials of an affine system, None for a
-        generic one, which flows all rows in one RK4 flow_exp call per
-        segment; lengths the path length in segments, shared or per row."""
+    def along(self, level: int, states: np.ndarray, point: np.ndarray):
+        """states[r] flowed along the path of support point point[r]. Each
+        segment is one step over all rows: on an affine system every row's
+        segment map is gathered and applied, on a generic one the rows flow
+        in one RK4 flow_exp call. A row whose path is shorter rides through
+        zero segments, whose map is exactly the identity."""
         n = self.sys.dimension
-        for seg in range(coefficients.shape[-2]):
+        y = states
+        for seg in range(self.lengths[point].max()):
             try:
-                if maps is None:
+                if self.maps is None:
                     field = combine_fields(self.sys.fields,
-                                           coefficients[..., seg, :])
+                                           self.coefficients[level, point, seg])
                     y = flow_exp(field, 1.0, y, self.cfg)
                 else:
-                    y = _affine_map(maps[seg, :n, :n], maps[seg, :n, n], y)
+                    maps = self.maps[level, point, seg, :n]
+                    y = _affine_map(maps[..., :n], maps[..., n], y)
                     _check_finite(y, "affine flow left the finite range")
             except FlowDivergence as exc:
-                total = lengths if exc.row is None else np.broadcast_to(
-                    lengths, y.shape[:1])[exc.row]
                 raise FlowDivergence(
-                    f"segment {seg + 1}/{total}: {exc}",
+                    f"segment {seg + 1}/{self.lengths[point[exc.row]]}: {exc}",
                     substep=exc.substep,
                     segment=seg + 1,
                     row=exc.row,
                 ) from exc
         return y
 
-    def _along_one(self, level: int, i: int, y: np.ndarray) -> np.ndarray:
-        m = self.lengths[i]
-        maps = None if self.maps is None else self.maps[level, i]
-        return self._segments(self.coefficients[level, i, :m], maps, m, y)
-
-    def along(self, level: int, states: np.ndarray, point: np.ndarray):
-        """states[r] flowed along the path of support point point[r]. A
-        generic system flows every row in one RK4 pass per segment; an
-        affine one applies each point's maps to the rows of that point."""
-        if self.maps is None:
-            lengths = self.lengths[point]
-            return self._segments(self.coefficients[level][point, :lengths.max()],
-                                  None, lengths, states)
-        out = np.empty_like(states)
-        for i in np.unique(point):
-            rows = np.flatnonzero(point == i)
-            try:
-                out[rows] = self._along_one(level, i, states[rows])
-            except FlowDivergence as exc:
-                exc.row = int(rows[exc.row])
-                raise
-        return out
-
     def every_point(self, level: int, states: np.ndarray) -> np.ndarray:
         """Every state flowed along every support path: row r * n + i of the
         (P * n, N) result is states[r] moved along point i's path."""
         p, n = states.shape[0], self.lengths.size
-        if self.maps is None:
-            return self.along(level, np.repeat(states, n, axis=0),
-                              np.tile(np.arange(n), p))
-        # an affine point's maps act on the whole block, shared by its rows
-        out = np.empty((p, n, states.shape[1]))
-        for i in range(n):
-            try:
-                out[:, i] = self._along_one(level, i, states)
-            except FlowDivergence as exc:
-                exc.row = exc.row * n + i
-                raise
-        return out.reshape(p * n, -1)
+        return self.along(level, np.repeat(states, n, axis=0),
+                          np.tile(np.arange(n), p))
 
 
 def flow_along_path(
@@ -553,5 +518,8 @@ def flow_along_path(
     state raises FlowDivergence naming the segment and the first bad row.
     This is the one-path case of the tree solvers' level step.
     """
-    return _LevelStep(sys, [path], [1.0], cfg)._along_one(
-        0, 0, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    block = np.atleast_2d(x)
+    y = _LevelStep(sys, [path], [1.0], cfg).along(
+        0, block, np.zeros(len(block), dtype=np.intp))
+    return y.reshape(x.shape)

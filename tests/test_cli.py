@@ -167,6 +167,17 @@ def test_solve_rejects_unknown_mode(tmp_path, capsys):
     assert code == 1 and "mode" in err and "antithetic" in err
 
 
+def test_config_builtins_are_the_command_line_builtins(tmp_path, capsys):
+    assert cli._build_formula({"builtin": "degree3", "dimension": 2}).dimension == 2
+    assert cli._build_formula({"builtin": "degree3"}).dimension == 1
+    assert cli._build_formula({"builtin": "degree5_d1", "dimension": 1}).degree == 5
+    for spec in ({"builtin": "degree7"}, {"builtin": "degree5_d1", "dimension": 2},
+                 {}):
+        cfg = write_config(tmp_path, cubature=spec)
+        code, _, err = run(["solve", "--config", cfg], capsys)
+        assert code == 1 and "cubature spec needs 'file' or builtin" in err
+
+
 def test_mc_reference_runs(tmp_path, capsys):
     cfg = write_config(tmp_path, reference={"steps": 16, "paths": 4000})
     code, out, _ = run(["mc-reference", "--config", cfg], capsys)

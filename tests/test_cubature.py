@@ -131,6 +131,23 @@ def test_formula_constructor_rejects_bad_input():
         CubatureFormula(1, 3, (0.5,), paths=(path,), horizon=2.0)  # horizon clash
     with pytest.raises(ValueError):
         CubatureFormula(1, 3, (1.0,))  # neither support
+    for horizon in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            CubatureFormula(1, 3, (1.0,), paths=(path,), horizon=horizon)
+
+
+@pytest.mark.parametrize("where", ["horizon", "knot", "point"])
+def test_loader_rejects_non_finite_input(where):
+    record = degree5_d1().to_dict()
+    path = record["support"]["paths"][0]
+    if where == "horizon":
+        record["horizon"] = math.inf
+    elif where == "knot":
+        path["knots"][-1] = path["horizon"] = math.inf
+    else:
+        path["points"][1][0] = math.nan
+    with pytest.raises(CubatureLoadError, match="finite|horizon must be positive"):
+        cubature.from_dict(record)
 
 
 def test_file_roundtrip_both_forms(tmp_path):

@@ -323,6 +323,21 @@ def test_euler_reproducible_and_batched():
     assert (m1, se1) == (m2, se2)
 
 
+def test_euler_stderr_does_not_cancel_against_the_mean():
+    # sigma = 0 makes every path the same: the stderr is exactly 0
+    f = MultiPoly.coordinate(1, 0)
+    assert euler_mc(gbm(0.3, 0.0), f, [0.7], 1.0, 16, 300, 1)[1] == 0.0
+    # at sigma = 1e-6 it is the two-pass standard error of the final states
+    finals = []
+
+    def payoff(y):
+        finals.append(float(y[0]))
+        return float(y[0])
+
+    _, se = euler_mc(gbm(0.3, 1e-6), payoff, [0.7], 1.0, 16, 300, 1)
+    assert se == pytest.approx(np.std(finals, ddof=1) / math.sqrt(300), rel=1e-9)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_euler_divergence_detection():
     blowup = VectorFieldSystem(

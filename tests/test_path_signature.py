@@ -24,6 +24,11 @@ def test_path_validation():
         PiecewiseLinearPath((0.0, 0.5, 0.5), ((0.0,), (1.0,), (2.0,)))  # stall
     with pytest.raises(ValueError):
         PiecewiseLinearPath((0.0, 1.0), ((0.0, 0.0), (1.0,)))  # ragged points
+    for knots, points in (((0.0, math.inf), ((0.0,), (1.0,))),
+                          ((0.0, 1.0), ((0.0,), (math.nan,))),
+                          ((0.0, 1.0), ((0.0,), (-math.inf,)))):
+        with pytest.raises(ValueError, match="must be finite"):
+            PiecewiseLinearPath(knots, points)
 
 
 def test_increments_and_constructors():

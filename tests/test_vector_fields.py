@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wienercub.cubature import degree5_d1, rescale
 from wienercub.tensor_algebra import GradedTensor
 from wienercub.lie_structures import bracket, certify
 from wienercub.path_signature import PiecewiseLinearPath, log_signature
@@ -23,6 +24,8 @@ from wienercub.vector_fields import (
     expm,
     flow_exp,
     flow_along_path,
+    _affine_map,
+    _LevelStep,
 )
 
 
@@ -225,6 +228,55 @@ def test_flow_along_path_gbm_closed_form():
     got = flow_along_path(path, sys, np.array([2.0]), FlowConfig(substeps=64))
     expected = 2.0 * math.exp(0.07 * 1.0 + 0.25 * (-0.5))
     np.testing.assert_allclose(got, [expected], atol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
+def test_affine_map_is_the_row_sum_bit_for_bit(n, per_row):
+    # numpy sums fewer than 8 terms of a row left to right, which is the
+    # column-by-column order of _affine_map
+    rng = np.random.default_rng(n)
+    p = 33
+    m = rng.standard_normal((p, n, n) if per_row else (n, n))
+    b = rng.standard_normal((p, n) if per_row else n)
+    x = rng.standard_normal((p, n)) * 10.0 ** rng.integers(-6, 7, (p, n))
+    assert np.array_equal(_affine_map(m, b, x), (x[..., None, :] * m).sum(-1) + b)
+
+
+def test_affine_map_of_nine_columns_is_the_matrix_product():
+    rng = np.random.default_rng(9)
+    m, b = rng.standard_normal((9, 9)), rng.standard_normal(9)
+    x = rng.standard_normal((50, 9))
+    ref = x @ m.T + b
+    assert np.max(np.abs(_affine_map(m, b, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+_PAIR = ([[0.2, -0.4], [0.3, 0.1]], [0.1, -0.2]), ([[0.0, 0.5], [-0.3, 0.2]], [0.4, 0.3])
+
+
+@pytest.mark.parametrize("system", ["affine", "generic"])
+def test_every_point_is_flow_along_path_point_by_point(system):
+    # degree5_d1's paths have 3, 1 and 3 segments, so the rows of the middle
+    # point ride through two zero segments
+    v0 = AffineField(*_PAIR[0])
+    v1 = AffineField(*_PAIR[1]) if system == "affine" else GenericField(np.sin, 2)
+    sys = VectorFieldSystem((v0, v1))
+    formula, gaps, cfg = degree5_d1(), (0.3, 0.7), FlowConfig(substeps=8)
+    step = _LevelStep(sys, formula.paths, gaps, cfg)
+    states = np.random.default_rng(3).standard_normal((5, 2))
+    for level, gap in enumerate(gaps):
+        got = step.every_point(level, states).reshape(5, 3, 2)
+        for i, path in enumerate(rescale(formula, gap).paths):
+            assert np.array_equal(got[:, i], flow_along_path(path, sys, states, cfg))
+
+
+def test_flow_along_path_keeps_the_shape_of_one_state():
+    sys = VectorFieldSystem((AffineField(*_PAIR[0]), AffineField(*_PAIR[1])))
+    path = degree5_d1().paths[0]
+    x = np.array([0.7, -0.3])
+    y = flow_along_path(path, sys, x)
+    assert y.shape == (2,)
+    assert np.array_equal(y, flow_along_path(path, sys, x[None, :])[0])
 
 
 def test_nested_bracket_field_words():
