@@ -10,6 +10,7 @@ thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -471,6 +472,7 @@ def cmd_lemma_gap(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wienercub",

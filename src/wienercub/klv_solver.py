@@ -12,10 +12,13 @@ once per distinct leaf. Both share one prologue and one level step
 support paths and the partition's gaps, as arrays: one table of segment
 increments for every level, padded with zero segments to the longest path,
 and on affine systems the segment maps from one batched vector_fields.expm
-call, so on them the flows are closed-form and the only error left is the
-tree measure's own. A level is one step per segment over all its rows: the
-gathered segment map of each row on an affine system, one RK4 pass on a
-generic one. The full tree is reduced by one compensated sum over its
+call, composed once into one map per (level, support point), so on them the
+flows are closed-form and the only error left is the tree measure's own. On
+an affine system a level is one composed map per row, broadcast over the
+block in klv_full and gathered per node in klv_sampled; a row that leaves
+the finite range is replayed segment by segment, only then, to name its
+segment. On a generic system a level is one RK4 pass per segment over all
+its rows. The full tree is reduced by one compensated sum over its
 leaves in branch order, so the value does not depend on the batch size.
 """
 from __future__ import annotations
@@ -214,7 +217,7 @@ class _TreeWalker:
         # depend on how the expansion was chunked
         terms = np.concatenate(blocks)
         return {
-            "sum": math.fsum(terms),
+            "sum": math.fsum(terms.tolist()),
             "naive": float(np.sum(terms)),
             **stats,
         }
@@ -270,12 +273,13 @@ def klv_full(
     Enumerates all n^k branches in lexicographic order (the cap refuses
     runaway trees), level by level in blocks of at most cfg.batch states.
     Each level moves its block along every support path with the level step
-    built once per solve, one step per segment over all rows: on an affine
-    system each row's segment map (from one expm call per solve) is gathered
-    and applied; on a generic one the rows flow in one RK4 pass. Every row is
-    flowed with the same arithmetic and all leaf terms are summed exactly in
-    branch order, so the value is bit-identical for every batch size. A
-    diverging flow names its branch, level and segment.
+    built once per solve: on an affine system the level's n composed path
+    maps (from one expm call and one composition per solve) are broadcast
+    over the block, and only a row that leaves the finite range is replayed
+    segment by segment; on a generic one the rows flow in one RK4 pass per
+    segment. Every row is flowed with the same arithmetic and all leaf terms
+    are summed exactly in branch order, so the value is bit-identical for
+    every batch size. A diverging flow names its branch, level and segment.
 
     f is called on each (P, N) block of leaf states when it is a MultiPoly,
     and once per leaf state otherwise. Every GenericField of sys must map a
@@ -318,8 +322,9 @@ def klv_sampled(
     weights sum only approximately to one. Drawn branches share prefixes, so
     the solve walks the drawn subtree: each distinct drawn node is flowed
     once, at most min(n_samples, n^(j+1)) rows at level j, by the level step
-    of klv_full (one step per segment over the whole level: gathered maps on
-    an affine system, one RK4 pass on a generic one), and the mean and
+    of klv_full (on an affine system each node's composed path map is
+    gathered and applied, replayed segment by segment only on divergence; on
+    a generic one each segment is one RK4 pass), and the mean and
     stderr are taken over the per-sample leaf values. The checks and the
     field contract are those of klv_full; f is called on the block of
     distinct leaves when it is a MultiPoly, and once per distinct leaf
@@ -396,8 +401,8 @@ def kusuoka_step(
     """
     if formula.lie_polys is None:
         raise ValueError("kusuoka_step needs Lie support; use cubature.lie_form")
-    if s <= 0:
-        raise ValueError(f"gap must be positive, got {s!r}")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"gap must be positive and finite, got {s!r}")
     root = math.sqrt(s)
     x = np.asarray(x, dtype=float)
     exact = replace(cfg, exact_affine=True)
@@ -452,6 +457,7 @@ def euler_mc(
     then called, with their Jacobians, once per batch and step; a field's
     jacobian_func takes one state, so it is called once per path and step.
     """
+    _check_horizon(horizon)
     if steps < 1 or paths < 2:
         raise ValueError("need steps >= 1 and paths >= 2")
     x = np.asarray(x, dtype=float)

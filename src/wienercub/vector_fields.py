@@ -377,12 +377,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 def affine_flow_exact(v: AffineField, t: float, x: np.ndarray) -> np.ndarray:
     """Exp(tV)(x) for affine V via the (N+1)-square augmented exponential,
     from this module's expm."""
-    n = v.dimension
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = v.matrix
-    aug[:n, n] = v.offset
-    big = expm(t * aug)
-    y = _affine_map(big[:n, :n], big[:n, n], x)
+    big = _segment_maps([v], np.array([t]))
+    y = _affine_map(big[:-1, :-1], big[:-1, -1], x)
     _check_finite(y, "affine flow left the finite range")
     return y
 
@@ -418,14 +414,15 @@ def flow_exp(
     return y
 
 
-def _segment_maps(sys: VectorFieldSystem, coefficients: np.ndarray) -> np.ndarray:
+def _segment_maps(fields: Sequence[AffineField],
+                  coefficients: np.ndarray) -> np.ndarray:
     """Exponentials of the augmented (N+1)-square matrices of the affine
-    fields sum_j c_j V_j, for coefficients of shape (..., d+1), from one
+    fields sum_j c_j V_j, for coefficients of shape (..., m), from one
     batched expm call: no Python loop runs over the matrices. Each matrix is
     summed in field order, as combine sums it."""
-    n = sys.dimension
+    n = fields[0].dimension
     aug = np.zeros(coefficients.shape[:-1] + (n + 1, n + 1))
-    for j, v in enumerate(sys.fields):
+    for j, v in enumerate(fields):
         c = coefficients[..., j, None]
         aug[..., :n, :n] += c[..., None] * v.matrix
         aug[..., :n, n] += c * v.offset
@@ -443,9 +440,10 @@ class _LevelStep:
     increments diff(points * sqrt(gap)), the arithmetic of
     path_signature.brownian_rescale followed by increments(), so the table
     is the same to the bit, with no rescaled path built. An affine system
-    exponentiates every segment field in one batched expm call. A diverging
-    flow raises FlowDivergence whose segment and row name the failing
-    segment and output row.
+    exponentiates every segment field in one batched expm call and composes
+    each path's maps once, M_m @ ... @ M_1, into one map per (level, point);
+    a zero padding segment's map is exactly I. A diverging flow raises
+    FlowDivergence naming the failing segment and output row.
     """
 
     def __init__(self, sys: VectorFieldSystem, paths, gaps, cfg: FlowConfig):
@@ -468,27 +466,44 @@ class _LevelStep:
             self.coefficients[:, i, :m, 0] = np.diff(knots * gaps[:, None])
             self.coefficients[:, i, :m, 1:] = np.diff(
                 points * np.sqrt(gaps)[:, None, None], axis=-2)
-        self.maps = (_segment_maps(sys, self.coefficients) if sys.is_affine
-                     else None)
+        self.maps = self.paths = None
+        if sys.is_affine:
+            self.maps = _segment_maps(sys.fields, self.coefficients)
+            composed = self.maps[:, :, 0]
+            for seg in range(1, self.maps.shape[2]):
+                # maps[seg] @ composed, summed term by term as _affine_map sums
+                composed = _affine_map(self.maps[:, :, seg, None], 0.0,
+                                       composed.swapaxes(-1, -2)).swapaxes(-1, -2)
+            self.paths = composed[..., :sys.dimension, :]
 
     def along(self, level: int, states: np.ndarray, point: np.ndarray):
-        """states[r] flowed along the path of support point point[r]. Each
-        segment is one step over all rows: on an affine system every row's
-        segment map is gathered and applied, on a generic one the rows flow
-        in one RK4 flow_exp call. A row whose path is shorter rides through
-        zero segments, whose map is exactly the identity."""
-        n = self.sys.dimension
+        """states[r] flowed along the path of support point point[r]: on an
+        affine system by its gathered composed map, and only a non-finite row
+        is replayed segment by segment, to name its first non-finite segment
+        (or its path's last); on a generic one by one RK4 pass per segment of
+        the longest path over all rows, which zero segments leave as is."""
+        if self.paths is not None:
+            maps = self.paths[level, point]
+            y = _affine_map(maps[..., :-1], maps[..., -1], states)
+            finite = np.isfinite(y).all(axis=-1)
+            if finite.all():
+                return y
+            row = int(np.argmin(finite))
+            z, m = states[row], self.lengths[point[row]]
+            for seg in range(m):
+                seg_map = self.maps[level, point[row], seg, :-1]
+                z = _affine_map(seg_map[:, :-1], seg_map[:, -1], z)
+                if not np.isfinite(z).all():
+                    break
+            raise FlowDivergence(
+                f"segment {seg + 1}/{m}: affine flow left the finite range",
+                segment=seg + 1, row=row)
         y = states
         for seg in range(self.lengths[point].max()):
+            field = combine_fields(self.sys.fields,
+                                   self.coefficients[level, point, seg])
             try:
-                if self.maps is None:
-                    field = combine_fields(self.sys.fields,
-                                           self.coefficients[level, point, seg])
-                    y = flow_exp(field, 1.0, y, self.cfg)
-                else:
-                    maps = self.maps[level, point, seg, :n]
-                    y = _affine_map(maps[..., :n], maps[..., n], y)
-                    _check_finite(y, "affine flow left the finite range")
+                y = flow_exp(field, 1.0, y, self.cfg)
             except FlowDivergence as exc:
                 raise FlowDivergence(
                     f"segment {seg + 1}/{self.lengths[point[exc.row]]}: {exc}",
@@ -500,8 +515,16 @@ class _LevelStep:
 
     def every_point(self, level: int, states: np.ndarray) -> np.ndarray:
         """Every state flowed along every support path: row r * n + i of the
-        (P * n, N) result is states[r] moved along point i's path."""
+        (P * n, N) result is states[r] moved along point i's path. On an
+        affine system the level's n composed maps are broadcast over the
+        states, with along's arithmetic and no gather."""
         p, n = states.shape[0], self.lengths.size
+        if self.paths is not None:
+            maps = self.paths[level]
+            y = _affine_map(maps[..., :-1], maps[..., -1], states[:, None, :])
+            if np.isfinite(y).all():
+                return y.reshape(p * n, -1)
+        # a generic system, or the error path of an affine one
         return self.along(level, np.repeat(states, n, axis=0),
                           np.tile(np.arange(n), p))
 
@@ -519,7 +542,5 @@ def flow_along_path(
     This is the one-path case of the tree solvers' level step.
     """
     x = np.asarray(x, dtype=float)
-    block = np.atleast_2d(x)
-    y = _LevelStep(sys, [path], [1.0], cfg).along(
-        0, block, np.zeros(len(block), dtype=np.intp))
-    return y.reshape(x.shape)
+    step = _LevelStep(sys, [path], [1.0], cfg)
+    return step.every_point(0, np.atleast_2d(x)).reshape(x.shape)

@@ -187,6 +187,15 @@ def test_mc_reference_runs(tmp_path, capsys):
     assert abs(data["mean"] - np.exp(0.095)) < 6 * data["stderr"] + 1e-2
 
 
+def test_successive_calls_share_no_arguments(tmp_path, capsys):
+    # the parser is built once; each call must still parse afresh
+    cfg = write_config(tmp_path, reference={"steps": 4, "paths": 100})
+    code, out, _ = run(["mc-reference", "--config", cfg, "--seed", "11"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 11
+    code, out, _ = run(["mc-reference", "--config", cfg], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 5
+
+
 def test_lemma_gap_canonical_configuration(capsys):
     code, out, _ = run(["lemma-gap", "--m", "3"], capsys)
     assert code == 0

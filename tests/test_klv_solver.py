@@ -118,6 +118,20 @@ def test_full_tree_deterministic_across_threads_and_batches(
         assert other == base  # bit-identical, not merely close
 
 
+def test_full_tree_of_composed_affine_paths_is_batch_invariant(
+    noncommuting_system, cubic_payoff, x_start
+):
+    # degree5_d1's paths have 3, 1 and 3 segments, composed into one map
+    # per (level, point) on an affine system
+    part = gamma_partition(1.0, 4, 2.0)
+    values = {
+        klv_full(degree5_d1(), noncommuting_system, cubic_payoff, x_start, part,
+                 SolverConfig(batch=batch)).value
+        for batch in (1, 3, 1 << 16)
+    }
+    assert len(values) == 1  # bit-identical, not merely close
+
+
 def test_full_tree_polynomial_payoff_deterministic_across_batches(
     noncommuting_system, cubic_payoff, x_start
 ):
@@ -298,6 +312,20 @@ def test_flow_level_step_requires_lie_support():
         kusuoka_step(
             degree3(1), gbm(0.05, 0.3), lambda y: float(y[0]), np.array([1.0]), 0.1
         )
+
+
+@pytest.mark.parametrize("gap", [math.nan, math.inf, 0.0, -0.1])
+def test_flow_level_step_rejects_a_gap_that_is_not_positive_and_finite(gap):
+    with pytest.raises(ValueError, match="gap must be positive"):
+        kusuoka_step(lie_form(degree3(1)), gbm(0.05, 0.3), lambda y: float(y[0]),
+                     np.array([1.0]), gap)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_euler_rejects_a_horizon_that_is_not_positive_and_finite(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        euler_mc(gbm(0.05, 0.3), lambda y: float(y[0]), np.array([1.0]),
+                 horizon, 4, 10, 1)
 
 
 def test_euler_mean_matches_discrete_closed_form():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wienercub.cubature import degree5_d1, rescale
+from wienercub.cubature import degree3, degree5_d1, rescale
 from wienercub.tensor_algebra import GradedTensor
 from wienercub.lie_structures import bracket, certify
 from wienercub.path_signature import PiecewiseLinearPath, log_signature
@@ -221,6 +221,23 @@ def test_flow_divergence_detected():
     assert err.value.substep is not None
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_a_diverging_path_names_its_first_non_finite_segment():
+    def path(*w):
+        return PiecewiseLinearPath((0.0, 0.25, 0.5, 1.0), tuple((v,) for v in w))
+
+    # x e^w: along w = 0, 300, 700, 700 only x = 1e5 overflows, on segment 2;
+    # along w = 0, 400, 800, 0 the composed map e^-800 e^800 is inf * 0, so
+    # even x = 0 fails, though it stays finite on every segment, and the
+    # path's last segment is named
+    for w, x, row, segment in (((0, 300, 700, 700), [[0.5], [1e5], [1.0]], 1, 2),
+                               ((0, 300, 700, 700), [1e5], 0, 2),
+                               ((0, 400, 800, 0), [[0.0], [1.0]], 0, 3)):
+        with pytest.raises(FlowDivergence, match=f"segment {segment}/3") as err:
+            flow_along_path(path(*w), gbm(0.0, 1.0), np.array(x))
+        assert (err.value.segment, err.value.row) == (segment, row)
+
+
 def test_flow_along_path_gbm_closed_form():
     # for commuting linear fields the path flow is x exp(mu T + sigma x_T)
     sys = gbm(0.07, 0.25)
@@ -268,6 +285,37 @@ def test_every_point_is_flow_along_path_point_by_point(system):
         got = step.every_point(level, states).reshape(5, 3, 2)
         for i, path in enumerate(rescale(formula, gap).paths):
             assert np.array_equal(got[:, i], flow_along_path(path, sys, states, cfg))
+
+
+@pytest.mark.parametrize("formula", [degree5_d1(), degree3(2)],
+                         ids=["degree5_d1", "degree3_2"])
+def test_every_point_is_along_on_the_repeated_block(formula):
+    # every_point broadcasts the composed maps where along gathers one per
+    # row; both must give each row the same arithmetic
+    fields = [AffineField(*_PAIR[0]), AffineField(*_PAIR[1]),
+              AffineField([[0.1, 0.0], [0.2, -0.3]], [0.0, 0.5])]
+    sys = VectorFieldSystem(tuple(fields[:formula.dimension + 1]))
+    step = _LevelStep(sys, formula.paths, (0.3, 0.7), FlowConfig())
+    states = np.random.default_rng(5).standard_normal((6, 2))
+    n = formula.n_points
+    for level in range(2):
+        gathered = step.along(level, np.repeat(states, n, axis=0),
+                              np.tile(np.arange(n), 6))
+        assert np.array_equal(step.every_point(level, states), gathered)
+
+
+def test_composed_path_flow_matches_segment_by_segment_flow(noncommuting_system):
+    # composing a path's segment maps re-associates the products; the state
+    # moves by a few ulp only
+    states = np.random.default_rng(7).standard_normal((8, 2))
+    for gap in (0.05, 0.4, 1.0):
+        for path in rescale(degree5_d1(), gap).paths:
+            ref = states
+            for dt, dx in path.increments():
+                field = noncommuting_system.combine(np.concatenate(([dt], dx)))
+                ref = affine_flow_exact(field, 1.0, ref)
+            got = flow_along_path(path, noncommuting_system, states)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_flow_along_path_keeps_the_shape_of_one_state():
