@@ -24,10 +24,8 @@ from .cubature import CubatureFormula, CubatureLoadError, validate
 from .klv_solver import (
     SolverConfig,
     gamma_partition,
-    klv_full,
-    klv_sampled,
+    klv_sweep,
     euler_mc,
-    LeafCapExceeded,
 )
 from .lie_structures import certify
 from .operator_calculus import MultiPoly, flow_tensor_gap, remainder_box_bound
@@ -278,36 +276,42 @@ def cmd_expected_signature(args) -> int:
     return 0
 
 
-def _run_single(config: dict, k: int, threads: int, seed: int):
-    sys_spec = config["system"]
-    system = _build_system(sys_spec)
+def _problem(config: dict):
+    """The system, start, payoff (with its metadata) and horizon of a config."""
+    system = _build_system(config["system"])
     x0 = np.asarray(config["x0"], dtype=float)
     payoff, payoff_meta = _build_payoff(config.get("payoff", {}), system.dimension)
+    return system, x0, payoff, payoff_meta, float(config["T"])
+
+
+def _sweep(exp: ExperimentConfig, k_list: list[int]):
+    """The config's tree at every k of k_list from one prologue: system,
+    payoff, formula and solver config are built once and one klv_sweep call
+    solves every k. Returns the results, the closed-form reference (None if
+    the config has none) and the problem, for an Euler reference."""
+    config = exp.raw
+    problem = _problem(config)
+    system, x0, payoff, payoff_meta, horizon = problem
     formula = _build_formula(config["cubature"])
-    horizon = float(config["T"])
     gamma = float(config.get("partition", {}).get("gamma", formula.degree - 1))
-    part = gamma_partition(horizon, k, gamma)
-    cfg = _solver_config(config, threads)
+    parts = [gamma_partition(horizon, k, gamma) for k in k_list]
+    cfg = _solver_config(config, exp.threads)
     # ExperimentConfig.from_args admits only the modes full and sampled
-    if config.get("mode", "full") == "full":
-        result = klv_full(formula, system, payoff, x0, part, cfg)
-    else:
-        result = klv_sampled(
-            formula, system, payoff, x0, part,
-            int(config.get("samples", 100_000)), seed, cfg,
-        )
-    reference = _closed_form_reference(sys_spec, payoff_meta, x0, horizon)
-    return result, reference, payoff_meta
+    n_samples = (None if config.get("mode", "full") == "full"
+                 else int(config.get("samples", 100_000)))
+    results = klv_sweep(formula, system, payoff, x0, parts, cfg, n_samples,
+                        exp.seed)
+    reference = _closed_form_reference(config["system"], payoff_meta, x0, horizon)
+    return results, reference, problem
 
 
 def cmd_solve(args) -> int:
     exp = ExperimentConfig.from_args(args)
-    config, seed = exp.raw, exp.seed
-    part_spec = config.get("partition", {})
+    part_spec = exp.raw.get("partition", {})
     k = int(part_spec.get("k", part_spec.get("k_list", [4])[0]))
     try:
-        result, reference, _ = _run_single(config, k, exp.threads, seed)
-    except (LeafCapExceeded, FlowDivergence, ValueError, CubatureLoadError) as exc:
+        [result], reference, _ = _sweep(exp, [k])
+    except (FlowDivergence, ValueError) as exc:
         return _fail(str(exc))
     out = {
         "value": result.value,
@@ -331,21 +335,14 @@ def cmd_converge(args) -> int:
     k_list = [int(k) for k in config.get("partition", {}).get("k_list", [])]
     if not k_list:
         return _fail("config partition.k_list must be nonempty and strictly increasing")
-    rows = []
-    reference = None
     ref_meta: dict = {"kind": "closed_form"}
     try:
-        for k in k_list:
-            result, reference, payoff_meta = _run_single(config, k, threads, seed)
-            rows.append((k, result.value))
+        results, reference, problem = _sweep(exp, k_list)
         if reference is None:
             ref_spec = config.get("reference", {})
             steps = int(ref_spec.get("steps", 256))
             paths = int(ref_spec.get("paths", 400_000))
-            system = _build_system(config["system"])
-            x0 = np.asarray(config["x0"], dtype=float)
-            payoff, _ = _build_payoff(config.get("payoff", {}), system.dimension)
-            horizon = float(config["T"])
+            system, x0, payoff, _, horizon = problem
             # first-order bias removed by step-halving extrapolation
             half, half_se = euler_mc(system, payoff, x0, horizon, steps // 2,
                                      paths, seed + 1)
@@ -358,18 +355,19 @@ def cmd_converge(args) -> int:
                 "paths": paths,
                 "stderr": math.hypot(2.0 * full_se, half_se),
             }
-    except (LeafCapExceeded, FlowDivergence, ValueError, CubatureLoadError) as exc:
+    except (FlowDivergence, ValueError) as exc:
         return _fail(str(exc))
-    errors = [(k, abs(v - reference)) for k, v in rows]
+    values = [r.value for r in results]
+    errors = [abs(v - reference) for v in values]
     try:
-        slope, slope_se = fit_slope([(float(k), e) for k, e in errors])
+        slope, slope_se = fit_slope([(float(k), e) for k, e in zip(k_list, errors)])
     except ValueError as exc:
         return _fail(f"slope fit: {exc}")
     os.makedirs(exp.out_dir, exist_ok=True)
     csv_path = os.path.join(exp.out_dir, "converge.csv")
     with open(csv_path, "w") as fh:
         fh.write("k,value,reference,abs_error\n")
-        for (k, v), (_, e) in zip(rows, errors):
+        for k, v, e in zip(k_list, values, errors):
             fh.write(f"{k},{v!r},{reference!r},{e!r}\n")
     summary = {
         "slope": slope,
@@ -393,12 +391,10 @@ def cmd_mc_reference(args) -> int:
     exp = ExperimentConfig.from_args(args)
     config, seed = exp.raw, exp.seed
     ref_spec = config.get("reference", {})
-    system = _build_system(config["system"])
-    x0 = np.asarray(config["x0"], dtype=float)
-    payoff, _ = _build_payoff(config.get("payoff", {}), system.dimension)
+    system, x0, payoff, _, horizon = _problem(config)
     try:
         mean, stderr = euler_mc(
-            system, payoff, x0, float(config["T"]),
+            system, payoff, x0, horizon,
             int(ref_spec.get("steps", 256)),
             int(ref_spec.get("paths", 200_000)),
             seed,

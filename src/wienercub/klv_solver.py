@@ -7,19 +7,24 @@ of level operators Q_{s_1} ... Q_{s_k} f. The full-tree evaluator sums all
 n^k branches; the sampled evaluator draws branches i.i.d. by weight and
 flows each distinct drawn node once, so level j costs at most
 min(N, n^(j+1)) rows for N samples, and a non-MultiPoly payoff is called
-once per distinct leaf. Both share one prologue and one level step
-(vector_fields._LevelStep), built once per solve from the unit-horizon
-support paths and the partition's gaps, as arrays: one table of segment
-increments for every level, padded with zero segments to the longest path,
-and on affine systems the segment maps from one batched vector_fields.expm
-call, composed once into one map per (level, support point), so on them the
-flows are closed-form and the only error left is the tree measure's own. On
-an affine system a level is one composed map per row, broadcast over the
-block in klv_full and gathered per node in klv_sampled; a row that leaves
-the finite range is replayed segment by segment, only then, to name its
-segment. On a generic system a level is one RK4 pass per segment over all
-its rows. The full tree is reduced by one compensated sum over its
-leaves in branch order, so the value does not depend on the batch size.
+once per distinct leaf. klv_sweep runs either over a sequence of
+partitions (the k of a convergence sweep) from one prologue: the checks,
+the field probe and one level step (vector_fields._LevelStep) over the
+gaps of every partition in turn, each partition on its own slice of
+levels from the offset k_1 + ... + k_{p-1}; klv_full and klv_sampled are
+its one-partition cases. The step holds one table of segment increments
+for every level, padded with zero segments to the longest path, and on
+affine systems the segment maps from one batched vector_fields.expm call,
+composed once into one map per (level, support point), so the flows are
+closed-form and the only error left is the tree measure's own. A level is
+then one composed map per row, broadcast over the block in the full tree
+and gathered per node in the sampled one; a row that leaves the finite
+range is replayed segment by segment, only then, to name its segment. On
+a generic system a level is one RK4 pass per segment over all its rows.
+No level's arithmetic depends on another's, so a sweep gives the values
+of one solve per partition, bit for bit. The full tree is reduced by one
+compensated sum over its leaves in branch order, so the value does not
+depend on the batch size.
 """
 from __future__ import annotations
 
@@ -174,24 +179,6 @@ def _branch_of_rank(rank: int, n: int, length: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _prepare_tree(name: str, formula: CubatureFormula, sys: VectorFieldSystem,
-                  x, partition: Partition, cfg: SolverConfig):
-    """The prologue both tree solvers share: check the formula against the
-    system, probe the fields near x, and build the level step from the
-    unit-horizon support paths and the gaps of the partition."""
-    if formula.paths is None:
-        raise ValueError(
-            f"{name} needs path support; see kusuoka_step for Lie support")
-    if formula.dimension != sys.n_controls:
-        raise ValueError(
-            f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
-        )
-    _check_unit_horizon(formula)
-    x = np.asarray(x, dtype=float)
-    _check_block_fields(sys, x)
-    return x, _LevelStep(sys, formula.paths, partition.gaps, cfg.flow)
-
-
 def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
     """A divergence of the level step, restated at the tree position `where`;
     row is the position's index in the solver's own numbering."""
@@ -200,15 +187,18 @@ def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
 
 
 class _TreeWalker:
-    """Level-synchronous expansion of the whole tree, leaves in branch order."""
+    """Level-synchronous expansion of the whole tree, leaves in branch order.
+    The tree's k levels are the step's levels first, ..., first + k - 1."""
 
-    def __init__(self, step: _LevelStep, weights, payoff, cfg: SolverConfig):
+    def __init__(self, step: _LevelStep, weights, payoff, cfg: SolverConfig,
+                 first: int, k: int):
         self.step = step
         self.weights = np.asarray(weights, dtype=float)
         self.payoff = payoff
         self.cfg = cfg
         self.n = len(weights)
-        self.k = step.coefficients.shape[0]
+        self.first = first
+        self.k = k
 
     def run(self, state: np.ndarray) -> dict:
         blocks: list[np.ndarray] = []
@@ -241,7 +231,7 @@ class _TreeWalker:
                              rank + half, blocks)
             return _merge(a, b)
         try:
-            new_states = self.step.every_point(level, states)
+            new_states = self.step.every_point(self.first + level, states)
         except FlowDivergence as exc:
             child = rank * self.n + exc.row
             branch = _branch_of_rank(child, self.n, level + 1)
@@ -260,37 +250,63 @@ def _merge(a: dict, b: dict) -> dict:
     }
 
 
-def klv_full(
+def klv_sweep(
     formula: CubatureFormula,
     sys: VectorFieldSystem,
     f,
     x,
-    partition: Partition,
+    partitions,
     cfg: SolverConfig = DEFAULT_SOLVER,
-) -> SolverResult:
-    """Exact expectation under the iterated cubature tree.
+    n_samples: int | None = None,
+    seed: int = 0,
+) -> list[SolverResult]:
+    """The tree of every partition in `partitions`, from one prologue.
 
-    Enumerates all n^k branches in lexicographic order (the cap refuses
-    runaway trees), level by level in blocks of at most cfg.batch states.
-    Each level moves its block along every support path with the level step
-    built once per solve: on an affine system the level's n composed path
-    maps (from one expm call and one composition per solve) are broadcast
-    over the block, and only a row that leaves the finite range is replayed
-    segment by segment; on a generic one the rows flow in one RK4 pass per
-    segment. Every row is flowed with the same arithmetic and all leaf terms
-    are summed exactly in branch order, so the value is bit-identical for
-    every batch size. A diverging flow names its branch, level and segment.
-
-    f is called on each (P, N) block of leaf states when it is a MultiPoly,
-    and once per leaf state otherwise. Every GenericField of sys must map a
-    (P, N) block of states row by row; this is checked near x first.
-    diagnostics["weight_mass"] is the exact sum of the formula's weights.
+    The checks (formula against system, every leaf count against
+    cfg.leaf_cap in full mode, before any solve), the field probe near x
+    and the level step are shared: one step is built over the gaps of all
+    the partitions in turn (on an affine system one expm call and one
+    composition), and partition p runs on its own slice of levels, from
+    the level offset k_1 + ... + k_{p-1}. Result p is, bit for bit, what
+    klv_full (n_samples None) or klv_sampled (n_samples draws, from a
+    generator seeded with seed afresh for every partition) gives for
+    partition p alone.
     """
-    leaves = formula.n_points**partition.k
-    if leaves > cfg.leaf_cap:
-        raise LeafCapExceeded(leaves, cfg.leaf_cap)
-    x, step = _prepare_tree("klv_full", formula, sys, x, partition, cfg)
-    tree = _TreeWalker(step, formula.weights, _block_payoff(f), cfg).run(x)
+    partitions = tuple(partitions)
+    if not partitions:
+        raise ValueError("klv_sweep needs at least one partition")
+    if n_samples is None:
+        leaves = max(formula.n_points**part.k for part in partitions)
+        if leaves > cfg.leaf_cap:
+            raise LeafCapExceeded(leaves, cfg.leaf_cap)
+    elif n_samples < 2:
+        raise ValueError(f"need n_samples >= 2, got {n_samples}")
+    if formula.paths is None:
+        raise ValueError(
+            "the cubature tree needs path support; see kusuoka_step for Lie support")
+    if formula.dimension != sys.n_controls:
+        raise ValueError(
+            f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
+        )
+    _check_unit_horizon(formula)
+    x = np.asarray(x, dtype=float)
+    _check_block_fields(sys, x)
+    gaps = [gap for part in partitions for gap in part.gaps]
+    step = _LevelStep(sys, formula.paths, gaps, cfg.flow)
+    payoff = _block_payoff(f)
+    results, first = [], 0
+    for part in partitions:
+        results.append(
+            _full_tree(formula, step, payoff, x, part, first, cfg)
+            if n_samples is None else
+            _sampled_tree(formula, step, payoff, x, part, first, n_samples, seed))
+        first += part.k
+    return results
+
+
+def _full_tree(formula, step, payoff, x, partition, first, cfg) -> SolverResult:
+    tree = _TreeWalker(step, formula.weights, payoff, cfg, first,
+                       partition.k).run(x)
     return SolverResult(
         value=tree["sum"],
         mode="full",
@@ -305,38 +321,8 @@ def klv_full(
     )
 
 
-def klv_sampled(
-    formula: CubatureFormula,
-    sys: VectorFieldSystem,
-    f,
-    x,
-    partition: Partition,
-    n_samples: int,
-    seed: int,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-) -> SolverResult:
-    """Unbiased branch sampling of the same tree measure.
-
-    Branch indices are drawn per level with probability proportional to the
-    weights; the estimator carries mass^k so it stays unbiased even when the
-    weights sum only approximately to one. Drawn branches share prefixes, so
-    the solve walks the drawn subtree: each distinct drawn node is flowed
-    once, at most min(n_samples, n^(j+1)) rows at level j, by the level step
-    of klv_full (on an affine system each node's composed path map is
-    gathered and applied, replayed segment by segment only on divergence; on
-    a generic one each segment is one RK4 pass), and the mean and
-    stderr are taken over the per-sample leaf values. The checks and the
-    field contract are those of klv_full; f is called on the block of
-    distinct leaves when it is a MultiPoly, and once per distinct leaf
-    otherwise. A diverging flow names its level, support
-    point and segment, and its row is the first sample through the node.
-    diagnostics["nodes_per_level"] lists the nodes flowed at each level,
-    diagnostics["distinct_leaves"] the leaves evaluated and
-    diagnostics["weight_mass"] the exact sum of the weights.
-    """
-    if n_samples < 2:
-        raise ValueError(f"need n_samples >= 2, got {n_samples}")
-    x, step = _prepare_tree("klv_sampled", formula, sys, x, partition, cfg)
+def _sampled_tree(formula, step, payoff, x, partition, first, n_samples,
+                  seed) -> SolverResult:
     lam = np.asarray(formula.weights, dtype=float)
     mass = math.fsum(formula.weights)
     probs = lam / lam.sum()
@@ -357,13 +343,13 @@ def klv_sampled(
         node_of = (np.cumsum(drawn) - 1)[key]
         parent, point = np.divmod(child, n)
         try:
-            nodes = step.along(level, nodes[parent], point)
+            nodes = step.along(first + level, nodes[parent], point)
         except FlowDivergence as exc:
             raise _diverged(
                 exc, f"at level {level + 1}, support point {point[exc.row]}",
                 int(np.argmax(node_of == exc.row))) from exc
         nodes_per_level.append(int(child.size))
-    vals = _block_payoff(f)(nodes)[node_of]
+    vals = payoff(nodes)[node_of]
     scale = mass**k
     mean = float(np.mean(vals))
     sd = float(np.std(vals, ddof=1))
@@ -381,6 +367,64 @@ def klv_sampled(
             "weight_mass": mass,
         },
     )
+
+
+def klv_full(
+    formula: CubatureFormula,
+    sys: VectorFieldSystem,
+    f,
+    x,
+    partition: Partition,
+    cfg: SolverConfig = DEFAULT_SOLVER,
+) -> SolverResult:
+    """Exact expectation under the iterated cubature tree: klv_sweep's
+    full-mode body on one partition, at level offset 0.
+
+    Enumerates all n^k branches in lexicographic order (the cap refuses
+    runaway trees), level by level in blocks of at most cfg.batch states,
+    each level moved along every support path by the level step (see the
+    module docstring). Every row is flowed with the same arithmetic and all
+    leaf terms are summed exactly in branch order, so the value is
+    bit-identical for every batch size. A diverging flow names its branch,
+    level and segment.
+
+    f is called on each (P, N) block of leaf states when it is a MultiPoly,
+    and once per leaf state otherwise. Every GenericField of sys must map a
+    (P, N) block of states row by row; this is checked near x first.
+    diagnostics["weight_mass"] is the exact sum of the formula's weights.
+    """
+    return klv_sweep(formula, sys, f, x, (partition,), cfg)[0]
+
+
+def klv_sampled(
+    formula: CubatureFormula,
+    sys: VectorFieldSystem,
+    f,
+    x,
+    partition: Partition,
+    n_samples: int,
+    seed: int,
+    cfg: SolverConfig = DEFAULT_SOLVER,
+) -> SolverResult:
+    """Unbiased branch sampling of the same tree measure: klv_sweep's
+    sampled-mode body on one partition, at level offset 0.
+
+    Branch indices are drawn per level with probability proportional to the
+    weights; the estimator carries mass^k so it stays unbiased even when the
+    weights sum only approximately to one. Drawn branches share prefixes, so
+    the solve walks the drawn subtree: each distinct drawn node is flowed
+    once, at most min(n_samples, n^(j+1)) rows at level j, by the level step
+    of klv_full, and the mean and stderr are taken over the per-sample leaf
+    values. The checks and the
+    field contract are those of klv_full; f is called on the block of
+    distinct leaves when it is a MultiPoly, and once per distinct leaf
+    otherwise. A diverging flow names its level, support
+    point and segment, and its row is the first sample through the node.
+    diagnostics["nodes_per_level"] lists the nodes flowed at each level,
+    diagnostics["distinct_leaves"] the leaves evaluated and
+    diagnostics["weight_mass"] the exact sum of the weights.
+    """
+    return klv_sweep(formula, sys, f, x, (partition,), cfg, n_samples, seed)[0]
 
 
 def kusuoka_step(
@@ -460,6 +504,8 @@ def euler_mc(
     _check_horizon(horizon)
     if steps < 1 or paths < 2:
         raise ValueError("need steps >= 1 and paths >= 2")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     x = np.asarray(x, dtype=float)
     _check_block_fields(sys, x)
     payoff = _block_payoff(f)

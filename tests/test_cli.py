@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from wienercub import cli
+from wienercub import MultiPoly, cli, degree3, degree5_d1, gamma_partition, gbm, ou
+from wienercub import klv_full, klv_sampled, vector_fields
 
 
 def run(argv, capsys):
@@ -233,3 +234,67 @@ def test_threads_env_variable(tmp_path, capsys, monkeypatch):
     assert run(["converge", "--config", cfg, "--out", str(out_b)], capsys)[0] == 0
     assert (out_a / "converge.csv").read_bytes() == (out_b / "converge.csv").read_bytes()
     assert json.loads((out_a / "converge.json").read_text())["threads"] == 4
+
+
+def _per_k_csv(config, solve):
+    # the CSV of converge, from one solve per k
+    sys_spec = config["system"]
+    x0 = np.asarray(config["x0"], dtype=float)
+    reference = cli._closed_form_reference(
+        sys_spec, {"name": "identity", "index": 0}, x0, config["T"])
+    lines = ["k,value,reference,abs_error\n"]
+    for k in config["partition"]["k_list"]:
+        part = gamma_partition(config["T"], k, config["partition"]["gamma"])
+        v = solve(MultiPoly.coordinate(1, 0), x0, part).value
+        lines.append(f"{k},{v!r},{reference!r},{abs(v - reference)!r}\n")
+    return "".join(lines)
+
+
+def test_converge_csv_equals_one_full_solve_per_k(tmp_path, capsys):
+    cfg = write_config(tmp_path, cubature={"builtin": "degree5_d1"},
+                       partition={"gamma": 2.0, "k_list": [3, 4, 5, 6]})
+    code, _, _ = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    config = json.loads(open(cfg).read())
+    expected = _per_k_csv(config, lambda f, x0, part: klv_full(
+        degree5_d1(), gbm(0.05, 0.3), f, x0, part))
+    assert (tmp_path / "converge.csv").read_text() == expected
+
+
+def test_converge_csv_equals_one_sampled_solve_per_k(tmp_path, capsys):
+    cfg = write_config(tmp_path, system={"name": "ou", "theta": 0.7, "sigma": 0.4},
+                       x0=[0.8], mode="sampled", samples=3000,
+                       partition={"gamma": 2.0, "k_list": [3, 4, 5, 6]})
+    code, _, _ = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    config = json.loads(open(cfg).read())
+    expected = _per_k_csv(config, lambda f, x0, part: klv_sampled(
+        degree3(1), ou(0.7, 0.4), f, x0, part, 3000, 5))
+    assert (tmp_path / "converge.csv").read_text() == expected
+
+
+def test_converge_exponentiates_the_segment_maps_once(tmp_path, capsys, monkeypatch):
+    # one prologue serves every k: one batched expm call per converge run
+    calls = []
+    expm = vector_fields.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(vector_fields, "expm", counted)
+    code, _, _ = run(["converge", "--config", write_config(tmp_path),
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0 and len(calls) == 1
+
+
+def test_converge_checks_every_leaf_count_before_solving(tmp_path, capsys,
+                                                         monkeypatch):
+    calls = []
+    monkeypatch.setattr(vector_fields, "expm", lambda a: calls.append(1))
+    cfg = write_config(tmp_path, caps={"leaf_cap": 20})
+    out_dir = tmp_path / "out"
+    code, _, err = run(["converge", "--config", cfg, "--out", str(out_dir)], capsys)
+    # k_list [2, 3, 4, 5] of degree3(1): the largest tree has 2^5 leaves
+    assert code == 1 and "full tree has 32 leaves, above the configured cap 20" in err
+    assert calls == [] and not (out_dir / "converge.csv").exists()

@@ -25,6 +25,7 @@ from wienercub.klv_solver import (
     LeafCapExceeded,
     klv_full,
     klv_sampled,
+    klv_sweep,
     kusuoka_step,
     euler_mc,
 )
@@ -695,3 +696,71 @@ def test_sampled_tree_divergence_names_the_segment_of_a_multi_segment_path(syste
     assert err.value.segment == _reflow_divergence_segment(
         formula, sys, x0, part, branch)
     assert err.value.segment > 1
+
+
+def _same_result(a, b):
+    assert (a.value, a.stderr, a.leaves_evaluated, a.mode, a.partition) == (
+        b.value, b.stderr, b.leaves_evaluated, b.mode, b.partition)
+    assert a.diagnostics == b.diagnostics
+
+
+def test_sweep_equals_one_full_solve_per_partition_on_gbm():
+    # one level step over the gaps of k = 4..7 (22 levels) serves every k
+    sys, f, x0 = gbm(0.05, 0.3), MultiPoly.coordinate(1, 0), np.array([1.2])
+    parts = [gamma_partition(1.0, k, 2.0) for k in (4, 5, 6, 7)]
+    swept = klv_sweep(degree5_d1(), sys, f, x0, parts)
+    assert len(swept) == len(parts)
+    for part, got in zip(parts, swept):
+        _same_result(got, klv_full(degree5_d1(), sys, f, x0, part))
+
+
+def test_sweep_equals_one_solve_per_partition_on_a_two_control_system(
+        noncommuting_system, cubic_payoff, x_start):
+    sys = VectorFieldSystem(noncommuting_system.fields + (
+        AffineField([[0.1, -0.2], [0.25, 0.05]], [-0.15, 0.2]),))
+    parts = [gamma_partition(1.0, k, 2.0) for k in (2, 3, 4, 5)]
+    cfg = SolverConfig(batch=37)
+    full = klv_sweep(degree3(2), sys, cubic_payoff, x_start, parts, cfg)
+    sampled = klv_sweep(degree3(2), sys, cubic_payoff, x_start, parts, cfg,
+                        n_samples=400, seed=9)
+    for part, got_full, got_sampled in zip(parts, full, sampled):
+        _same_result(got_full, klv_full(degree3(2), sys, cubic_payoff, x_start,
+                                        part, cfg))
+        _same_result(got_sampled, klv_sampled(degree3(2), sys, cubic_payoff,
+                                              x_start, part, 400, 9, cfg))
+
+
+def test_sampled_sweep_equals_one_solve_per_partition_on_generic_fields():
+    c = lambda x: np.sqrt(1.0 + x * x)
+    sys = VectorFieldSystem((GenericField(lambda x: 0.1 * c(x), 1),
+                             GenericField(c, 1)))
+    f, x0 = (lambda y: float(y[0])), np.array([0.4])
+    parts = [gamma_partition(1.0, k, 2.0) for k in (2, 3, 4)]
+    cfg = SolverConfig(flow=FlowConfig(substeps=4))
+    swept = klv_sweep(degree5_d1(), sys, f, x0, parts, cfg, n_samples=300, seed=3)
+    for part, got in zip(parts, swept):
+        _same_result(got, klv_sampled(degree5_d1(), sys, f, x0, part, 300, 3, cfg))
+
+
+def test_sweep_checks_every_leaf_count_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr("wienercub.vector_fields.expm",
+                        lambda a: calls.append(1))
+    parts = [gamma_partition(1.0, k, 1.0) for k in (3, 4, 5)]
+    with pytest.raises(LeafCapExceeded, match="full tree has 32 leaves") as err:
+        klv_sweep(degree3(1), gbm(0.05, 0.3), MultiPoly.coordinate(1, 0),
+                  np.array([1.0]), parts, SolverConfig(leaf_cap=16))
+    assert err.value.required_cap == 32 and calls == []
+
+
+def test_sweep_rejects_an_empty_sequence_of_partitions():
+    with pytest.raises(ValueError, match="at least one partition"):
+        klv_sweep(degree3(1), gbm(0.05, 0.3), MultiPoly.coordinate(1, 0),
+                  np.array([1.0]), [])
+
+
+@pytest.mark.parametrize("batch", [0, -3])
+def test_euler_rejects_a_batch_below_one(batch):
+    with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+        euler_mc(gbm(0.05, 0.3), lambda y: float(y[0]), [1.0], 1.0, 4, 10, 1,
+                 batch=batch)
