@@ -17,14 +17,14 @@ for every level, padded with zero segments to the longest path, and on
 affine systems the segment maps from one batched vector_fields.expm call,
 composed once into one map per (level, support point), so the flows are
 closed-form and the only error left is the tree measure's own. A level is
-then one composed map per row, broadcast over the block in the full tree
-and gathered per node in the sampled one; a row that leaves the finite
-range is replayed segment by segment, only then, to name its segment. On
-a generic system a level is one RK4 pass per segment over all its rows.
-No level's arithmetic depends on another's, so a sweep gives the values
-of one solve per partition, bit for bit. The full tree is reduced by one
-compensated sum over its leaves in branch order, so the value does not
-depend on the batch size.
+then one composed map per row, broadcast column-major over the block in
+the full tree and gathered per node in the sampled one; a row that leaves
+the finite range is replayed segment by segment, only then, to name its
+segment. On a generic system a level is one RK4 pass per segment over all
+its rows. No level's arithmetic depends on another's, so a sweep gives the
+values of one solve per partition, bit for bit. The full tree's value is
+math.fsum of its leaf terms in branch order, taken by error-free
+extraction (_exact_sum), so it does not depend on the batch size.
 """
 from __future__ import annotations
 
@@ -138,10 +138,38 @@ class LeafCapExceeded(ValueError):
 def _block_payoff(f):
     """The payoff as a map from a (P, N) block of states to (P,) values: a
     MultiPoly evaluates the whole block, any other callable is called once
-    per state."""
-    if isinstance(f, MultiPoly):
-        return f
-    return lambda states: np.array([f(row) for row in states], dtype=float)
+    per state. A result of any other shape is refused."""
+    def payoff(states):
+        vals = (f(states) if isinstance(f, MultiPoly) else
+                np.array([f(row) for row in states], dtype=float))
+        if vals.shape != (states.shape[0],):
+            raise ValueError(f"payoff must return one number per state: {len(states)} "
+                             f"states gave values of shape {vals.shape}")
+        return vals
+    return payoff
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum(terms) to the bit, by error-free extraction (Rump, Ogita and
+    Oishi, "Accurate floating-point summation part I", SIAM J. Sci. Comput.
+    2008): with 2^M >= n + 2 and every |p| <= 2^-M sigma, the parts
+    q = (sigma + p) - sigma sum exactly in any order and p - q is exact and
+    at most 2^-53 sigma, so sigma drops by 2^(M-53) per pass; fsum rounds
+    the pass sums. Non-finite or huge terms, and sigma below the normal
+    range, go to fsum itself (its inf, nan and OverflowError)."""
+    p = np.array(terms, dtype=float)
+    big = float(np.abs(p).max(initial=0.0))
+    shift = (p.size + 1).bit_length()
+    sigma = math.ldexp(1.0, shift + math.frexp(big)[1]) if big <= 2.0**900 else 0.0
+    taus = []
+    while sigma >= 2.0**-1022:
+        if not np.count_nonzero(p):
+            return math.fsum(taus)
+        q = (sigma + p) - sigma
+        taus.append(float(q.sum()))
+        p -= q
+        sigma = math.ldexp(sigma, shift - 53)
+    return math.fsum(np.asarray(terms, dtype=float).tolist())
 
 
 def _check_block_fields(sys: VectorFieldSystem, x: np.ndarray):
@@ -207,7 +235,7 @@ class _TreeWalker:
         # depend on how the expansion was chunked
         terms = np.concatenate(blocks)
         return {
-            "sum": math.fsum(terms.tolist()),
+            "sum": _exact_sum(terms),
             "naive": float(np.sum(terms)),
             **stats,
         }
@@ -352,7 +380,8 @@ def _sampled_tree(formula, step, payoff, x, partition, first, n_samples,
     vals = payoff(nodes)[node_of]
     scale = mass**k
     mean = float(np.mean(vals))
-    sd = float(np.std(vals, ddof=1))
+    # np.std's mean can miss identical values by an ulp; their stderr is 0
+    sd = float(np.std(vals, ddof=1)) if np.any(vals != vals[0]) else 0.0
     return SolverResult(
         value=scale * mean,
         mode="sampled",

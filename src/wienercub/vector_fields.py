@@ -54,13 +54,21 @@ def _matvec(jac: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _affine_map(matrix: np.ndarray, offset: np.ndarray, x) -> np.ndarray:
     """matrix @ x + offset over leading batch axes, for one matrix (N, N)
-    shared by all rows or one per row (P, N, N), summed column by column:
-    each row gets the same arithmetic for every row count (numpy's one-row
-    matmul rounds differently), and no (P, N, N) product is formed."""
+    shared by all rows or one per row (P, N, N): _affine_columns on the
+    columns x[..., j:j+1] of the rows."""
     x = np.asarray(x, dtype=float)
-    out = x[..., :1] * matrix[..., 0]
-    for j in range(1, x.shape[-1]):
-        out += x[..., j:j + 1] * matrix[..., j]
+    return _affine_columns(matrix, offset, np.moveaxis(x[..., None], -2, 0))
+
+
+def _affine_columns(matrix: np.ndarray, offset, columns) -> np.ndarray:
+    """matrix @ x + offset from the columns x_j = columns[j]: sum_j
+    columns[j] * matrix[..., j] + offset in order of j, in the layout the
+    operands broadcast to. Each entry gets the same arithmetic for every row
+    count and layout (numpy's one-row matmul rounds differently), and no
+    (P, N, N) product is formed."""
+    out = columns[0] * matrix[..., 0]
+    for j in range(1, len(columns)):
+        out += columns[j] * matrix[..., j]
     out += offset
     return out
 
@@ -516,14 +524,16 @@ class _LevelStep:
     def every_point(self, level: int, states: np.ndarray) -> np.ndarray:
         """Every state flowed along every support path: row r * n + i of the
         (P * n, N) result is states[r] moved along point i's path. On an
-        affine system the level's n composed maps are broadcast over the
-        states, with along's arithmetic and no gather."""
+        affine system the level's n maps are broadcast column-major over the
+        contiguous columns of the states, y[i, a, r] = sum_j M_i[a, j] x_j[r]
+        + b_i[a] with the long axis innermost: along's arithmetic, no gather."""
         p, n = states.shape[0], self.lengths.size
         if self.paths is not None:
-            maps = self.paths[level]
-            y = _affine_map(maps[..., :-1], maps[..., -1], states[:, None, :])
+            maps = self.paths[level, :, :, None]
+            y = _affine_columns(maps[..., :-1], maps[..., -1],
+                                np.ascontiguousarray(states.T))
             if np.isfinite(y).all():
-                return y.reshape(p * n, -1)
+                return y.transpose(2, 0, 1).reshape(p * n, -1)
         # a generic system, or the error path of an affine one
         return self.along(level, np.repeat(states, n, axis=0),
                           np.tile(np.arange(n), p))

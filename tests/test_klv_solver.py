@@ -28,6 +28,7 @@ from wienercub.klv_solver import (
     klv_sweep,
     kusuoka_step,
     euler_mc,
+    _exact_sum,
 )
 
 FLOW64 = SolverConfig(flow=FlowConfig(substeps=64))
@@ -764,3 +765,87 @@ def test_euler_rejects_a_batch_below_one(batch):
     with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
         euler_mc(gbm(0.05, 0.3), lambda y: float(y[0]), [1.0], 1.0, 4, 10, 1,
                  batch=batch)
+
+
+def _sum_cases():
+    rng = np.random.default_rng(2008)
+    for case in range(3000):
+        # sizes 1..5000, log-uniform
+        n = int(np.exp(rng.uniform(0.0, math.log(5000.5))))
+        family = case % 4
+        if family == 0:
+            terms = rng.standard_normal(n)
+        elif family == 1:
+            terms = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+        elif family == 2:
+            # pairs that cancel exactly, and one small residue
+            half = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, n)
+            terms = np.concatenate([half, -half, [2.0**-60]])
+            rng.shuffle(terms)
+        else:
+            terms = rng.standard_normal(n) * 2.0 ** rng.integers(-1074, -1000, n)
+            terms[rng.random(n) < 0.5] = 0.0
+        yield terms
+    yield np.empty(0)
+    yield rng.standard_normal(1 << 20) * 10.0 ** rng.integers(-30, 31, 1 << 20)
+
+
+def test_exact_sum_is_fsum_to_the_bit():
+    for terms in _sum_cases():
+        assert _exact_sum(terms).hex() == math.fsum(terms.tolist()).hex()
+
+
+def _outcome(total, terms):
+    try:
+        return repr(total(terms))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("terms", [
+    [1.0, math.inf], [-math.inf, 2.0], [math.inf, -math.inf], [math.nan, 1.0],
+    [1e308, 1e308], [2.0**901, -2.0**901, 1.0],
+], ids=["inf", "-inf", "inf-inf", "nan", "overflow", "huge"])
+def test_exact_sum_keeps_fsum_on_non_finite_and_huge_terms(terms):
+    # [1e308, 1e308] raises OverflowError in both
+    assert (_outcome(lambda t: _exact_sum(np.array(t)), terms)
+            == _outcome(math.fsum, terms))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_full_tree_is_the_exact_sum_of_its_branch_terms(
+        k, noncommuting_system, cubic_payoff, x_start):
+    # every branch flowed on its own, one rescaled path per level
+    formula = degree5_d1()
+    part = gamma_partition(1.0, k, 2.0)
+    paths = [rescale(formula, gap).paths for gap in part.gaps]
+    weights, leaves = [], []
+    for branch in itertools.product(range(formula.n_points), repeat=k):
+        weight, state = 1.0, x_start
+        for level, i in enumerate(branch):
+            weight *= formula.weights[i]
+            state = flow_along_path(paths[level][i], noncommuting_system, state)
+        weights.append(weight)
+        leaves.append(state)
+    terms = np.array(weights) * cubic_payoff(np.array(leaves))
+    got = klv_full(formula, noncommuting_system, cubic_payoff, x_start, part)
+    assert got.value == math.fsum(terms.tolist())
+    assert got.leaves_evaluated == formula.n_points**k
+
+
+@pytest.mark.parametrize("f", [lambda y: y, lambda y: [float(y[0]), 1.0]],
+                         ids=["state", "pair"])
+def test_every_solver_refuses_a_payoff_that_is_not_one_number_per_state(f):
+    args = degree5_d1(), gbm(0.05, 0.3), f, [1.0], gamma_partition(1.0, 3, 2.0)
+    with pytest.raises(ValueError, match=r"one number per state.*\(27, \d\)"):
+        klv_full(*args)
+    with pytest.raises(ValueError, match="one number per state"):
+        klv_sampled(*args, 500, 3)
+    with pytest.raises(ValueError, match=r"one number per state.*\(10, \d\)"):
+        euler_mc(gbm(0.05, 0.3), f, [1.0], 1.0, 4, 10, 1)
+
+
+def test_sampled_stderr_of_identical_leaves_is_zero():
+    result = klv_sampled(degree5_d1(), gbm(0.05, 0.3), lambda y: 0.1, [1.0],
+                         gamma_partition(1.0, 4, 2.0), 5000, 0)
+    assert result.stderr == 0.0

@@ -74,6 +74,16 @@ def test_multipoly_block_matches_point_evaluation(poly):
     assert np.array_equal(np.concatenate([poly(pts[:7]), poly(pts[7:])]), block)
 
 
+def test_multipoly_block_does_not_depend_on_its_memory_layout():
+    poly = MultiPoly(3, {(3, 0, 0): 1.5, (1, 1, 1): -2.0, (0, 2, 1): 0.75,
+                         (0, 0, 0): 0.2})
+    strided = np.random.default_rng(8).uniform(-2.0, 2.0, (400, 7))[::2, 1::2]
+    assert strided.shape == (200, 3) and not strided.flags.c_contiguous
+    block = poly(np.ascontiguousarray(strided))
+    assert np.array_equal(poly(strided), block)
+    assert np.array_equal(poly(np.asfortranarray(strided)), block)
+
+
 def test_multipoly_rejects_a_block_of_the_wrong_width():
     poly = MultiPoly(2, {(1, 2): 1.0})
     with pytest.raises(ValueError, match=r"\(P, 2\)"):

@@ -304,6 +304,24 @@ def test_every_point_is_along_on_the_repeated_block(formula):
         assert np.array_equal(step.every_point(level, states), gathered)
 
 
+def test_every_point_is_along_on_three_states_and_on_a_strided_block():
+    rng = np.random.default_rng(11)
+    sys = VectorFieldSystem(tuple(
+        AffineField(rng.uniform(-0.4, 0.4, (3, 3)), rng.uniform(-0.4, 0.4, 3))
+        for _ in range(3)))
+    formula = degree3(2)
+    step = _LevelStep(sys, formula.paths, (0.3, 0.7), FlowConfig())
+    strided = rng.standard_normal((12, 6))[::2, ::2]
+    assert not strided.flags.c_contiguous
+    n = formula.n_points
+    for level in range(2):
+        gathered = step.along(level, np.repeat(strided, n, axis=0),
+                              np.tile(np.arange(n), 6))
+        assert np.array_equal(step.every_point(level, strided), gathered)
+        assert np.array_equal(
+            step.every_point(level, np.ascontiguousarray(strided)), gathered)
+
+
 def test_composed_path_flow_matches_segment_by_segment_flow(noncommuting_system):
     # composing a path's segment maps re-associates the products; the state
     # moves by a few ulp only
