@@ -154,18 +154,20 @@ def _exact_sum(terms: np.ndarray) -> float:
     Oishi, "Accurate floating-point summation part I", SIAM J. Sci. Comput.
     2008): with 2^M >= n + 2 and every |p| <= 2^-M sigma, the parts
     q = (sigma + p) - sigma sum exactly in any order and p - q is exact and
-    at most 2^-53 sigma, so sigma drops by 2^(M-53) per pass; fsum rounds
-    the pass sums. Non-finite or huge terms, and sigma below the normal
-    range, go to fsum itself (its inf, nan and OverflowError)."""
+    at most 2^-53 sigma, so sigma drops by 2^(M-53) per pass, in place on a
+    private copy p and one buffer q, until p is zero; fsum rounds the pass
+    sums. Non-finite or huge terms, and sigma below the normal range, go to
+    fsum itself (its inf, nan and OverflowError)."""
     p = np.array(terms, dtype=float)
+    q = np.empty_like(p)
     big = float(np.abs(p).max(initial=0.0))
     shift = (p.size + 1).bit_length()
     sigma = math.ldexp(1.0, shift + math.frexp(big)[1]) if big <= 2.0**900 else 0.0
     taus = []
     while sigma >= 2.0**-1022:
-        if not np.count_nonzero(p):
+        if not p.any():
             return math.fsum(taus)
-        q = (sigma + p) - sigma
+        np.subtract(np.add(p, sigma, out=q), sigma, out=q)
         taus.append(float(q.sum()))
         p -= q
         sigma = math.ldexp(sigma, shift - 53)
@@ -216,7 +218,9 @@ def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
 
 class _TreeWalker:
     """Level-synchronous expansion of the whole tree, leaves in branch order.
-    The tree's k levels are the step's levels first, ..., first + k - 1."""
+    The tree's k levels are the step's levels first, ..., first + k - 1.
+    Nodes go as (N, P) columns, one copy per level; a block's leaves reach
+    the payoff as a view, i-major (row i * P + r), terms go to branch order."""
 
     def __init__(self, step: _LevelStep, weights, payoff, cfg: SolverConfig,
                  first: int, k: int):
@@ -229,53 +233,40 @@ class _TreeWalker:
         self.k = k
 
     def run(self, state: np.ndarray) -> dict:
-        blocks: list[np.ndarray] = []
-        stats = self._expand(state[None, :], np.ones(1), 0, 0, blocks)
+        blocks: list[tuple[np.ndarray, float, float]] = []
+        self._expand(state[:, None], np.ones(1), 0, 0, blocks)
         # one exact sum over all leaf terms in branch order: the value cannot
         # depend on how the expansion was chunked
-        terms = np.concatenate(blocks)
-        return {
-            "sum": _exact_sum(terms),
-            "naive": float(np.sum(terms)),
-            **stats,
-        }
+        terms = np.concatenate([block[0] for block in blocks])
+        return {"sum": _exact_sum(terms), "naive": float(np.sum(terms)),
+                "min": min(block[1] for block in blocks),
+                "max": max(block[2] for block in blocks), "count": terms.size}
 
-    def _expand(self, states, branch_weights, level, rank, blocks) -> dict:
-        # states holds the nodes of `level` whose branch ranks start at rank
-        if level == self.k:
-            vals = self.payoff(states)
-            blocks.append(branch_weights * vals)
-            return {
-                "min": float(np.min(vals)),
-                "max": float(np.max(vals)),
-                "count": states.shape[0],
-            }
-        rows = states.shape[0]
+    def _expand(self, columns, branch_weights, level, rank, blocks):
+        # columns holds the nodes of `level` whose branch ranks start at rank;
+        # each block of leaves appends (terms, min, max) to blocks
+        dim, rows = columns.shape
         if rows > 1 and rows * self.n > self.cfg.batch:
             half = rows // 2
-            a = self._expand(states[:half], branch_weights[:half], level,
-                             rank, blocks)
-            b = self._expand(states[half:], branch_weights[half:], level,
-                             rank + half, blocks)
-            return _merge(a, b)
+            self._expand(columns[:, :half], branch_weights[:half], level, rank, blocks)
+            return self._expand(columns[:, half:], branch_weights[half:], level,
+                                rank + half, blocks)
         try:
-            new_states = self.step.every_point(self.first + level, states)
+            y = self.step.children(self.first + level, columns)
         except FlowDivergence as exc:
             child = rank * self.n + exc.row
             branch = _branch_of_rank(child, self.n, level + 1)
             raise _diverged(exc, f"on branch {branch} (level {level + 1})",
                             child // self.n) from exc
-        new_weights = (branch_weights[:, None] * self.weights[None, :]).reshape(-1)
-        return self._expand(new_states, new_weights, level + 1,
-                            rank * self.n, blocks)
-
-
-def _merge(a: dict, b: dict) -> dict:
-    return {
-        "min": min(a["min"], b["min"]),
-        "max": max(a["max"], b["max"]),
-        "count": a["count"] + b["count"],
-    }
+        if level + 1 < self.k:
+            return self._expand(y.transpose(0, 2, 1).reshape(dim, -1),
+                                np.outer(branch_weights, self.weights).ravel(),
+                                level + 1, rank * self.n, blocks)
+        vals = self.payoff(y.reshape(dim, -1).T)
+        terms = np.outer(self.weights, branch_weights)
+        terms *= vals.reshape(self.n, rows)
+        blocks.append((terms.T.reshape(-1), float(np.min(vals)),
+                       float(np.max(vals))))
 
 
 def klv_sweep(
@@ -418,7 +409,8 @@ def klv_full(
     level and segment.
 
     f is called on each (P, N) block of leaf states when it is a MultiPoly,
-    and once per leaf state otherwise. Every GenericField of sys must map a
+    and once per leaf state otherwise, i-major within a block (by last
+    support point, then parent). Every GenericField of sys must map a
     (P, N) block of states row by row; this is checked near x first.
     diagnostics["weight_mass"] is the exact sum of the formula's weights.
     """

@@ -142,9 +142,10 @@ class MultiPoly:
         (P, N), as a (P,) array.
 
         A point is summed exactly (math.fsum over the terms). A block is
-        summed term by term in storage order, each term a repeated product
-        of contiguous column copies, so each row's value is the same for
-        every block size and layout and within a few ulp of the point value.
+        summed term by term in storage order, each a product of contiguous
+        columns (x.T, copied unless contiguous), so each row's value is the
+        same for every block size and layout, within a few ulp of the point
+        value.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 2 and x.shape[1] == self.n_vars:
@@ -160,13 +161,14 @@ class MultiPoly:
         )
 
     def _eval_block(self, x: np.ndarray) -> np.ndarray:
-        columns = x.T.copy()
+        columns = np.ascontiguousarray(x.T)
         out = np.zeros(x.shape[0])
+        term = np.empty(x.shape[0])
         for e, c in self._terms.items():
-            term = np.full(x.shape[0], c)
-            for j, ej in enumerate(e):
-                for _ in range(ej):
-                    term *= columns[j]
+            factors = [columns[j] for j, ej in enumerate(e) for _ in range(ej)]
+            np.multiply(factors[0] if factors else 1.0, c, out=term)
+            for column in factors[1:]:
+                term *= column
             out += term
         return out
 

@@ -211,12 +211,12 @@ def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
     """The field sum_j c_j V_j, with coefficients of shape (m,) shared by all
     states, or (P, m), one set per row of a (P, N) block of states.
 
-    A field whose coefficients are all zero is not called, and a row whose
-    coefficients are all zero gets the zero vector, so a flow leaves it
-    exactly as it was. Shared coefficients on affine fields give an
-    AffineField; otherwise the value is summed in field order and the
-    Jacobian is the same combination of the fields' Jacobians, both on one
-    state or on a whole block.
+    A field whose coefficients are all zero is not called. A row whose
+    coefficients are all zero gets the zero vector where the fields are
+    finite (0 * nan is nan: _zero_safe masks such terms). Shared coefficients
+    on affine fields give an AffineField; otherwise the value is summed in
+    field order and the Jacobian is the same combination of the fields'
+    Jacobians, both on one state or on a whole block.
     """
     c = np.asarray(coefficients, dtype=float)
     if c.ndim == 1 and all(isinstance(f, AffineField) for f in fields):
@@ -245,6 +245,20 @@ def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
         return _matvec(stacked, weights[..., None, :])
 
     return _Combination(func, fields[0].dimension, jacobian_func=jac)
+
+
+def _zero_safe(fields: Sequence[Field], coefficients) -> GenericField:
+    """combine_fields' sum on a block, except that a zero coefficient adds
+    exactly 0, also where its field is not finite (0 * nan is nan)."""
+    def func(x):
+        out = 0.0
+        for j, f in enumerate(fields):
+            c = coefficients[..., j, None]
+            if c.any():
+                out = out + np.multiply(c, f(x), out=np.zeros(np.shape(x)), where=c != 0)
+        return out
+
+    return GenericField(func, fields[0].dimension)
 
 
 # -- builtin systems -----------------------------------------------------------
@@ -489,7 +503,8 @@ class _LevelStep:
         affine system by its gathered composed map, and only a non-finite row
         is replayed segment by segment, to name its first non-finite segment
         (or its path's last); on a generic one by one RK4 pass per segment of
-        the longest path over all rows, which zero segments leave as is."""
+        the longest path over all rows, which zero segments leave as is: a
+        pass that diverges is run again by _zero_safe before it raises."""
         if self.paths is not None:
             maps = self.paths[level, point]
             y = _affine_map(maps[..., :-1], maps[..., -1], states)
@@ -508,10 +523,12 @@ class _LevelStep:
                 segment=seg + 1, row=row)
         y = states
         for seg in range(self.lengths[point].max()):
-            field = combine_fields(self.sys.fields,
-                                   self.coefficients[level, point, seg])
+            c = self.coefficients[level, point, seg]
             try:
-                y = flow_exp(field, 1.0, y, self.cfg)
+                try:
+                    y = flow_exp(combine_fields(self.sys.fields, c), 1.0, y, self.cfg)
+                except FlowDivergence:
+                    y = flow_exp(_zero_safe(self.sys.fields, c), 1.0, y, self.cfg)
             except FlowDivergence as exc:
                 raise FlowDivergence(
                     f"segment {seg + 1}/{self.lengths[point[exc.row]]}: {exc}",
@@ -521,22 +538,25 @@ class _LevelStep:
                 ) from exc
         return y
 
-    def every_point(self, level: int, states: np.ndarray) -> np.ndarray:
-        """Every state flowed along every support path: row r * n + i of the
-        (P * n, N) result is states[r] moved along point i's path. On an
-        affine system the level's n maps are broadcast column-major over the
-        contiguous columns of the states, y[i, a, r] = sum_j M_i[a, j] x_j[r]
-        + b_i[a] with the long axis innermost: along's arithmetic, no gather."""
-        p, n = states.shape[0], self.lengths.size
+    def children(self, level: int, columns: np.ndarray) -> np.ndarray:
+        """(N, P) columns x of states to y (N, n, P), y[:, i, r] = x[:, r] moved
+        along point i's path. Affine: y[a, i, r] = sum_j M_i[a, j] x[j, r] +
+        b_i[a], along's arithmetic broadcast with the long axis innermost.
+        A generic system, or a non-finite y, runs along on the repeated block
+        (an error's row is r * n + i)."""
+        p, n = columns.shape[1], self.lengths.size
         if self.paths is not None:
-            maps = self.paths[level, :, :, None]
-            y = _affine_columns(maps[..., :-1], maps[..., -1],
-                                np.ascontiguousarray(states.T))
+            maps = self.paths[level].transpose(1, 0, 2)[:, :, None]
+            y = _affine_columns(maps[..., :-1], maps[..., -1], columns)
             if np.isfinite(y).all():
-                return y.transpose(2, 0, 1).reshape(p * n, -1)
-        # a generic system, or the error path of an affine one
-        return self.along(level, np.repeat(states, n, axis=0),
-                          np.tile(np.arange(n), p))
+                return y
+        return self.along(level, np.repeat(columns.T, n, axis=0),
+                          np.tile(np.arange(n), p)).reshape(p, n, -1).T
+
+    def every_point(self, level: int, states: np.ndarray) -> np.ndarray:
+        """children in rows: row r * n + i of the (P * n, N) result."""
+        y = self.children(level, np.ascontiguousarray(states.T))
+        return y.T.reshape(-1, states.shape[1])
 
 
 def flow_along_path(

@@ -849,3 +849,66 @@ def test_sampled_stderr_of_identical_leaves_is_zero():
     result = klv_sampled(degree5_d1(), gbm(0.05, 0.3), lambda y: 0.1, [1.0],
                          gamma_partition(1.0, 4, 2.0), 5000, 0)
     assert result.stderr == 0.0
+
+
+def _nan_where_only_the_middle_path_goes(x):
+    # (0, nan) where x_1 > 0.9 and |x_2| < 0.01, (0, 1) elsewhere: of
+    # degree5_d1's paths from 0 under V_0 = e_1, only the middle one (dx = 0)
+    # enters that region, and it does not use V_1
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    out[..., 1] = np.where((x[..., 0] > 0.9) & (np.abs(x[..., 1]) < 0.01),
+                           np.nan, 1.0)
+    return out
+
+
+def test_a_zero_coefficient_on_a_non_finite_field_adds_exactly_zero():
+    sys = VectorFieldSystem((AffineField(np.zeros((2, 2)), [1.0, 0.0]),
+                             GenericField(_nan_where_only_the_middle_path_goes, 2)))
+    formula, x0, part = degree5_d1(), np.zeros(2), Partition((0.0, 1.0))
+    f = lambda y: float(y[1])
+    # each path on its own flows finitely
+    terms = [w * f(flow_along_path(path, sys, x0))
+             for w, path in zip(formula.weights, formula.paths)]
+    assert klv_full(formula, sys, f, x0, part).value == math.fsum(terms)
+    sampled = klv_sampled(formula, sys, f, x0, part, 200, 1)
+    assert math.isfinite(sampled.value) and math.isfinite(sampled.stderr)
+
+
+@pytest.mark.parametrize("payoff_vars, state_dim", [(2, 3), (3, 2)])
+def test_full_tree_refuses_a_polynomial_payoff_of_another_dimension(
+        payoff_vars, state_dim):
+    # the leaves reach a MultiPoly as a strided view: a payoff over fewer
+    # variables must not read only the first columns of it
+    sys = VectorFieldSystem((
+        AffineField(0.1 * np.eye(state_dim), np.full(state_dim, 0.2)),
+        AffineField(np.diag(np.linspace(0.1, 0.3, state_dim)), np.zeros(state_dim)),
+    ))
+    f = MultiPoly(payoff_vars, {(1,) + (0,) * (payoff_vars - 1): 1.0})
+    with pytest.raises(ValueError, match="expected point of shape"):
+        klv_full(degree3(1), sys, f, np.ones(state_dim), gamma_partition(1.0, 3, 2.0))
+
+
+def test_full_tree_diagnostics_are_the_same_for_every_batch_size(
+        noncommuting_system, cubic_payoff, x_start):
+    # a block's leaves reach the payoff grouped by support point (i-major);
+    # the naive sum and the extremes show whether their terms went back to
+    # branch order, which batch 1 (one node's n children per block) has
+    calls = []
+
+    def scalar(y):
+        calls.append(y)
+        return float(cubic_payoff(y))
+
+    part = gamma_partition(1.0, 4, 2.0)
+    for f in (cubic_payoff, scalar):
+        seen = set()
+        for batch in (1, 3, 1 << 16):
+            calls.clear()
+            r = klv_full(degree5_d1(), noncommuting_system, f, x_start, part,
+                         SolverConfig(batch=batch))
+            d = r.diagnostics
+            seen.add((r.value, d["compensation"], d["min_leaf"], d["max_leaf"],
+                      r.leaves_evaluated))
+            assert len(calls) == (3**4 if f is scalar else 0)
+        assert len(seen) == 1  # bit-identical, not merely close
