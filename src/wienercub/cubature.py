@@ -62,7 +62,7 @@ class CubatureFormula:
             raise ValueError(
                 f"{len(self.weights)} weights for {n} support points"
             )
-        if any(not w > 0.0 for w in self.weights):
+        if any(not (w > 0.0 and math.isfinite(w)) for w in self.weights):
             raise ValueError(f"weights must be strictly positive: {self.weights!r}")
         _check_horizon(self.horizon)
         if self.paths is not None:
@@ -149,21 +149,16 @@ def validate(
 ) -> ValidationReport:
     """Compare the weighted signature aggregate with the expected Brownian
     signature, coefficient by coefficient, up to `degree` (default: the
-    formula's own claim)."""
+    formula's own claim). A NaN defect fails: it becomes `max_defect`, on
+    the first word that has one."""
     m = formula.degree if degree is None else degree
     target = brownian_expected_signature(formula.dimension, m, formula.horizon)
     agg = formula.aggregate(m)
-    max_defect = 0.0
-    worst: Word | None = None
-    failures: list[tuple[Word, float]] = []
-    seen = {w for w, _ in agg.items()} | {w for w, _ in target.items()}
-    for w in sorted(seen, key=lambda w: (len(w), w)):
-        defect = abs(agg.coeff(w) - target.coeff(w))
-        if defect > max_defect:
-            max_defect, worst = defect, w
-        if defect > tol:
-            failures.append((w, defect))
-    failures.sort(key=lambda item: -item[1])
+    defects = [(w, abs(c)) for w, c in (agg - target).items()]
+    # largest defect first, ties in (length, lex) order; a NaN defect leads
+    defects.sort(key=lambda t: (len(t[0]), t[0]))
+    defects.sort(key=lambda t: -t[1] if t[1] == t[1] else -math.inf)
+    worst, max_defect = defects[0] if defects else (None, 0.0)
     return ValidationReport(
         dimension=formula.dimension,
         degree=m,
@@ -171,7 +166,7 @@ def validate(
         tol=tol,
         max_defect=max_defect,
         worst_word=worst,
-        failures=tuple(failures),
+        failures=tuple(t for t in defects if not t[1] <= tol),
         ok=max_defect <= tol,
     )
 

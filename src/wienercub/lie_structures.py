@@ -3,13 +3,16 @@
 A Lie polynomial is a tensor generated by iterated brackets of the letters.
 Membership is certified with the classical criterion: on words of length k,
 the right-nested bracketing map acts as multiplication by k exactly on Lie
-elements. The check is levelwise in word length (bracketing permutes the
-letters of a word, so it also preserves graded degree).
+elements. Bracketing permutes the letters of a word, so it keeps word length
+and graded degree: the map is one cached sparse table over the word basis of
+each (dimension, truncation), and one pass checks every length at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .tensor_algebra import (
     EMPTY_WORD,
@@ -19,6 +22,7 @@ from .tensor_algebra import (
     exp,
     log,
     mul,
+    word_program,
 )
 
 DYNKIN_TOL = 1e-10
@@ -36,19 +40,26 @@ def bracket(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     return mul(a, b) - mul(b, a)
 
 
-@lru_cache(maxsize=200_000)
-def _right_nested_bracket(word: Word) -> tuple[tuple[Word, int], ...]:
-    """Expansion of [e_{w1}, [e_{w2}, [..., e_{wk}]]] in the word basis."""
-    if len(word) == 1:
-        return ((word, 1),)
-    head = word[:1]
-    out: dict[Word, int] = {}
-    for w, c in _right_nested_bracket(word[1:]):
-        left = head + w
-        out[left] = out.get(left, 0) + c
-        right = w + head
-        out[right] = out.get(right, 0) - c
-    return tuple(sorted(out.items()))
+@lru_cache(maxsize=32)
+def _dynkin_table(dimension: int, truncation: int) -> tuple[np.ndarray, ...]:
+    """(src, dst, mult): word src maps to sum of mult * word dst under the
+    right-nested bracketing [e_{w1}, [e_{w2}, [..., e_{wk}]]].
+
+    Indices are into `word_program(dimension, truncation).words`, whose order
+    lists a word's tail w2...wk before the word itself.
+    """
+    program = word_program(dimension, truncation)
+    expansions: dict[Word, dict[Word, int]] = {}
+    table: list[tuple[int, int, int]] = []
+    for i, w in enumerate(program.words[1:], start=1):
+        out = {w: 1} if len(w) == 1 else {}
+        for u, c in expansions.get(w[1:], {}).items():
+            out[w[:1] + u] = out.get(w[:1] + u, 0) + c
+            out[u + w[:1]] = out.get(u + w[:1], 0) - c
+        expansions[w] = out
+        table += [(i, program.index[u], c) for u, c in sorted(out.items()) if c]
+    src, dst, mult = np.array(table, dtype=np.intp).reshape(-1, 3).T.copy()
+    return src, dst, mult.astype(float)
 
 
 def dynkin_map(a: GradedTensor) -> GradedTensor:
@@ -58,29 +69,27 @@ def dynkin_map(a: GradedTensor) -> GradedTensor:
     linearly. Lie elements are exactly the fixed points of dynkin_map(a)/k
     on each word-length level.
     """
-    out: dict[Word, float] = {}
-    for w, c in a.items():
-        if not w:
-            raise AlgebraError("bracketing map undefined on the empty word")
-        for ww, mult in _right_nested_bracket(w):
-            s = out.get(ww, 0.0) + c * mult
-            if s == 0.0:
-                out.pop(ww, None)
-            else:
-                out[ww] = s
-    return GradedTensor(a.dimension, a.truncation, out, _trusted=True)
+    if a.coeff(EMPTY_WORD) != 0.0:
+        raise AlgebraError("bracketing map undefined on the empty word")
+    return a._like(_bracketed(a))
+
+
+def _bracketed(a: GradedTensor) -> np.ndarray:
+    src, dst, mult = _dynkin_table(a.dimension, a.truncation)
+    return np.bincount(dst, a._v[src] * mult, minlength=len(a._v))
 
 
 def dynkin_defect(a: GradedTensor) -> float:
-    """Worst coefficient of dynkin_map(level_k) - k * level_k over all levels."""
-    worst = abs(a.coeff(EMPTY_WORD))
-    lengths = sorted({len(w) for w, _ in a.items() if w})
-    for k in lengths:
-        part = a.level(k)
-        d = dynkin_map(part) - part.scale(float(k))
-        for _, c in d.items():
-            worst = max(worst, abs(c))
-    return worst
+    """Worst coefficient of dynkin_map(level_k) - k * level_k over all levels,
+    or of the empty word.
+
+    Bracketing keeps word length, so this is one pass: the largest entry of
+    |dynkin_map(a) - length * a|. A NaN or inf coefficient makes the defect
+    NaN or inf, never a finite number.
+    """
+    r = np.abs(_bracketed(a) - a._program.lengths * a._v)
+    r[0] = abs(a._v[0])
+    return float(np.max(r))
 
 
 def is_lie_element(a: GradedTensor, tol: float = DYNKIN_TOL) -> bool:
@@ -115,17 +124,23 @@ class LiePolynomial:
 
 
 def certify(a: GradedTensor | LiePolynomial, tol: float = DYNKIN_TOL) -> LiePolynomial:
-    """Check the bracketing criterion and wrap the tensor on success."""
+    """Check the bracketing criterion and wrap the tensor on success.
+
+    A NaN or inf coefficient fails the check, and the error names its word.
+    """
     if isinstance(a, LiePolynomial):
         if a.certified:
             return a
         a = a.tensor
+    if not np.isfinite(a._v).all():
+        w, c = next((w, c) for w, c in a.items() if not np.isfinite(c))
+        raise NotLieElement(f"non-finite coefficient {c!r} on word {w!r}", abs(c))
     if a.coeff(EMPTY_WORD) != 0.0:
         raise NotLieElement(
             f"nonzero constant term {a.coeff(EMPTY_WORD)!r}", abs(a.coeff(EMPTY_WORD))
         )
     defect = dynkin_defect(a)
-    if defect > tol:
+    if not defect <= tol:
         raise NotLieElement(
             f"bracketing certificate failed: defect {defect:.3e} > tol {tol:.1e}",
             defect,
@@ -146,5 +161,5 @@ def bch(
     ta = a.tensor if isinstance(a, LiePolynomial) else a
     tb = b.tensor if isinstance(b, LiePolynomial) else b
     prod = mul(exp(ta), exp(tb))
-    scale = max([1.0] + [abs(c) for _, c in prod.items()])
+    scale = max(1.0, float(np.max(np.abs(prod._v))))
     return certify(log(prod), tol * scale)

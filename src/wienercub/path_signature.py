@@ -29,14 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .tensor_algebra import (
-    AlgebraError,
-    GradedTensor,
-    Word,
-    all_words,
-    graded_degree,
-    log,
-)
+from .tensor_algebra import GradedTensor, Word, graded_degree, log, word_program
 from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
 
 _KNOT_TOL = 1e-12
@@ -168,7 +161,8 @@ def concat(first: PiecewiseLinearPath, second: PiecewiseLinearPath) -> Piecewise
 
 
 class _ChenPlan(NamedTuple):
-    """The word basis and the Horner program of S -> S (x) exp(x).
+    """The Horner program of S -> S (x) exp(x) over the words of
+    `word_program(d, m)`.
 
     `levels[l - 1]` holds the entries (u, j) with |u| = l as triples
     (index of S[u], index of x_{u_last} / j in the scaled increment, slot of
@@ -177,7 +171,6 @@ class _ChenPlan(NamedTuple):
     The scaled increment lists x_a / j for j = 1 .. depth, letter by letter.
     """
 
-    words: tuple[Word, ...]
     levels: tuple[tuple[tuple[int, int, int], ...], ...]
     outputs: tuple[int, ...]
     depth: int
@@ -185,17 +178,13 @@ class _ChenPlan(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _chen_plan(dimension: int, truncation: int) -> _ChenPlan:
-    """The Horner program of the Chen step over `all_words(dimension, truncation)`.
+    """The Horner program of the Chen step over `word_program(dimension, truncation)`.
 
     R(u, j) is needed when u extends to a word of the truncation by j - 1
     letters, i.e. when graded_degree(u) + j - 1 <= truncation.
     """
-    if dimension < 1:
-        raise AlgebraError(f"dimension must be >= 1, got {dimension}")
-    if truncation < 0:
-        raise AlgebraError(f"truncation must be >= 0, got {truncation}")
-    words = tuple(all_words(dimension, truncation))
-    index = {w: i for i, w in enumerate(words)}
+    program = word_program(dimension, truncation)
+    words = program.words
     slot: dict[tuple[Word, int], int] = {}
     levels = []
     for length in range(1, max(map(len, words)) + 1):
@@ -206,16 +195,16 @@ def _chen_plan(dimension: int, truncation: int) -> _ChenPlan:
             for j in range(1, truncation - graded_degree(u) + 2):
                 slot[u, j] = len(slot) + 1
                 src = slot[u[:-1], j + 1] if length > 1 else 0
-                level.append((index[u], u[-1] * truncation + j - 1, src))
+                level.append((program.index[u], u[-1] * truncation + j - 1, src))
         levels.append(tuple(level))
     outputs = tuple(slot[w, 1] if w else 0 for w in words)
-    return _ChenPlan(words, tuple(levels), outputs, truncation)
+    return _ChenPlan(tuple(levels), outputs, truncation)
 
 
 def _chen_step(coeffs: Sequence, x: Sequence, plan: _ChenPlan) -> list:
     """Coefficients of S (x) exp(x) for the level-one x = sum_a x[a] e_a.
 
-    `coeffs` lists S over `plan.words`; entries may be floats or arrays of
+    `coeffs` lists S over the plan's words; entries may be floats or arrays of
     one value per path, and the same arithmetic runs on both. One
     multiply-add per program entry.
     """
@@ -231,19 +220,14 @@ def signature(path: PiecewiseLinearPath, truncation: int) -> GradedTensor:
 
     Chen's relation, one segment at a time: S <- S (x) exp(dt e_0 + dx),
     each step the Horner program of the module docstring (one multiply-add
-    per program entry). Only nonzero coefficients are kept.
+    per program entry).
     """
-    d = path.dimension
-    plan = _chen_plan(d, truncation)
-    coeffs = [1.0] + [0.0] * (len(plan.words) - 1)
+    program = word_program(path.dimension, truncation)
+    plan = _chen_plan(path.dimension, truncation)
+    coeffs = [1.0] + [0.0] * (len(program.words) - 1)
     for dt, dx in path.increments():
         coeffs = _chen_step(coeffs, [float(dt), *dx.tolist()], plan)
-    return GradedTensor(
-        d,
-        truncation,
-        {w: c for w, c in zip(plan.words, coeffs) if c != 0.0},
-        _trusted=True,
-    )
+    return GradedTensor._of(program, np.array(coeffs))
 
 
 def log_signature(
@@ -291,7 +275,7 @@ def brownian_expected_signature(
             c = horizon**a * (0.5 * horizon) ** (k - a) / math.factorial(k)
             if c != 0.0:
                 coeffs[sum(split, ())] = c
-    return GradedTensor(dimension, truncation, coeffs, _trusted=True)
+    return GradedTensor(dimension, truncation, coeffs)
 
 
 def monte_carlo_expected_signature(
@@ -315,8 +299,9 @@ def monte_carlo_expected_signature(
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
     _check_horizon(horizon)
+    program = word_program(dimension, truncation)
     plan = _chen_plan(dimension, truncation)
-    words = plan.words
+    words = program.words
     h = horizon / n_steps
     sum_ = np.zeros(len(words))
     # the variance is taken about the first path's values, so it does not
@@ -343,10 +328,4 @@ def monte_carlo_expected_signature(
     mean = sum_ / n_paths
     var = np.maximum(shifted_sumsq - shifted_sum**2 / n_paths, 0.0) / (n_paths - 1)
     stderr = np.sqrt(var / n_paths)
-    tensor = GradedTensor(
-        dimension,
-        truncation,
-        {w: float(mean[i]) for i, w in enumerate(words) if mean[i] != 0.0},
-        _trusted=True,
-    )
-    return tensor, {w: float(stderr[i]) for i, w in enumerate(words)}
+    return GradedTensor._of(program, mean), dict(zip(words, stderr.tolist()))

@@ -5,18 +5,25 @@ coordinates. A word is a tuple of letters. Its graded degree counts ordinary
 letters once and the letter 0 twice, so that a word scales like its
 Brownian order: dB ~ sqrt(dt) contributes 1, dt contributes 2.
 
-Elements are stored sparsely as word -> coefficient maps and truncated at a
-fixed graded degree. Products drop every word whose graded degree exceeds
-the truncation, which makes projection compatible with multiplication:
-project(m, a*b) == project(m, project(m,a) * project(m,b)). `mul` visits
-only the pairs of words that survive this cut-off, and its result is
-bit-identical to the all-pairs product.
+Elements are truncated at a fixed graded degree m and stored densely: one
+float64 vector over `all_words(d, m)`, whose (degree, length, lex) order
+puts the words of degree <= m' < m first. One cached `WordProgram` per
+(d, m) holds that basis and the pair table of the product, so every
+operation is an array kernel. Products drop every word whose graded degree
+exceeds the truncation, which makes projection compatible with
+multiplication: project(m, a*b) == project(m, project(m,a) * project(m,b)).
+
+Non-finite coefficients: the kernels multiply zero entries too, so an inf
+coefficient times a word that is absent (zero) gives NaN, where a sparse
+product would have skipped the pair.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 Word = tuple[int, ...]
 
@@ -42,70 +49,105 @@ def check_word(word: Word, dimension: int) -> None:
 
 def all_words(dimension: int, max_degree: int) -> list[Word]:
     """Every word of graded degree <= max_degree, in (degree, length, lex) order."""
-    out: list[Word] = [EMPTY_WORD]
-    frontier: list[Word] = [EMPTY_WORD]
-    while frontier:
-        new: list[Word] = []
-        for w in frontier:
-            for a in range(dimension + 1):
-                ww = w + (a,)
-                if graded_degree(ww) <= max_degree:
-                    new.append(ww)
-        out.extend(new)
-        frontier = new
-    out.sort(key=lambda w: (graded_degree(w), len(w), w))
-    return out
+    words = [EMPTY_WORD]
+    for w in words:  # the list grows while it is read: breadth first
+        words += [w + (a,) for a in range(dimension + 1)
+                  if graded_degree(w + (a,)) <= max_degree]
+    return sorted(words, key=lambda w: (graded_degree(w), len(w), w))
 
 
-class GradedTensor:
-    """Sparse element of the graded-truncated tensor algebra.
+class WordProgram:
+    """The word basis of one (dimension, truncation) and its product table.
 
-    Instances are treated as immutable: every operation returns a new tensor.
-    Two tensors are compatible when they share `dimension` and `truncation`.
+    `words` is `all_words(dimension, truncation)`, `index` maps a word to its
+    position, `degrees` and `lengths` are the graded degree and length of
+    each word.
     """
 
-    __slots__ = ("dimension", "truncation", "_coeffs")
-
-    def __init__(
-        self,
-        dimension: int,
-        truncation: int,
-        coeffs: dict[Word, float] | None = None,
-        _trusted: bool = False,
-    ):
+    def __init__(self, dimension: int, truncation: int):
         if dimension < 1:
             raise AlgebraError(f"dimension must be >= 1, got {dimension}")
         if truncation < 0:
             raise AlgebraError(f"truncation must be >= 0, got {truncation}")
         self.dimension = dimension
         self.truncation = truncation
-        if coeffs is None:
-            coeffs = {}
-        if not _trusted:
-            cleaned: dict[Word, float] = {}
-            for w, c in coeffs.items():
-                w = tuple(w)
-                check_word(w, dimension)
-                if graded_degree(w) > truncation:
-                    raise AlgebraError(
-                        f"word {w!r} has graded degree {graded_degree(w)} "
-                        f"> truncation {truncation}"
-                    )
-                c = float(c)
-                if c != 0.0:
-                    cleaned[w] = c
-            coeffs = cleaned
-        self._coeffs = coeffs
+        self.words = tuple(all_words(dimension, truncation))
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self.degrees = np.array([graded_degree(w) for w in self.words], dtype=np.intp)
+        self.lengths = np.array([len(w) for w in self.words], dtype=np.intp)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(iu, iv, iw) of every pair u v = w with deg u + deg v <= truncation.
+
+        The pairs are u-major in word order, and for each u the words v of
+        degree <= truncation - deg u form a prefix of the basis. For a fixed u
+        every v gives a distinct w, so each w receives its products in the
+        order of a loop over u, then v.
+        """
+        m, words = self.truncation, self.words
+        fits = np.searchsorted(self.degrees, np.arange(m + 1), side="right")
+        iu, iv, iw = [], [], []
+        for i, u in enumerate(words):
+            n = int(fits[m - self.degrees[i]])
+            iu += [i] * n
+            iv += range(n)
+            iw += [self.index[u + v] for v in words[:n]]
+        return tuple(np.array(x, dtype=np.intp) for x in (iu, iv, iw))
+
+
+# the one shared program of each (dimension, truncation)
+word_program = lru_cache(maxsize=64)(WordProgram)
+
+
+class GradedTensor:
+    """Element of the graded-truncated tensor algebra, one coefficient per
+    word of `all_words(dimension, truncation)`.
+
+    Instances are treated as immutable: every operation returns a new tensor.
+    Two tensors are compatible when they share `dimension` and `truncation`.
+    `items` and `len` see the nonzero coefficients only, in word order.
+    """
+
+    __slots__ = ("dimension", "truncation", "_program", "_v")
+
+    def __init__(self, dimension: int, truncation: int, coeffs: dict[Word, float] | None = None):
+        program = word_program(dimension, truncation)
+        v = np.zeros(len(program.words))
+        for w, c in (coeffs or {}).items():
+            w = tuple(w)
+            check_word(w, dimension)
+            if graded_degree(w) > truncation:
+                raise AlgebraError(
+                    f"word {w!r} has graded degree {graded_degree(w)} "
+                    f"> truncation {truncation}"
+                )
+            c = float(c)
+            if c != 0.0:
+                v[program.index[w]] = c
+        self.dimension, self.truncation = dimension, truncation
+        self._program, self._v = program, v
+
+    @classmethod
+    def _of(cls, program: WordProgram, vector: np.ndarray) -> "GradedTensor":
+        """Wrap a coefficient vector over `program.words`, without a copy."""
+        t = cls.__new__(cls)
+        t.dimension, t.truncation = program.dimension, program.truncation
+        t._program, t._v = program, vector
+        return t
+
+    def _like(self, vector: np.ndarray) -> "GradedTensor":
+        return GradedTensor._of(self._program, vector)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, dimension: int, truncation: int) -> "GradedTensor":
-        return cls(dimension, truncation, {}, _trusted=True)
+        return cls(dimension, truncation)
 
     @classmethod
     def unit(cls, dimension: int, truncation: int) -> "GradedTensor":
-        return cls(dimension, truncation, {EMPTY_WORD: 1.0}, _trusted=True)
+        return cls(dimension, truncation, {EMPTY_WORD: 1.0})
 
     @classmethod
     def basis(
@@ -116,28 +158,24 @@ class GradedTensor:
     # -- access ------------------------------------------------------------
 
     def coeff(self, word: Iterable[int]) -> float:
-        return self._coeffs.get(tuple(word), 0.0)
+        i = self._program.index.get(tuple(word))
+        return 0.0 if i is None else float(self._v[i])
 
     def items(self) -> Iterator[tuple[Word, float]]:
-        return iter(self._coeffs.items())
+        words, v = self._program.words, self._v
+        return ((words[i], float(v[i])) for i in np.flatnonzero(v).tolist())
 
     def sorted_items(self) -> list[tuple[Word, float]]:
-        return sorted(
-            self._coeffs.items(), key=lambda t: (graded_degree(t[0]), len(t[0]), t[0])
-        )
+        return list(self.items())
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return int(np.count_nonzero(self._v))
 
     def __repr__(self) -> str:
-        head = ", ".join(
-            f"{w}: {c:.6g}" for w, c in self.sorted_items()[:6]
-        )
-        tail = ", ..." if len(self._coeffs) > 6 else ""
-        return (
-            f"GradedTensor(d={self.dimension}, m={self.truncation}, "
-            f"{{{head}{tail}}})"
-        )
+        terms = self.sorted_items()
+        head = ", ".join(f"{w}: {c:.6g}" for w, c in terms[:6])
+        tail = ", ..." if len(terms) > 6 else ""
+        return f"GradedTensor(d={self.dimension}, m={self.truncation}, {{{head}{tail}}})"
 
     # -- structure checks --------------------------------------------------
 
@@ -154,20 +192,15 @@ class GradedTensor:
             )
 
     def equals(self, other: "GradedTensor", tol: float = 1e-12) -> bool:
+        """Every coefficient equal or within tol; NaN equals nothing."""
         self._check_compat(other)
-        for w in self._coeffs.keys() | other._coeffs.keys():
-            if abs(self._coeffs.get(w, 0.0) - other._coeffs.get(w, 0.0)) > tol:
-                return False
-        return True
+        a, b = self._v, other._v
+        return bool(np.all((a == b) | (np.abs(a - b) <= tol)))
 
     def max_coeff_difference(self, other: "GradedTensor") -> float:
+        """Largest coefficient difference; NaN when any word differs by NaN."""
         self._check_compat(other)
-        words = self._coeffs.keys() | other._coeffs.keys()
-        if not words:
-            return 0.0
-        return max(
-            abs(self._coeffs.get(w, 0.0) - other._coeffs.get(w, 0.0)) for w in words
-        )
+        return float(np.max(np.abs(self._v - other._v)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedTensor):
@@ -180,25 +213,11 @@ class GradedTensor:
 
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
         self._check_compat(other)
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            s = out.get(w, 0.0) + c
-            if s == 0.0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return GradedTensor(self.dimension, self.truncation, out, _trusted=True)
+        return self._like(self._v + other._v)
 
     def __sub__(self, other: "GradedTensor") -> "GradedTensor":
         self._check_compat(other)
-        out = dict(self._coeffs)
-        for w, c in other._coeffs.items():
-            s = out.get(w, 0.0) - c
-            if s == 0.0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return GradedTensor(self.dimension, self.truncation, out, _trusted=True)
+        return self._like(self._v - other._v)
 
     def __neg__(self) -> "GradedTensor":
         return self.scale(-1.0)
@@ -207,8 +226,7 @@ class GradedTensor:
         scalar = float(scalar)
         if scalar == 0.0:
             return GradedTensor.zero(self.dimension, self.truncation)
-        out = {w: c * scalar for w, c in self._coeffs.items()}
-        return GradedTensor(self.dimension, self.truncation, out, _trusted=True)
+        return self._like(self._v * scalar)
 
     def __mul__(self, other):
         if isinstance(other, GradedTensor):
@@ -227,22 +245,25 @@ class GradedTensor:
         """Zero out every word of graded degree > degree; truncation unchanged."""
         if degree < 0:
             raise AlgebraError(f"projection degree must be >= 0, got {degree}")
-        out = {w: c for w, c in self._coeffs.items() if graded_degree(w) <= degree}
-        return GradedTensor(self.dimension, self.truncation, out, _trusted=True)
+        return self._like(np.where(self._program.degrees <= degree, self._v, 0.0))
 
     def with_truncation(self, truncation: int) -> "GradedTensor":
-        """Re-truncate: drop words beyond a lower cap, or lift into a higher one."""
+        """Re-truncate: drop words beyond a lower cap, or lift into a higher one.
+
+        The words of a lower cap are a prefix of the basis, so this slices or
+        pads the coefficient vector.
+        """
         if truncation == self.truncation:
             return self
-        out = {
-            w: c for w, c in self._coeffs.items() if graded_degree(w) <= truncation
-        }
-        return GradedTensor(self.dimension, truncation, out, _trusted=True)
+        program = word_program(self.dimension, truncation)
+        v = np.zeros(len(program.words))
+        n = min(len(v), len(self._v))
+        v[:n] = self._v[:n]
+        return GradedTensor._of(program, v)
 
     def level(self, length: int) -> "GradedTensor":
         """The part supported on words of exactly the given length."""
-        out = {w: c for w, c in self._coeffs.items() if len(w) == length}
-        return GradedTensor(self.dimension, self.truncation, out, _trusted=True)
+        return self._like(np.where(self._program.lengths == length, self._v, 0.0))
 
     def dilate(self, scalar: float) -> "GradedTensor":
         """Scale each word by scalar**graded_degree(word).
@@ -251,12 +272,11 @@ class GradedTensor:
         horizon 1 to horizon s: dB picks up sqrt(s), dt picks up s.
         """
         lam = float(scalar)
-        out: dict[Word, float] = {}
-        for w, c in self._coeffs.items():
-            v = c * lam ** graded_degree(w)
-            if v != 0.0:
-                out[w] = v
-        return GradedTensor(self.dimension, self.truncation, out, _trusted=True)
+        # powers past the top nonzero degree stay 0, so they cannot overflow
+        top = int(self._program.degrees[self._v != 0.0].max(initial=0))
+        powers = np.zeros(self.truncation + 1)
+        powers[: top + 1] = [lam**k for k in range(top + 1)]
+        return self._like(self._v * powers[self._program.degrees])
 
     # -- serialization -------------------------------------------------------
 
@@ -292,26 +312,16 @@ class GradedTensor:
 
 
 def mul(a: GradedTensor, b: GradedTensor) -> GradedTensor:
-    """Truncated concatenation product.
+    """Truncated concatenation product: one bincount over the pair table.
 
-    Only pairs (u, v) with graded_degree(u) + graded_degree(v) <= truncation
-    are visited: `fits[r]` holds the terms of b of graded degree <= r, in b's
-    own order, and each word u of a runs over fits[m - deg(u)]. For a fixed
-    u every v gives a distinct u + v, so each output word receives its sums
-    in the same order as the all-pairs loop, and the result, key order
-    included, is bit-identical to it.
+    Each output word sums its products a_u b_v in the table's u-major word
+    order, the order of a loop over the terms of a, then of b, with every
+    pair past the cut-off skipped.
     """
     a._check_compat(b)
-    m = a.truncation
-    out: dict[Word, float] = {}
-    bitems = [(v, graded_degree(v), cv) for v, cv in b._coeffs.items()]
-    fits = [[(v, cv) for v, gv, cv in bitems if gv <= r] for r in range(m + 1)]
-    for u, cu in a._coeffs.items():
-        for v, cv in fits[m - graded_degree(u)]:
-            w = u + v
-            out[w] = out.get(w, 0.0) + cu * cv
-    return GradedTensor(a.dimension, m, {w: c for w, c in out.items() if c != 0.0},
-                        _trusted=True)
+    program = a._program
+    iu, iv, iw = program.pairs
+    return a._like(np.bincount(iw, a._v[iu] * b._v[iv], minlength=len(program.words)))
 
 
 def project(a: GradedTensor, degree: int) -> GradedTensor:
@@ -334,7 +344,7 @@ def exp(a: GradedTensor) -> GradedTensor:
     term = GradedTensor.unit(a.dimension, a.truncation)
     for k in range(1, a.truncation + 1):
         term = mul(term, a).scale(1.0 / k)
-        if not term._coeffs:
+        if not term._v.any():
             break
         result = result + term
     return result
@@ -349,7 +359,7 @@ def log(g: GradedTensor) -> GradedTensor:
     term = GradedTensor.unit(g.dimension, g.truncation)
     for k in range(1, g.truncation + 1):
         term = mul(term, x)
-        if not term._coeffs:
+        if not term._v.any():
             break
         result = result + term.scale(((-1.0) ** (k + 1)) / k)
     return result
@@ -358,12 +368,11 @@ def log(g: GradedTensor) -> GradedTensor:
 def inner(a: GradedTensor, b: GradedTensor) -> float:
     """Euclidean pairing of coefficient vectors in the word basis."""
     a._check_compat(b)
-    small, big = (a._coeffs, b._coeffs) if len(a) <= len(b) else (b._coeffs, a._coeffs)
-    return math.fsum(c * big[w] for w, c in small.items() if w in big)
+    return math.fsum((a._v * b._v).tolist())
 
 
 def norm2(a: GradedTensor) -> float:
-    return math.sqrt(math.fsum(c * c for c in a._coeffs.values()))
+    return math.sqrt(math.fsum((a._v * a._v).tolist()))
 
 
 @lru_cache(maxsize=200_000)

@@ -16,8 +16,9 @@ from wienercub.cubature import (
     to_file,
     from_file,
 )
+from wienercub.lie_structures import LiePolynomial
 from wienercub.path_signature import PiecewiseLinearPath, signature
-from wienercub.tensor_algebra import exp
+from wienercub.tensor_algebra import GradedTensor, exp
 
 
 def test_degree3_structure():
@@ -181,3 +182,20 @@ def test_loader_rejects_non_lie_coefficients(tmp_path):
     with pytest.raises(CubatureLoadError) as err:
         from_file(str(target))
     assert "defect" in str(err.value)
+
+
+def test_nan_formula_fails_validation_on_its_word():
+    nan_poly = LiePolynomial(GradedTensor(1, 3, {(0,): 1.0, (1,): math.nan}), certified=True)
+    formula = CubatureFormula(1, 3, (1.0,), lie_polys=(nan_poly,))
+    with np.errstate(invalid="ignore"):
+        report = validate(formula)
+    assert not report.ok
+    assert math.isnan(report.max_defect) and report.worst_word == (1,)
+    assert report.failures[0][0] == (1,) and "FAIL" in report.table()
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan])
+def test_formula_rejects_non_finite_weights(weight):
+    path = PiecewiseLinearPath.straight_line((1.0,), 1.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        CubatureFormula(1, 3, (weight, 0.5), paths=(path, path))

@@ -157,3 +157,64 @@ def test_group_like_elements_are_not_lie():
     s = signature(PiecewiseLinearPath.straight_line((0.5, -0.3), 1.0), 4)
     with pytest.raises(NotLieElement):
         certify(s)
+
+
+def _levelwise_defect(a):
+    # the per-level loop, over an independent dict expansion of the
+    # right-nested bracketing
+    def nested(word):
+        if len(word) == 1:
+            return {word: 1}
+        out = {}
+        for w, c in nested(word[1:]).items():
+            out[word[:1] + w] = out.get(word[:1] + w, 0) + c
+            out[w + word[:1]] = out.get(w + word[:1], 0) - c
+        return out
+
+    worst = abs(a.coeff(()))
+    for k in sorted({len(w) for w, _ in a.items() if w}):
+        part = {w: c for w, c in a.items() if len(w) == k}
+        mapped = {}
+        for w, c in part.items():
+            for ww, mult in nested(w).items():
+                mapped[ww] = mapped.get(ww, 0.0) + c * mult
+        for w in mapped.keys() | part.keys():
+            worst = max(worst, abs(mapped.get(w, 0.0) - k * part.get(w, 0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("d, m", [(1, 9), (2, 6), (3, 4)])
+def test_one_pass_defect_matches_levelwise_reference(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    words = all_words(d, m)
+    cases = [basis((1, 1), d, m), basis((1,), d, m) + basis((1, 1), d, m).scale(0.5)]
+    for _ in range(4):
+        picks = rng.choice(len(words) - 1, size=20, replace=False) + 1
+        cases.append(GradedTensor(d, m, {words[i]: rng.uniform(-1, 1) for i in picks}))
+    cases.append(bch(basis((0,), d, m), basis((1,), d, m)).tensor)
+    for t in cases:
+        ref = _levelwise_defect(t)
+        assert abs(dynkin_defect(t) - ref) <= 1e-15 * ref
+    assert dynkin_defect(basis((1, 1))) == _levelwise_defect(basis((1, 1))) == 2.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_are_never_certified(bad):
+    t = GradedTensor(1, 3, {(1,): 1.0, (0, 1): bad})
+    with pytest.raises(NotLieElement, match=r"non-finite coefficient .* on word \(0, 1\)"):
+        certify(t)
+    with np.errstate(invalid="ignore"):
+        assert not is_lie_element(t)
+        with pytest.raises(NotLieElement, match="non-finite"):
+            bch(t, t)
+        with pytest.raises(NotLieElement, match="non-finite"):
+            bch(GradedTensor(1, 3, {(1,): bad}), basis((0,), m=3))
+
+
+def test_overflowing_log_signature_is_not_certified():
+    from wienercub.path_signature import PiecewiseLinearPath, log_signature
+
+    path = PiecewiseLinearPath.straight_line((1e200,), 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NotLieElement, match="non-finite"):
+            log_signature(path, 3)

@@ -249,3 +249,132 @@ def test_serialization_roundtrip():
     back = GradedTensor.from_dict(t.to_dict())
     assert back.equals(t, tol=0.0)
     assert back.dimension == t.dimension and back.truncation == t.truncation
+
+
+# -- dense layout ----------------------------------------------------------------
+
+
+def test_lower_truncations_are_prefixes_and_round_trip():
+    for d, m in [(1, 9), (2, 6), (3, 4)]:
+        words = all_words(d, m)
+        for low in range(m + 1):
+            assert all_words(d, low) == words[: len(all_words(d, low))]
+        t = GradedTensor(d, m, {w: 1.0 + i for i, w in enumerate(words)})
+        low = t.with_truncation(m - 1)
+        assert dict(low.items()) == {w: c for w, c in t.items() if graded_degree(w) < m}
+        back = low.with_truncation(m)
+        assert back.truncation == m and back.equals(t.project(m - 1), tol=0.0)
+        assert back.with_truncation(m - 1).equals(low, tol=0.0)
+
+
+def test_items_and_len_list_nonzero_terms_in_word_order():
+    t = GradedTensor(2, 4, {(2, 1): 3.0, (0,): 0.0, (1,): -1.0, (): 2.0, (1, 2, 2): 0.5})
+    assert list(t.items()) == [((), 2.0), ((1,), -1.0), ((2, 1), 3.0), ((1, 2, 2), 0.5)]
+    assert t.sorted_items() == list(t.items())
+    assert len(t) == 4 and len(t - t) == 0 and list((t - t).items()) == []
+    assert t.coeff((0,)) == 0.0 and t.coeff((0, 0, 0)) == 0.0  # outside the basis
+
+
+def test_dilate_is_exact_per_word():
+    rng = np.random.default_rng(19)
+    for d, m in [(1, 9), (2, 6), (3, 4)]:
+        t = random_tensor(rng, d, m, nonzero=40, unit=True)
+        for lam in (0.3, math.sqrt(0.37), 1.7):
+            got = t.dilate(lam)
+            for w in all_words(d, m):
+                assert got.coeff(w) == t.coeff(w) * lam ** graded_degree(w), w
+
+
+def _dict_mul(a, b, m):
+    # sparse product over plain word -> coefficient dicts
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            if graded_degree(u) + graded_degree(v) <= m:
+                out[u + v] = out.get(u + v, 0.0) + cu * cv
+    return {w: c for w, c in out.items() if c != 0.0}
+
+
+def _dict_add(a, b, scale=1.0):
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = out.get(w, 0.0) + scale * c
+    return out
+
+
+def _dict_exp(a, m):
+    result = term = {(): 1.0}
+    for k in range(1, m + 1):
+        term = {w: c / k for w, c in _dict_mul(term, a, m).items()}
+        result = _dict_add(result, term)
+    return result
+
+
+def _dict_log(g, m):
+    x = _dict_add(g, {(): 1.0}, -1.0)
+    result, term = {}, {(): 1.0}
+    for k in range(1, m + 1):
+        term = _dict_mul(term, x, m)
+        result = _dict_add(result, term, ((-1.0) ** (k + 1)) / k)
+    return result
+
+
+@pytest.mark.parametrize("dimension, truncation", [(1, 9), (2, 6), (3, 4)])
+def test_mul_exp_log_match_a_dict_reference(dimension, truncation):
+    # the reference dicts keep their random insertion order, so their sums
+    # run in another order than the word-ordered dense kernels
+    rng = np.random.default_rng(7 * dimension + truncation)
+    m = truncation
+
+    def close(got, ref):
+        scale = max(abs(c) for c in ref.values())
+        gap = got.max_coeff_difference(GradedTensor(dimension, m, ref))
+        assert gap <= 1e-15 * scale
+
+    for _ in range(3):
+        # a has constant term 1, so log(a) is defined
+        a = dict(random_tensor(rng, dimension, m, nonzero=30, unit=True).items())
+        b = dict(random_tensor(rng, dimension, m, nonzero=30).items())
+        a = dict(sorted(a.items(), key=lambda _: rng.uniform()))
+        ta, tb = GradedTensor(dimension, m, a), GradedTensor(dimension, m, b)
+        close(mul(ta, tb), _dict_mul(a, b, m))
+        close(mul(tb, ta), _dict_mul(b, a, m))
+        close(exp(tb), _dict_exp(b, m))
+        close(log(ta), _dict_log(a, m))
+
+
+def test_dense_product_turns_inf_times_an_absent_word_into_nan():
+    # the dense kernel multiplies every pair of the table, so inf * 0 = NaN
+    # lands on (1,) = (1,) + (); a sparse product would have skipped the pair
+    a = GradedTensor(1, 3, {(1,): math.inf})
+    b = GradedTensor(1, 3, {(1,): 1.0})
+    with np.errstate(invalid="ignore"):
+        prod = mul(a, b)
+    assert prod.coeff((1, 1)) == math.inf
+    assert math.isnan(prod.coeff((1,)))
+    assert prod.coeff(()) == 0.0
+
+
+# -- comparisons with NaN ----------------------------------------------------
+
+
+def test_nan_tensor_never_equals_a_finite_one():
+    zero = GradedTensor.zero(1, 3)
+    first = GradedTensor(1, 3, {(1,): math.nan})
+    later = GradedTensor(1, 3, {(1,): 1.0, (0, 1): math.nan})
+    finite = GradedTensor(1, 3, {(1,): 1.0})
+    for x, y in [(first, zero), (zero, first), (later, finite), (finite, later)]:
+        assert not x.equals(y) and not x.equals(y, tol=math.inf)
+        assert not x == y and x != y
+        assert math.isnan(x.max_coeff_difference(y))
+    assert not later.equals(later)  # like a float NaN
+    inf = GradedTensor(1, 3, {(1,): math.inf})
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert inf == inf and inf != finite and finite != inf
+
+
+def test_dilate_overflows_only_on_nonzero_words():
+    t = GradedTensor(1, 9, {(1,): 1.0})
+    assert t.dilate(1e40).coeff((1,)) == 1e40
+    with pytest.raises(OverflowError):
+        GradedTensor(1, 9, {(1,) * 9: 1.0}).dilate(1e40)
