@@ -3,9 +3,10 @@ closed form, run solves and convergence sweeps, and measure the
 flow-vs-truncated-operator gap.
 
 Exit codes: 0 success, 1 a validation or assertion failed, 2 usage error.
-Every failure writes one machine-parsable line to standard error. Runs are
-reproducible: a config plus seed determines the output bytes, regardless of
-thread count.
+Every failure writes one machine-parsable line to standard error. solve,
+converge and mc-reference read one JSON run config, whose seed --seed
+overrides; a config plus seed determines the output bytes. converge records
+its --threads in converge.json, but every solve runs on one thread.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .vector_fields import (
     gbm,
     ou,
 )
-
-THREADS_ENV = "WIENERCUB_THREADS"
 
 
 def _fail(message: str) -> int:
@@ -75,44 +73,23 @@ def fit_slope(pairs: list[tuple[float, float]]) -> tuple[float, float]:
 # -- config parsing --------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed and validated form of a run config plus the command options.
-
-    `raw` keeps the JSON document; `seed` and `threads` are already resolved
-    against the command-line flags and environment.
-    """
-
-    raw: dict
-    seed: int
-    threads: int
-    out_dir: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "ExperimentConfig":
-        raw = _load_config(args.config)
-        mode = raw.get("mode", "full")
-        if mode not in ("full", "sampled"):
-            raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
-        k_list = raw.get("partition", {}).get("k_list")
-        if k_list is not None and (
-            not k_list or sorted(set(int(k) for k in k_list)) != list(k_list)
-        ):
-            raise ValueError(
-                "config partition.k_list must be nonempty and strictly increasing"
-            )
-        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-        return cls(
-            raw=raw,
-            seed=seed,
-            threads=_resolve_threads(args),
-            out_dir=getattr(args, "out", None),
+def _load_config(args) -> tuple[dict, int]:
+    """The JSON run config of args.config, its mode and k_list checked, and
+    the seed: --seed if given, else the config's (default 0)."""
+    with open(args.config) as fh:
+        config = json.load(fh)
+    mode = config.get("mode", "full")
+    if mode not in ("full", "sampled"):
+        raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
+    k_list = config.get("partition", {}).get("k_list")
+    if k_list is not None and (
+        not k_list or sorted(set(int(k) for k in k_list)) != list(k_list)
+    ):
+        raise ValueError(
+            "config partition.k_list must be nonempty and strictly increasing"
         )
+    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    return config, seed
 
 
 def _build_system(spec: dict) -> VectorFieldSystem:
@@ -132,20 +109,16 @@ def _build_payoff(spec: dict, n_vars: int):
     if not 0 <= index < n_vars:
         raise ValueError(f"payoff index {index} outside state dimension {n_vars}")
     if name == "identity":
-        meta = {"name": "identity", "index": index}
-        return MultiPoly.coordinate(n_vars, index), meta
+        return MultiPoly.coordinate(n_vars, index)
     if name == "power":
         p = float(spec["exponent"])
-        return (
-            lambda y: float(y[index] ** p),
-            {"name": "power", "index": index, "exponent": p},
-        )
+        return lambda y: float(y[index] ** p)
     if name == "poly":
         terms = {
             tuple(int(e) for e in rec["exps"]): float(rec["coeff"])
             for rec in spec["terms"]
         }
-        return MultiPoly(n_vars, terms), {"name": "poly"}
+        return MultiPoly(n_vars, terms)
     raise ValueError(f"unknown payoff {name!r} (use identity, power, or poly)")
 
 
@@ -173,41 +146,26 @@ def _builtin_formula(label: str) -> CubatureFormula | None:
     return None
 
 
-def _solver_config(config: dict, threads: int) -> SolverConfig:
-    caps = config.get("caps", {})
-    return SolverConfig(
-        leaf_cap=int(caps.get("leaf_cap", 10_000_000)),
-        threads=threads,
-        batch=int(caps.get("batch", 1 << 16)),
-    )
-
-
-def _closed_form_reference(system_spec: dict, payoff_meta: dict, x0, horizon):
-    """E[f(X_T)] in closed form where the builtin admits one."""
+def _closed_form_reference(system_spec: dict, payoff_spec: dict, x0, horizon):
+    """E[f(X_T)] in closed form where the builtin admits one; the payoff
+    spec is read with _build_payoff's defaults."""
     name = system_spec.get("name")
-    if name == "gbm" and payoff_meta["name"] in ("identity", "power"):
+    payoff = payoff_spec.get("name", "identity")
+    x = float(x0[int(payoff_spec.get("index", 0))])
+    if name == "gbm" and payoff in ("identity", "power"):
         mu, sigma = float(system_spec["mu"]), float(system_spec["sigma"])
-        p = payoff_meta.get("exponent", 1.0)
-        x = float(x0[payoff_meta["index"]])
+        p = float(payoff_spec["exponent"]) if payoff == "power" else 1.0
         return x**p * math.exp(p * mu * horizon + 0.5 * p**2 * sigma**2 * horizon)
-    if name == "ou" and payoff_meta["name"] == "identity":
-        theta = float(system_spec["theta"])
-        x = float(x0[payoff_meta["index"]])
-        return x * math.exp(-theta * horizon)
+    if name == "ou" and payoff == "identity":
+        return x * math.exp(-float(system_spec["theta"]) * horizon)
     return None
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV, "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer {THREADS_ENV}={env!r}",
-                  file=sys.stderr)
-    return 1
+def _reference_size(config: dict) -> tuple[int, int]:
+    """Steps and paths of an Euler reference: the config's reference.steps
+    and reference.paths, by default 256 and 400 000."""
+    spec = config.get("reference", {})
+    return int(spec.get("steps", 256)), int(spec.get("paths", 400_000))
 
 
 def _word_key(word) -> str:
@@ -277,42 +235,40 @@ def cmd_expected_signature(args) -> int:
 
 
 def _problem(config: dict):
-    """The system, start, payoff (with its metadata) and horizon of a config."""
+    """The system, payoff, start and horizon of a config: euler_mc's first
+    four arguments."""
     system = _build_system(config["system"])
-    x0 = np.asarray(config["x0"], dtype=float)
-    payoff, payoff_meta = _build_payoff(config.get("payoff", {}), system.dimension)
-    return system, x0, payoff, payoff_meta, float(config["T"])
+    payoff = _build_payoff(config.get("payoff", {}), system.dimension)
+    return system, payoff, np.asarray(config["x0"], dtype=float), float(config["T"])
 
 
-def _sweep(exp: ExperimentConfig, k_list: list[int]):
+def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
     """The config's tree at every k of k_list from one prologue: system,
     payoff, formula and solver config are built once and one klv_sweep call
     solves every k. Returns the results, the closed-form reference (None if
     the config has none) and the problem, for an Euler reference."""
-    config = exp.raw
     problem = _problem(config)
-    system, x0, payoff, payoff_meta, horizon = problem
+    system, payoff, x0, horizon = problem
     formula = _build_formula(config["cubature"])
     gamma = float(config.get("partition", {}).get("gamma", formula.degree - 1))
     parts = [gamma_partition(horizon, k, gamma) for k in k_list]
-    cfg = _solver_config(config, exp.threads)
-    # ExperimentConfig.from_args admits only the modes full and sampled
+    caps = config.get("caps", {})
+    cfg = SolverConfig(leaf_cap=int(caps.get("leaf_cap", 10_000_000)),
+                       threads=threads, batch=int(caps.get("batch", 1 << 16)))
+    # _load_config admits only the modes full and sampled
     n_samples = (None if config.get("mode", "full") == "full"
                  else int(config.get("samples", 100_000)))
-    results = klv_sweep(formula, system, payoff, x0, parts, cfg, n_samples,
-                        exp.seed)
-    reference = _closed_form_reference(config["system"], payoff_meta, x0, horizon)
+    results = klv_sweep(formula, system, payoff, x0, parts, cfg, n_samples, seed)
+    reference = _closed_form_reference(config["system"], config.get("payoff", {}),
+                                       x0, horizon)
     return results, reference, problem
 
 
 def cmd_solve(args) -> int:
-    exp = ExperimentConfig.from_args(args)
-    part_spec = exp.raw.get("partition", {})
+    config, seed = _load_config(args)
+    part_spec = config.get("partition", {})
     k = int(part_spec.get("k", part_spec.get("k_list", [4])[0]))
-    try:
-        [result], reference, _ = _sweep(exp, [k])
-    except (FlowDivergence, ValueError) as exc:
-        return _fail(str(exc))
+    [result], reference, _ = _sweep(config, seed, [k])
     out = {
         "value": result.value,
         "mode": result.mode,
@@ -330,41 +286,32 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    exp = ExperimentConfig.from_args(args)
-    config, seed, threads = exp.raw, exp.seed, exp.threads
+    config, seed = _load_config(args)
     k_list = [int(k) for k in config.get("partition", {}).get("k_list", [])]
     if not k_list:
         return _fail("config partition.k_list must be nonempty and strictly increasing")
     ref_meta: dict = {"kind": "closed_form"}
-    try:
-        results, reference, problem = _sweep(exp, k_list)
-        if reference is None:
-            ref_spec = config.get("reference", {})
-            steps = int(ref_spec.get("steps", 256))
-            paths = int(ref_spec.get("paths", 400_000))
-            system, x0, payoff, _, horizon = problem
-            # first-order bias removed by step-halving extrapolation
-            half, half_se = euler_mc(system, payoff, x0, horizon, steps // 2,
-                                     paths, seed + 1)
-            full, full_se = euler_mc(system, payoff, x0, horizon, steps,
-                                     paths, seed + 2)
-            reference = 2.0 * full - half
-            ref_meta = {
-                "kind": "euler_richardson",
-                "steps": steps,
-                "paths": paths,
-                "stderr": math.hypot(2.0 * full_se, half_se),
-            }
-    except (FlowDivergence, ValueError) as exc:
-        return _fail(str(exc))
+    results, reference, problem = _sweep(config, seed, k_list, args.threads)
+    if reference is None:
+        steps, paths = _reference_size(config)
+        # first-order bias removed by step-halving extrapolation
+        half, half_se = euler_mc(*problem, steps // 2, paths, seed + 1)
+        full, full_se = euler_mc(*problem, steps, paths, seed + 2)
+        reference = 2.0 * full - half
+        ref_meta = {
+            "kind": "euler_richardson",
+            "steps": steps,
+            "paths": paths,
+            "stderr": math.hypot(2.0 * full_se, half_se),
+        }
     values = [r.value for r in results]
     errors = [abs(v - reference) for v in values]
     try:
         slope, slope_se = fit_slope([(float(k), e) for k, e in zip(k_list, errors)])
     except ValueError as exc:
         return _fail(f"slope fit: {exc}")
-    os.makedirs(exp.out_dir, exist_ok=True)
-    csv_path = os.path.join(exp.out_dir, "converge.csv")
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "converge.csv")
     with open(csv_path, "w") as fh:
         fh.write("k,value,reference,abs_error\n")
         for k, v, e in zip(k_list, values, errors):
@@ -375,10 +322,10 @@ def cmd_converge(args) -> int:
         "reference": ref_meta | {"value": reference},
         "k_list": k_list,
         "seed": seed,
-        "threads": threads,
+        "threads": args.threads,
         "csv": csv_path,
     }
-    json_path = os.path.join(exp.out_dir, "converge.json")
+    json_path = os.path.join(args.out, "converge.json")
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -388,23 +335,12 @@ def cmd_converge(args) -> int:
 
 
 def cmd_mc_reference(args) -> int:
-    exp = ExperimentConfig.from_args(args)
-    config, seed = exp.raw, exp.seed
-    ref_spec = config.get("reference", {})
-    system, x0, payoff, _, horizon = _problem(config)
-    try:
-        mean, stderr = euler_mc(
-            system, payoff, x0, horizon,
-            int(ref_spec.get("steps", 256)),
-            int(ref_spec.get("paths", 200_000)),
-            seed,
-        )
-    except (FlowDivergence, ValueError) as exc:
-        return _fail(str(exc))
+    config, seed = _load_config(args)
+    steps, paths = _reference_size(config)
+    mean, stderr = euler_mc(*_problem(config), steps, paths, seed)
     print(json.dumps(
-        {"mean": mean, "stderr": stderr,
-         "steps": int(ref_spec.get("steps", 256)),
-         "paths": int(ref_spec.get("paths", 200_000)), "seed": seed},
+        {"mean": mean, "stderr": stderr, "steps": steps, "paths": paths,
+         "seed": seed},
         indent=1, sort_keys=True,
     ))
     return 0
@@ -441,14 +377,11 @@ def cmd_lemma_gap(args) -> int:
     min_slope = args.min_slope
     if min_slope is None:
         min_slope = (args.m + 1) / 2.0 - 0.3
-    try:
-        system, payoff, poly = _gap_experiment(args.m, args.seed)
-        x = np.asarray(_GAP_X)
-        gaps = [flow_tensor_gap(poly, system, payoff, x, s) for s in grid]
-        slope, slope_se = fit_slope(list(zip(grid, gaps)))
-        bound = remainder_box_bound(poly, system, payoff, min(grid))
-    except ValueError as exc:
-        return _fail(str(exc))
+    system, payoff, poly = _gap_experiment(args.m, args.seed)
+    x = np.asarray(_GAP_X)
+    gaps = [flow_tensor_gap(poly, system, payoff, x, s) for s in grid]
+    slope, slope_se = fit_slope(list(zip(grid, gaps)))
+    bound = remainder_box_bound(poly, system, payoff, min(grid))
     out = {
         "m": args.m,
         "s_grid": grid,
@@ -503,10 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"defaults to ${THREADS_ENV} or 1")
         if name == "converge":
             p.add_argument("--out", required=True)
+            p.add_argument("--threads", type=int, default=1,
+                           help="recorded in converge.json; solves run on one thread")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("lemma-gap",
@@ -527,16 +460,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(f"missing file: {exc.filename}")
+    except OSError as exc:
+        return _fail(f"cannot open {exc.filename}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         return _fail(f"bad JSON: {exc}")
     except KeyError as exc:
         return _fail(f"config missing key {exc}")
-    except ValueError as exc:
+    except (FlowDivergence, ValueError) as exc:
         return _fail(str(exc))
-
-
-# alias for callers that treat the CLI as a library function
-run = main
 
 
 if __name__ == "__main__":

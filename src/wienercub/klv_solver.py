@@ -174,6 +174,17 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(np.asarray(terms, dtype=float).tolist())
 
 
+def _start_state(sys: VectorFieldSystem, x) -> np.ndarray:
+    """x as one finite state of sys: a float array of shape (N,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.dimension,):
+        raise ValueError(f"start state must have shape ({sys.dimension},) for "
+                         f"this system, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"start state must be finite, got {x.tolist()}")
+    return x
+
+
 def _check_block_fields(sys: VectorFieldSystem, x: np.ndarray):
     """The solvers call each field on whole (P, N) blocks of states. Probe
     every GenericField on two distinct states near x and require the block
@@ -199,14 +210,6 @@ def _check_block_fields(sys: VectorFieldSystem, x: np.ndarray):
                 f"on two states near x it gave {block.tolist()} for the block "
                 f"and {rows.tolist()} state by state"
             )
-
-
-def _branch_of_rank(rank: int, n: int, length: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(length):
-        rank, r = divmod(rank, n)
-        digits.append(r)
-    return tuple(reversed(digits))
 
 
 def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
@@ -255,7 +258,7 @@ class _TreeWalker:
             y = self.step.children(self.first + level, columns)
         except FlowDivergence as exc:
             child = rank * self.n + exc.row
-            branch = _branch_of_rank(child, self.n, level + 1)
+            branch = tuple(map(int, np.unravel_index(child, (self.n,) * (level + 1))))
             raise _diverged(exc, f"on branch {branch} (level {level + 1})",
                             child // self.n) from exc
         if level + 1 < self.k:
@@ -308,7 +311,7 @@ def klv_sweep(
             f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
         )
     _check_unit_horizon(formula)
-    x = np.asarray(x, dtype=float)
+    x = _start_state(sys, x)
     _check_block_fields(sys, x)
     gaps = [gap for part in partitions for gap in part.gaps]
     step = _LevelStep(sys, formula.paths, gaps, cfg.flow)
@@ -469,7 +472,7 @@ def kusuoka_step(
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"gap must be positive and finite, got {s!r}")
     root = math.sqrt(s)
-    x = np.asarray(x, dtype=float)
+    x = _start_state(sys, x)
     exact = replace(cfg, exact_affine=True)
     total = []
     for lam, poly in zip(formula.weights, formula.lie_polys):
@@ -527,7 +530,7 @@ def euler_mc(
         raise ValueError("need steps >= 1 and paths >= 2")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    x = np.asarray(x, dtype=float)
+    x = _start_state(sys, x)
     _check_block_fields(sys, x)
     payoff = _block_payoff(f)
     drift = _ito_drift(sys)

@@ -553,11 +553,6 @@ class _LevelStep:
         return self.along(level, np.repeat(columns.T, n, axis=0),
                           np.tile(np.arange(n), p)).reshape(p, n, -1).T
 
-    def every_point(self, level: int, states: np.ndarray) -> np.ndarray:
-        """children in rows: row r * n + i of the (P * n, N) result."""
-        y = self.children(level, np.ascontiguousarray(states.T))
-        return y.T.reshape(-1, states.shape[1])
-
 
 def flow_along_path(
     path, sys: VectorFieldSystem, x: np.ndarray, cfg: FlowConfig = DEFAULT_FLOW
@@ -572,5 +567,8 @@ def flow_along_path(
     This is the one-path case of the tree solvers' level step.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (sys.dimension,):
+        raise ValueError(f"states must have a last axis of length {sys.dimension}, "
+                         f"got shape {x.shape}")
     step = _LevelStep(sys, [path], [1.0], cfg)
-    return step.every_point(0, np.atleast_2d(x)).reshape(x.shape)
+    return step.children(0, x.reshape(-1, sys.dimension).T)[:, 0].T.reshape(x.shape)

@@ -224,16 +224,51 @@ def test_bad_json_config_reports_cleanly(tmp_path, capsys):
     assert code == 1 and err.startswith("error: bad JSON")
 
 
-def test_threads_env_variable(tmp_path, capsys, monkeypatch):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
+def test_converge_records_its_thread_count_and_refuses_zero(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    assert run(["converge", "--config", cfg, "--out", str(out_a)], capsys)[0] == 0
-    monkeypatch.delenv(cli.THREADS_ENV)
-    assert run(["converge", "--config", cfg, "--out", str(out_b)], capsys)[0] == 0
-    assert (out_a / "converge.csv").read_bytes() == (out_b / "converge.csv").read_bytes()
-    assert json.loads((out_a / "converge.json").read_text())["threads"] == 4
+    out_dir = tmp_path / "out"
+    code, _, _ = run(["converge", "--config", cfg, "--out", str(out_dir),
+                      "--threads", "4"], capsys)
+    assert code == 0
+    assert json.loads((out_dir / "converge.json").read_text())["threads"] == 4
+    code, _, err = run(["converge", "--config", cfg, "--out", str(out_dir),
+                        "--threads", "0"], capsys)
+    assert code == 1 and err.startswith("error:") and "threads" in err
+
+
+def test_euler_fallback_and_mc_reference_share_the_reference_defaults(
+        tmp_path, capsys, monkeypatch):
+    # a poly payoff has no closed form, so converge falls back to Euler
+    calls = []
+
+    def fake_euler_mc(system, payoff, x0, horizon, steps, paths, seed):
+        calls.append((steps, paths))
+        return 1.0, 0.0
+
+    monkeypatch.setattr(cli, "euler_mc", fake_euler_mc)
+    cfg = write_config(tmp_path, payoff={"name": "poly",
+                                         "terms": [{"exps": [2], "coeff": 1.0}]})
+    assert run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)[0] == 0
+    assert run(["mc-reference", "--config", cfg], capsys)[0] == 0
+    assert calls == [(128, 400_000), (256, 400_000), (256, 400_000)]
+
+
+@pytest.mark.parametrize("x0", [[1.0, 2.0], 1.0], ids=["long", "scalar"])
+def test_solve_refuses_a_start_state_of_another_shape(tmp_path, capsys, x0):
+    code, out, err = run(["solve", "--config", write_config(tmp_path, x0=x0)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: start state must have shape (1,)")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_a_directory_for_a_file_is_one_error_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, system={"name": "affine", "file": str(tmp_path)})
+    for config in (str(tmp_path), cfg):
+        code, _, err = run(["solve", "--config", config], capsys)
+        assert code == 1 and err.startswith(f"error: cannot open {tmp_path}: ")
+        assert len(err.strip().splitlines()) == 1
+    code, _, err = run(["solve", "--config", str(tmp_path / "none.json")], capsys)
+    assert code == 1 and err.strip() == f"error: missing file: {tmp_path / 'none.json'}"
 
 
 def _per_k_csv(config, solve):

@@ -912,3 +912,36 @@ def test_full_tree_diagnostics_are_the_same_for_every_batch_size(
                       r.leaves_evaluated))
             assert len(calls) == (3**4 if f is scalar else 0)
         assert len(seen) == 1  # bit-identical, not merely close
+
+
+_BAD_STARTS = {"long": [1.0, 2.0], "empty": [], "scalar": 1.0, "nan": [np.nan]}
+
+
+def _start_state_calls():
+    sys, f, part = gbm(0.05, 0.3), MultiPoly.coordinate(1, 0), Partition((0.0, 1.0))
+    return {
+        "klv_full": lambda x: klv_full(degree3(1), sys, f, x, part),
+        "klv_sampled": lambda x: klv_sampled(degree3(1), sys, f, x, part, 10, 0),
+        "klv_sweep": lambda x: klv_sweep(degree3(1), sys, f, x, [part, part]),
+        "euler_mc": lambda x: euler_mc(sys, f, x, 1.0, 4, 10, 0),
+        "kusuoka_step": lambda x: kusuoka_step(lie_form(degree3(1)), sys, f, x, 0.5),
+    }
+
+
+@pytest.mark.parametrize("start", sorted(_BAD_STARTS))
+@pytest.mark.parametrize("entry", sorted(_start_state_calls()))
+def test_every_solver_refuses_a_start_state_of_another_shape_or_not_finite(
+        entry, start):
+    x = _BAD_STARTS[start]
+    expected = ("must be finite, got [nan]" if start == "nan" else
+                f"must have shape (1,) for this system, got shape {np.shape(x)}")
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        _start_state_calls()[entry](x)
+
+
+@pytest.mark.parametrize("start", [[1.0, 2.0], [], 1.0, [[1.0, 2.0]]],
+                         ids=["long", "empty", "scalar", "wide_block"])
+def test_flow_along_path_refuses_states_of_another_width(start):
+    with pytest.raises(ValueError, match=re.escape(
+            f"last axis of length 1, got shape {np.shape(start)}")):
+        flow_along_path(degree3(1).paths[0], gbm(0.05, 0.3), start)

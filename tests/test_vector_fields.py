@@ -282,15 +282,15 @@ def test_every_point_is_flow_along_path_point_by_point(system):
     step = _LevelStep(sys, formula.paths, gaps, cfg)
     states = np.random.default_rng(3).standard_normal((5, 2))
     for level, gap in enumerate(gaps):
-        got = step.every_point(level, states).reshape(5, 3, 2)
+        got = step.children(level, states.T)
         for i, path in enumerate(rescale(formula, gap).paths):
-            assert np.array_equal(got[:, i], flow_along_path(path, sys, states, cfg))
+            assert np.array_equal(got[:, i].T, flow_along_path(path, sys, states, cfg))
 
 
 @pytest.mark.parametrize("formula", [degree5_d1(), degree3(2)],
                          ids=["degree5_d1", "degree3_2"])
 def test_every_point_is_along_on_the_repeated_block(formula):
-    # every_point broadcasts the composed maps where along gathers one per
+    # children broadcasts the composed maps where along gathers one per
     # row; both must give each row the same arithmetic
     fields = [AffineField(*_PAIR[0]), AffineField(*_PAIR[1]),
               AffineField([[0.1, 0.0], [0.2, -0.3]], [0.0, 0.5])]
@@ -301,7 +301,8 @@ def test_every_point_is_along_on_the_repeated_block(formula):
     for level in range(2):
         gathered = step.along(level, np.repeat(states, n, axis=0),
                               np.tile(np.arange(n), 6))
-        assert np.array_equal(step.every_point(level, states), gathered)
+        assert np.array_equal(step.children(level, states.T).T.reshape(-1, 2),
+                              gathered)
 
 
 def test_every_point_is_along_on_three_states_and_on_a_strided_block():
@@ -317,9 +318,11 @@ def test_every_point_is_along_on_three_states_and_on_a_strided_block():
     for level in range(2):
         gathered = step.along(level, np.repeat(strided, n, axis=0),
                               np.tile(np.arange(n), 6))
-        assert np.array_equal(step.every_point(level, strided), gathered)
+        assert np.array_equal(step.children(level, strided.T).T.reshape(-1, 3),
+                              gathered)
         assert np.array_equal(
-            step.every_point(level, np.ascontiguousarray(strided)), gathered)
+            step.children(level, np.ascontiguousarray(strided.T)).T.reshape(-1, 3),
+            gathered)
 
 
 def test_composed_path_flow_matches_segment_by_segment_flow(noncommuting_system):
