@@ -51,12 +51,12 @@ def _fail(message: str) -> int:
 
 def fit_slope(pairs: list[tuple[float, float]]) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(k), with its standard
-    error. Nonpositive errors are dropped with a warning; fewer than three
-    usable points is an error."""
-    usable = [(k, e) for k, e in pairs if e > 0.0]
+    error. Errors that are not positive and finite are dropped with a
+    warning; fewer than three usable points is an error."""
+    usable = [(k, e) for k, e in pairs if 0.0 < e < math.inf]
     for k, e in pairs:
-        if e <= 0.0:
-            print(f"warning: dropped k={k} with nonpositive error {e!r}",
+        if not 0.0 < e < math.inf:
+            print(f"warning: dropped k={k}: error {e!r} is not positive and finite",
                   file=sys.stderr)
     if len(usable) < 3:
         raise ValueError(f"need >= 3 positive-error points, have {len(usable)}")
@@ -168,6 +168,13 @@ def _reference_size(config: dict) -> tuple[int, int]:
     return int(spec.get("steps", 256)), int(spec.get("paths", 400_000))
 
 
+def _require_finite(*named) -> None:
+    """Refuse a (name, value) pair whose value is a number but not finite."""
+    for name, value in named:
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")
+
+
 def _word_key(word) -> str:
     return ".".join(str(a) for a in word)
 
@@ -269,6 +276,8 @@ def cmd_solve(args) -> int:
     part_spec = config.get("partition", {})
     k = int(part_spec.get("k", part_spec.get("k_list", [4])[0]))
     [result], reference, _ = _sweep(config, seed, [k])
+    _require_finite((f"value at k={k}", result.value),
+                    (f"stderr at k={k}", result.stderr), ("reference", reference))
     out = {
         "value": result.value,
         "mode": result.mode,
@@ -305,6 +314,8 @@ def cmd_converge(args) -> int:
             "stderr": math.hypot(2.0 * full_se, half_se),
         }
     values = [r.value for r in results]
+    _require_finite(*[(f"value at k={k}", v) for k, v in zip(k_list, values)],
+                    ("reference", reference), ("reference stderr", ref_meta.get("stderr")))
     errors = [abs(v - reference) for v in values]
     try:
         slope, slope_se = fit_slope([(float(k), e) for k, e in zip(k_list, errors)])
@@ -338,6 +349,7 @@ def cmd_mc_reference(args) -> int:
     config, seed = _load_config(args)
     steps, paths = _reference_size(config)
     mean, stderr = euler_mc(*_problem(config), steps, paths, seed)
+    _require_finite(("reference mean", mean), ("reference stderr", stderr))
     print(json.dumps(
         {"mean": mean, "stderr": stderr, "steps": steps, "paths": paths,
          "seed": seed},

@@ -270,8 +270,8 @@ def lie_form(
 ) -> CubatureFormula:
     """Replace path support by certified truncated log-signatures.
 
-    The flow-level solver consumes cubature through this form; the default
-    truncation is the formula's degree.
+    kusuoka_step needs this form and every tree solver takes it; the
+    default truncation is the formula's degree.
     """
     if formula.paths is None:
         return formula

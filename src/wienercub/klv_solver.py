@@ -2,34 +2,34 @@
 
 One step over a gap s replaces Wiener measure by the formula rescaled to
 [0, s]; iterating over a partition produces a tree measure whose branches
-are concatenations of rescaled support paths, and its value is the product
-of level operators Q_{s_1} ... Q_{s_k} f. The full-tree evaluator sums all
-n^k branches; the sampled evaluator draws branches i.i.d. by weight and
-flows each distinct drawn node once, so level j costs at most
-min(N, n^(j+1)) rows for N samples, and a non-MultiPoly payoff is called
-once per distinct leaf. klv_sweep runs either over a sequence of
-partitions (the k of a convergence sweep) from one prologue: the checks,
-the field probe and one level step (vector_fields._LevelStep) over the
-gaps of every partition in turn, each partition on its own slice of
-levels from the offset k_1 + ... + k_{p-1}; klv_full and klv_sampled are
-its one-partition cases. The step holds one table of segment increments
-for every level, padded with zero segments to the longest path, and on
-affine systems the segment maps from one batched vector_fields.expm call,
-composed once into one map per (level, support point), so the flows are
-closed-form and the only error left is the tree measure's own. A level is
-then one composed map per row, broadcast column-major over the block in
-the full tree and gathered per node in the sampled one; a row that leaves
-the finite range is replayed segment by segment, only then, to name its
-segment. On a generic system a level is one RK4 pass per segment over all
-its rows. No level's arithmetic depends on another's, so a sweep gives the
-values of one solve per partition, bit for bit. The full tree's value is
-math.fsum of its leaf terms in branch order, taken by error-free
-extraction (_exact_sum), so it does not depend on the batch size.
+concatenate rescaled support (paths, or flows of Lie elements), and its
+value is the product of level operators Q_{s_1} ... Q_{s_k} f. The
+full-tree evaluator sums all n^k branches; the sampled one draws branches
+i.i.d. by weight and flows each distinct drawn node once, so level j costs
+at most min(N, n^(j+1)) rows for N samples. klv_sweep runs either over a
+sequence of partitions (the k of a convergence sweep) from one prologue:
+the checks, the field probe and one level step (vector_fields._LevelStep)
+over the gaps of every partition in turn, each partition on its own slice
+of levels from the offset k_1 + ... + k_{p-1}; klv_full and klv_sampled
+are its one-partition cases, kusuoka_step is klv_full's one-level case.
+The step holds one table of segment coefficients for every level: path
+increments on the system's fields, or one segment per Lie element on its
+bracket fields. On affine fields the segment maps come from one batched
+vector_fields.expm call, composed once into one map per (level, support
+point): the flows are closed-form and the only error left is the tree
+measure's own. A level is then one composed map per row, broadcast
+column-major over the block in the full tree and gathered per node in the
+sampled one; a row that leaves the finite range is replayed segment by
+segment, only then, to name its segment. On generic fields a level is one
+RK4 pass per segment over all its rows. No level's arithmetic depends on
+another's, so a sweep gives the values of one solve per partition, bit for
+bit. The full tree's value is math.fsum of its leaf terms in branch order,
+taken by error-free extraction (_exact_sum), independent of the batch size.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,8 +45,6 @@ from .vector_fields import (
     VectorFieldSystem,
     _LevelStep,
     _matvec,
-    flow_exp,
-    gamma_field,
 )
 
 
@@ -303,9 +301,6 @@ def klv_sweep(
             raise LeafCapExceeded(leaves, cfg.leaf_cap)
     elif n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
-    if formula.paths is None:
-        raise ValueError(
-            "the cubature tree needs path support; see kusuoka_step for Lie support")
     if formula.dimension != sys.n_controls:
         raise ValueError(
             f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
@@ -314,7 +309,7 @@ def klv_sweep(
     x = _start_state(sys, x)
     _check_block_fields(sys, x)
     gaps = [gap for part in partitions for gap in part.gaps]
-    step = _LevelStep(sys, formula.paths, gaps, cfg.flow)
+    step = _LevelStep(sys, formula.paths or formula.lie_polys, gaps, cfg.flow)
     payoff = _block_payoff(f)
     results, first = [], 0
     for part in partitions:
@@ -405,7 +400,7 @@ def klv_full(
 
     Enumerates all n^k branches in lexicographic order (the cap refuses
     runaway trees), level by level in blocks of at most cfg.batch states,
-    each level moved along every support path by the level step (see the
+    each level moved along every support point by the level step (see the
     module docstring). Every row is flowed with the same arithmetic and all
     leaf terms are summed exactly in branch order, so the value is
     bit-identical for every batch size. A diverging flow names its branch,
@@ -439,10 +434,9 @@ def klv_sampled(
     the solve walks the drawn subtree: each distinct drawn node is flowed
     once, at most min(n_samples, n^(j+1)) rows at level j, by the level step
     of klv_full, and the mean and stderr are taken over the per-sample leaf
-    values. The checks and the
-    field contract are those of klv_full; f is called on the block of
-    distinct leaves when it is a MultiPoly, and once per distinct leaf
-    otherwise. A diverging flow names its level, support
+    values. The checks and the field contract are those of klv_full; f is
+    called on the block of distinct leaves when it is a MultiPoly, and once
+    per distinct leaf otherwise. A diverging flow names its level, support
     point and segment, and its row is the first sample through the node.
     diagnostics["nodes_per_level"] lists the nodes flowed at each level,
     diagnostics["distinct_leaves"] the leaves evaluated and
@@ -459,26 +453,20 @@ def kusuoka_step(
     s: float,
     cfg: FlowConfig = DEFAULT_FLOW,
 ) -> float:
-    """One flow-level approximation step over a gap s.
+    """One flow-level approximation step over a gap s: klv_full on
+    Partition((0, s)), the one-level tree of Lie support.
 
-    Requires Lie support: each certified element is dilated by sqrt(s),
-    mapped to a field, and flowed over unit parameter (in closed form when
-    the field is affine, by RK4 otherwise). With path support,
-    convert first (cubature.lie_form); the truncation of that conversion is
-    what the step's accuracy order refers to.
+    Each certified element is dilated by sqrt(s), mapped to its field
+    (gamma_field's rule) and flowed over unit parameter by the level step:
+    exactly on affine fields, by RK4 with cfg.substeps otherwise; f is
+    called as klv_full calls it. Path support is converted first by
+    cubature.lie_form, whose truncation sets the step's accuracy order.
     """
     if formula.lie_polys is None:
         raise ValueError("kusuoka_step needs Lie support; use cubature.lie_form")
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"gap must be positive and finite, got {s!r}")
-    root = math.sqrt(s)
-    x = _start_state(sys, x)
-    exact = replace(cfg, exact_affine=True)
-    total = []
-    for lam, poly in zip(formula.weights, formula.lie_polys):
-        fld = gamma_field(poly.dilate(root), sys)
-        total.append(lam * float(f(flow_exp(fld, 1.0, x, exact))))
-    return math.fsum(total)
+    return klv_full(formula, sys, f, x, Partition((0.0, s)), SolverConfig(flow=cfg)).value
 
 
 def _ito_drift(sys: VectorFieldSystem):

@@ -324,10 +324,6 @@ def mul(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     return a._like(np.bincount(iw, a._v[iu] * b._v[iv], minlength=len(program.words)))
 
 
-def project(a: GradedTensor, degree: int) -> GradedTensor:
-    return a.project(degree)
-
-
 def dilate(a: GradedTensor, scalar: float) -> GradedTensor:
     return a.dilate(scalar)
 

@@ -7,8 +7,8 @@ callback fields fall back to finite differences and RK4 only.
 
 Every certified Lie element corresponds to a concrete field: brackets of
 letters become iterated field brackets, so the word-basis coefficients are
-first re-expressed through right-nested bracketing (level k carries a factor
-1/k) and only then mapped onto the system.
+re-expressed through right-nested bracketing (level k carries a factor 1/k),
+by _bracket_terms for gamma_field and the tree solvers' level step alike.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lie_structures import LiePolynomial
+from .tensor_algebra import graded_degree
 
 # default finite-difference step scale: cube root of machine epsilon,
 # the optimum for central differences
@@ -311,29 +312,30 @@ def nested_bracket_field(sys: VectorFieldSystem, word: tuple[int, ...]) -> Field
     return f
 
 
-def gamma_field(poly: LiePolynomial, sys: VectorFieldSystem) -> Field:
-    """The field corresponding to a certified Lie element.
+def _bracket_terms(polys: Sequence[LiePolynomial], sys: VectorFieldSystem):
+    """The right-nested bracket fields of the words that the certified Lie
+    elements polys use, in word order (the zero field if none), and one row
+    of coefficients per element: c_w / len(w) on the field of word w (Dynkin:
+    bracketing a level-k Lie element word by word scales it by k)."""
+    for poly in polys:
+        if not poly.certified:
+            raise ValueError("a Lie element must be certified to map to a field")
+        if poly.dimension != sys.n_controls:
+            raise ValueError(f"Lie element over {poly.dimension} space letters, "
+                             f"system has {sys.n_controls}")
+    terms = [dict(poly.tensor.items()) for poly in polys]
+    words = sorted(set().union(*terms), key=lambda w: (graded_degree(w), len(w), w))
+    if not words:
+        return [AffineField.zero(sys.dimension)], np.zeros((len(polys), 1))
+    return ([nested_bracket_field(sys, w) for w in words],
+            np.array([[t.get(w, 0.0) / len(w) for w in words] for t in terms]))
 
-    Word coefficients are re-expressed through right-nested brackets (the
-    level-k identity carries a factor 1/k), so only genuine field brackets
-    and linear combinations are ever formed.
-    """
-    if not poly.certified:
-        raise ValueError("gamma_field requires a certified Lie element")
-    if poly.dimension != sys.n_controls:
-        raise ValueError(
-            f"Lie element over {poly.dimension} space letters, "
-            f"system has {sys.n_controls}"
-        )
-    terms: list[tuple[float, Field]] = []
-    for w, c in poly.tensor.sorted_items():
-        # Dynkin: on a level-k Lie element, right-nested bracketing of each
-        # word scales the element by k, so dividing by len(w) restores it.
-        terms.append((c / len(w), nested_bracket_field(sys, w)))
-    if not terms:
-        return AffineField.zero(sys.dimension)
-    return combine_fields([f for _, f in terms],
-                          np.array([c for c, _ in terms]))
+
+def gamma_field(poly: LiePolynomial, sys: VectorFieldSystem) -> Field:
+    """The field of a certified Lie element: the combination that
+    _bracket_terms gives, by which the tree's level step flows Lie support."""
+    fields, coefficients = _bracket_terms([poly], sys)
+    return combine_fields(fields, coefficients[0])
 
 
 # -- flows ---------------------------------------------------------------------
@@ -341,10 +343,10 @@ def gamma_field(poly: LiePolynomial, sys: VectorFieldSystem) -> Field:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """substeps: RK4 steps per unit flow parameter (and per path segment);
-    exact_affine: let flow_exp replace RK4 by the closed-form affine flow.
-    flow_along_path and the tree solvers always flow affine fields exactly.
-    The finite-difference step of a generic Jacobian is GenericField.fd_step."""
+    """substeps: RK4 steps per unit flow parameter (and per segment);
+    exact_affine: let flow_exp use the closed-form affine flow, which the
+    level step (the tree solvers and kusuoka_step, on either support) and
+    flow_along_path always use. GenericField.fd_step is the FD Jacobian step."""
 
     substeps: int = 32
     exact_affine: bool = False
@@ -453,60 +455,61 @@ def _segment_maps(fields: Sequence[AffineField],
 
 class _LevelStep:
     """The level operator of a cubature tree: moves a block of states along
-    the support paths of one level, Brownian-rescaled to that level's gap.
+    the support of one level, Brownian-rescaled to that level's gap.
 
-    Built once per solve from the unit-horizon support paths and the gaps
-    of the partition. The segment coefficients (dt, dx) of every level go
-    into one (level, point, segment, d+1) table, padded with zero segments
-    to the longest path: time increments are diff(knots * gap) and space
-    increments diff(points * sqrt(gap)), the arithmetic of
-    path_signature.brownian_rescale followed by increments(), so the table
-    is the same to the bit, with no rescaled path built. An affine system
-    exponentiates every segment field in one batched expm call and composes
-    each path's maps once, M_m @ ... @ M_1, into one map per (level, point);
-    a zero padding segment's map is exactly I. A diverging flow raises
-    FlowDivergence naming the failing segment and output row.
+    Built once per solve from a formula's unit-horizon support (paths or
+    certified Lie elements) and the partition's gaps, into one (level,
+    point, segment, field) table of coefficients. Paths run on the system's
+    fields, padded with zero segments to the longest path: dt is
+    diff(knots * gap) and dx diff(points * sqrt(gap)), the arithmetic of
+    path_signature.brownian_rescale and increments(), to the bit. A Lie
+    element is one segment on the fields of _bracket_terms, dilated by
+    sqrt(gap): the field gamma_field forms. On affine fields one batched
+    expm call gives every segment map, composed once per (level, point) as
+    M_m @ ... @ M_1; a zero segment's map is exactly I. A diverging flow
+    raises FlowDivergence naming the failing segment and output row.
     """
 
-    def __init__(self, sys: VectorFieldSystem, paths, gaps, cfg: FlowConfig):
-        for path in paths:
-            if path.dimension != sys.n_controls:
-                raise ValueError(
-                    f"path has {path.dimension} space coordinates, "
-                    f"system expects {sys.n_controls}"
-                )
-        self.sys = sys
+    def __init__(self, sys: VectorFieldSystem, support, gaps, cfg: FlowConfig):
         self.cfg = cfg
         gaps = np.asarray(gaps, dtype=float)
-        self.lengths = np.array([p.n_segments for p in paths])
-        self.coefficients = np.zeros(
-            (gaps.size, len(paths), self.lengths.max(), sys.n_controls + 1))
-        for i, path in enumerate(paths):
-            m = path.n_segments
-            knots = np.asarray(path.knots, dtype=float)
-            points = np.asarray(path.points, dtype=float)
-            self.coefficients[:, i, :m, 0] = np.diff(knots * gaps[:, None])
-            self.coefficients[:, i, :m, 1:] = np.diff(
-                points * np.sqrt(gaps)[:, None, None], axis=-2)
-        self.maps = self.paths = None
-        if sys.is_affine:
-            self.maps = _segment_maps(sys.fields, self.coefficients)
+        if isinstance(support[0], LiePolynomial):
+            self.fields, table = _bracket_terms(
+                [poly.dilate(math.sqrt(gap)) for gap in gaps.tolist()
+                 for poly in support], sys)
+            self.lengths = np.ones(len(support), dtype=int)
+            self.coefficients = table.reshape(gaps.size, len(support), 1, -1)
+        else:
+            self.fields = sys.fields
+            self.lengths = np.array([p.n_segments for p in support])
+            self.coefficients = np.zeros(
+                (gaps.size, len(support), self.lengths.max(), sys.n_controls + 1))
+            for i, path in enumerate(support):
+                m = path.n_segments
+                knots = np.asarray(path.knots, dtype=float)
+                points = np.asarray(path.points, dtype=float)
+                self.coefficients[:, i, :m, 0] = np.diff(knots * gaps[:, None])
+                self.coefficients[:, i, :m, 1:] = np.diff(
+                    points * np.sqrt(gaps)[:, None, None], axis=-2)
+        self.maps = self.composed = None
+        if all(isinstance(v, AffineField) for v in self.fields):
+            self.maps = _segment_maps(self.fields, self.coefficients)
             composed = self.maps[:, :, 0]
             for seg in range(1, self.maps.shape[2]):
                 # maps[seg] @ composed, summed term by term as _affine_map sums
                 composed = _affine_map(self.maps[:, :, seg, None], 0.0,
                                        composed.swapaxes(-1, -2)).swapaxes(-1, -2)
-            self.paths = composed[..., :sys.dimension, :]
+            self.composed = composed[..., :sys.dimension, :]
 
     def along(self, level: int, states: np.ndarray, point: np.ndarray):
-        """states[r] flowed along the path of support point point[r]: on an
-        affine system by its gathered composed map, and only a non-finite row
-        is replayed segment by segment, to name its first non-finite segment
-        (or its path's last); on a generic one by one RK4 pass per segment of
-        the longest path over all rows, which zero segments leave as is: a
+        """states[r] flowed along the support of point point[r]: on affine
+        fields by its gathered composed map, and only a non-finite row is
+        replayed segment by segment, to name its first non-finite segment (or
+        its point's last); on generic ones by one RK4 pass per segment of the
+        longest path over all rows, which zero segments leave as is: a
         pass that diverges is run again by _zero_safe before it raises."""
-        if self.paths is not None:
-            maps = self.paths[level, point]
+        if self.composed is not None:
+            maps = self.composed[level, point]
             y = _affine_map(maps[..., :-1], maps[..., -1], states)
             finite = np.isfinite(y).all(axis=-1)
             if finite.all():
@@ -526,27 +529,24 @@ class _LevelStep:
             c = self.coefficients[level, point, seg]
             try:
                 try:
-                    y = flow_exp(combine_fields(self.sys.fields, c), 1.0, y, self.cfg)
+                    y = flow_exp(combine_fields(self.fields, c), 1.0, y, self.cfg)
                 except FlowDivergence:
-                    y = flow_exp(_zero_safe(self.sys.fields, c), 1.0, y, self.cfg)
+                    y = flow_exp(_zero_safe(self.fields, c), 1.0, y, self.cfg)
             except FlowDivergence as exc:
                 raise FlowDivergence(
                     f"segment {seg + 1}/{self.lengths[point[exc.row]]}: {exc}",
-                    substep=exc.substep,
-                    segment=seg + 1,
-                    row=exc.row,
-                ) from exc
+                    substep=exc.substep, segment=seg + 1, row=exc.row) from exc
         return y
 
     def children(self, level: int, columns: np.ndarray) -> np.ndarray:
         """(N, P) columns x of states to y (N, n, P), y[:, i, r] = x[:, r] moved
-        along point i's path. Affine: y[a, i, r] = sum_j M_i[a, j] x[j, r] +
-        b_i[a], along's arithmetic broadcast with the long axis innermost.
-        A generic system, or a non-finite y, runs along on the repeated block
+        along point i's support. Affine: y[a, i, r] = sum_j M_i[a, j] x[j, r]
+        + b_i[a], along's arithmetic broadcast with the long axis innermost.
+        Generic fields, or a non-finite y, run along on the repeated block
         (an error's row is r * n + i)."""
         p, n = columns.shape[1], self.lengths.size
-        if self.paths is not None:
-            maps = self.paths[level].transpose(1, 0, 2)[:, :, None]
+        if self.composed is not None:
+            maps = self.composed[level].transpose(1, 0, 2)[:, :, None]
             y = _affine_columns(maps[..., :-1], maps[..., -1], columns)
             if np.isfinite(y).all():
                 return y
@@ -570,5 +570,8 @@ def flow_along_path(
     if x.shape[-1:] != (sys.dimension,):
         raise ValueError(f"states must have a last axis of length {sys.dimension}, "
                          f"got shape {x.shape}")
+    if path.dimension != sys.n_controls:
+        raise ValueError(f"path has {path.dimension} space coordinates, "
+                         f"system expects {sys.n_controls}")
     step = _LevelStep(sys, [path], [1.0], cfg)
     return step.children(0, x.reshape(-1, sys.dimension).T)[:, 0].T.reshape(x.shape)

@@ -333,3 +333,39 @@ def test_converge_checks_every_leaf_count_before_solving(tmp_path, capsys,
     # k_list [2, 3, 4, 5] of degree3(1): the largest tree has 2^5 leaves
     assert code == 1 and "full tree has 32 leaves, above the configured cap 20" in err
     assert calls == [] and not (out_dir / "converge.csv").exists()
+
+
+# -- non-finite values -------------------------------------------------------------
+
+
+def test_fit_slope_drops_nan_and_inf_errors_with_a_warning(capsys):
+    pairs = [(2.0, 1e-2), (4.0, float("nan")), (8.0, 2e-3), (16.0, 1e-3),
+             (32.0, float("inf"))]
+    slope, stderr = cli.fit_slope(pairs)
+    err = capsys.readouterr().err
+    assert "dropped k=4.0" in err and "dropped k=32.0" in err
+    assert (slope, stderr) == cli.fit_slope([pairs[0], pairs[2], pairs[3]])
+    assert np.isfinite(slope) and np.isfinite(stderr)
+
+
+def _sqrt_of_ou(tmp_path):
+    # ou paths cross zero, where the payoff y ** 0.5 is NaN
+    return write_config(
+        tmp_path, system={"name": "ou", "theta": 0.7, "sigma": 0.4}, x0=[0.1],
+        payoff={"name": "power", "exponent": 0.5},
+        reference={"steps": 8, "paths": 200})
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("command, named", [
+    (["solve"], "value at k=2 is not finite: nan"),
+    (["converge", "--out", "OUT"], "value at k=2 is not finite: nan"),
+    (["mc-reference"], "reference mean is not finite: nan"),
+])
+def test_a_value_that_is_not_finite_fails_the_command(tmp_path, capsys, command, named):
+    argv = [a.replace("OUT", str(tmp_path / "out")) for a in command]
+    code, out, err = run(argv[:1] + ["--config", _sqrt_of_ou(tmp_path)] + argv[1:],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {named}\n"
+    assert not (tmp_path / "out").exists()
