@@ -163,9 +163,12 @@ def _closed_form_reference(system_spec: dict, payoff_spec: dict, x0, horizon):
 
 def _reference_size(config: dict) -> tuple[int, int]:
     """Steps and paths of an Euler reference: the config's reference.steps
-    and reference.paths, by default 256 and 400 000."""
+    and reference.paths, by default 256 and 400 000; both must be integers."""
     spec = config.get("reference", {})
-    return int(spec.get("steps", 256)), int(spec.get("paths", 400_000))
+    sizes = spec.get("steps", 256), spec.get("paths", 400_000)
+    if any(n != int(n) for n in sizes):
+        raise ValueError(f"config reference.steps and .paths must be integers, got {sizes}")
+    return int(sizes[0]), int(sizes[1])
 
 
 def _require_finite(*named) -> None:
@@ -299,10 +302,12 @@ def cmd_converge(args) -> int:
     k_list = [int(k) for k in config.get("partition", {}).get("k_list", [])]
     if not k_list:
         return _fail("config partition.k_list must be nonempty and strictly increasing")
+    steps, paths = _reference_size(config)
+    if steps < 2 or steps % 2:
+        return _fail(f"config reference.steps must be an even integer >= 2, got {steps}")
     ref_meta: dict = {"kind": "closed_form"}
     results, reference, problem = _sweep(config, seed, k_list, args.threads)
     if reference is None:
-        steps, paths = _reference_size(config)
         # first-order bias removed by step-halving extrapolation
         half, half_se = euler_mc(*problem, steps // 2, paths, seed + 1)
         full, full_se = euler_mc(*problem, steps, paths, seed + 2)
@@ -384,8 +389,10 @@ def _gap_experiment(m: int, seed: int | None):
 
 def cmd_lemma_gap(args) -> int:
     grid = [float(s) for s in args.s_grid.split(",")]
-    if any(s <= 0 for s in grid) or len(grid) < 3:
-        return _fail("--s-grid needs >= 3 positive values")
+    if not all(0 < s < math.inf for s in grid) or len(grid) < 3:
+        return _fail("--s-grid needs >= 3 positive finite values")
+    if args.m < 3:
+        return _fail("--m must be >= 3")
     min_slope = args.min_slope
     if min_slope is None:
         min_slope = (args.m + 1) / 2.0 - 0.3

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cubature import CubatureFormula, _check_unit_horizon
 from .operator_calculus import MultiPoly
-from .path_signature import _check_horizon
+from .path_signature import _brownian_mean, _check_horizon
 from .vector_fields import (
     DEFAULT_FLOW,
     AffineField,
@@ -44,6 +44,7 @@ from .vector_fields import (
     GenericField,
     VectorFieldSystem,
     _LevelStep,
+    _check_finite,
     _matvec,
 )
 
@@ -507,11 +508,13 @@ def euler_mc(
     """Euler reference estimate of E[f(X_T)]; returns (mean, stderr).
 
     The scheme is weak order one, so it serves as an independent check, not
-    a high-precision oracle; tighten steps and paths as needed. A MultiPoly
-    f is evaluated on each batch of final states at once, any other
-    callable once per path. Generic fields are probed as in `klv_full` and
-    then called, with their Jacobians, once per batch and step; a field's
-    jacobian_func takes one state, so it is called once per path and step.
+    a high-precision oracle; tighten steps and paths as needed. Paths run in
+    batches through `path_signature._brownian_mean`, so values depend on
+    seed and batch. A MultiPoly f is evaluated on each batch of final states
+    at once, any other callable once per path. Generic fields are probed as
+    in `klv_full`, then called with their Jacobians once per batch and step
+    (a jacobian_func once per path and step). A non-finite state raises
+    FlowDivergence with its step as `substep`, its batch row as `row`.
     """
     _check_horizon(horizon)
     if steps < 1 or paths < 2:
@@ -524,37 +527,16 @@ def euler_mc(
     drift = _ito_drift(sys)
     space = sys.fields[1:]
     h = horizon / steps
-    rt = math.sqrt(h)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    # the variance is taken about the first path's value, so it does not
-    # cancel against the mean: identical paths get a stderr of exactly 0
-    shift = None
-    shifted = 0.0
-    shifted_sq = 0.0
-    done = 0
-    while done < paths:
-        b = min(batch, paths - done)
-        states = np.broadcast_to(x, (b, x.shape[0])).copy()
-        for step in range(steps):
-            z = rng.standard_normal((b, len(space)))
-            move = drift(states) * h
-            for i, v in enumerate(space):
-                move += v(states) * (rt * z[:, i : i + 1])
-            states = states + move
-            if not np.all(np.isfinite(states)):
-                bad = int(np.sum(~np.isfinite(states).all(axis=1)))
-                raise FlowDivergence(
-                    f"{bad} path(s) left the finite range at step {step + 1}/{steps}",
-                    substep=step + 1,
-                )
-        vals = payoff(states)
-        if shift is None:
-            shift = float(vals[0])
-        dev = vals - shift
-        total += float(np.sum(vals))
-        shifted += float(np.sum(dev))
-        shifted_sq += float(np.sum(dev**2))
-        done += b
-    var = max(shifted_sq - shifted**2 / paths, 0.0) / (paths - 1)
-    return total / paths, math.sqrt(var / paths)
+
+    def step(states, dw, k):
+        move = drift(states) * h
+        for i, v in enumerate(space):
+            move += v(states) * dw[:, i : i + 1]
+        states = states + move
+        _check_finite(states, f"Euler path left the finite range at step {k}/{steps}", k)
+        return states
+
+    mean, stderr = _brownian_mean(
+        paths, steps, len(space), h, np.random.default_rng(seed), batch,
+        lambda b: np.tile(x, (b, 1)), step, lambda states: payoff(states)[None])
+    return float(mean[0]), float(stderr[0])

@@ -289,10 +289,10 @@ def monte_carlo_expected_signature(
 ) -> tuple[GradedTensor, dict[Word, float]]:
     """Sample mean of signatures of piecewise-linear Brownian interpolations.
 
-    Returns the empirical mean tensor and a per-word standard error. Each
-    batch of paths draws one `rng.standard_normal((b, dimension))` per time
-    step and applies the Chen step of the module docstring to arrays of one
-    coefficient per path: one multiply-add of arrays per program entry.
+    Returns the empirical mean tensor and a per-word standard error. The
+    paths run in batches through `_brownian_mean`, so the values depend on
+    rng and batch_size; the Chen step of the module docstring advances arrays
+    of one coefficient per path: one multiply-add of arrays per program entry.
     """
     if n_paths < 2 or n_steps < 1:
         raise ValueError("need n_paths >= 2 and n_steps >= 1")
@@ -301,31 +301,35 @@ def monte_carlo_expected_signature(
     _check_horizon(horizon)
     program = word_program(dimension, truncation)
     plan = _chen_plan(dimension, truncation)
-    words = program.words
     h = horizon / n_steps
-    sum_ = np.zeros(len(words))
-    # the variance is taken about the first path's values, so it does not
-    # cancel against the mean: a word equal on every path gets exactly 0
-    shift = None
-    shifted_sum = np.zeros(len(words))
-    shifted_sumsq = np.zeros(len(words))
-    done = 0
-    while done < n_paths:
-        b = min(batch_size, n_paths - done)
-        coeffs = [np.zeros(b) for _ in words]
-        coeffs[0] = np.ones(b)
-        for _ in range(n_steps):
-            db = rng.standard_normal((b, dimension)) * math.sqrt(h)
-            coeffs = _chen_step(coeffs, [h, *db.T], plan)
-        if shift is None:
-            shift = [c[0] for c in coeffs]
-        for i, c in enumerate(coeffs):
-            sum_[i] += c.sum()
-            dev = c - shift[i]
-            shifted_sum[i] += dev.sum()
-            shifted_sumsq[i] += (dev**2).sum()
-        done += b
-    mean = sum_ / n_paths
-    var = np.maximum(shifted_sumsq - shifted_sum**2 / n_paths, 0.0) / (n_paths - 1)
-    stderr = np.sqrt(var / n_paths)
-    return GradedTensor._of(program, mean), dict(zip(words, stderr.tolist()))
+    mean, stderr = _brownian_mean(
+        n_paths, n_steps, dimension, h, rng, batch_size,
+        lambda b: [np.ones(b)] + [np.zeros(b) for _ in program.words[1:]],
+        lambda coeffs, db, _: _chen_step(coeffs, [h, *db.T], plan), np.array)
+    return GradedTensor._of(program, mean), dict(zip(program.words, stderr.tolist()))
+
+
+def _brownian_mean(paths, steps, dims, h, rng, batch, start, step, values):
+    """(K,) mean and standard error of the new (K, b) arrays values(state),
+    which it overwrites, over `paths` Brownian paths in batches of b <= batch.
+
+    A batch starts as start(b); step k = 1..steps draws the increments
+    dw = rng.standard_normal((b, dims)) * sqrt(h) and sets state to
+    step(state, dw, k). The variance is taken about the first path's values,
+    so it does not cancel against the mean: a value equal on every path gets
+    a stderr of exactly 0.
+    """
+    total = shifted = shifted_sq = shift = 0.0
+    for done in range(0, paths, batch):
+        b = min(batch, paths - done)
+        state = start(b)
+        for k in range(1, steps + 1):
+            state = step(state, rng.standard_normal((b, dims)) * math.sqrt(h), k)
+        vals = values(state)
+        shift = vals[:, :1].copy() if done == 0 else shift
+        total = total + vals.sum(axis=1)
+        vals -= shift
+        shifted = shifted + vals.sum(axis=1)
+        shifted_sq = shifted_sq + np.square(vals, out=vals).sum(axis=1)
+    var = np.maximum(shifted_sq - shifted**2 / paths, 0.0) / (paths - 1)
+    return total / paths, np.sqrt(var / paths)

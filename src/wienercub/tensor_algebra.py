@@ -261,10 +261,6 @@ class GradedTensor:
         v[:n] = self._v[:n]
         return GradedTensor._of(program, v)
 
-    def level(self, length: int) -> "GradedTensor":
-        """The part supported on words of exactly the given length."""
-        return self._like(np.where(self._program.lengths == length, self._v, 0.0))
-
     def dilate(self, scalar: float) -> "GradedTensor":
         """Scale each word by scalar**graded_degree(word).
 
@@ -322,10 +318,6 @@ def mul(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     program = a._program
     iu, iv, iw = program.pairs
     return a._like(np.bincount(iw, a._v[iu] * b._v[iv], minlength=len(program.words)))
-
-
-def dilate(a: GradedTensor, scalar: float) -> GradedTensor:
-    return a.dilate(scalar)
 
 
 def exp(a: GradedTensor) -> GradedTensor:

@@ -301,7 +301,11 @@ def affine_from_file(path: str) -> VectorFieldSystem:
 
 
 def nested_bracket_field(sys: VectorFieldSystem, word: tuple[int, ...]) -> Field:
-    """[V_{w1}, [V_{w2}, [..., V_{wk}]]] built from bracket_field."""
+    """[V_{w1}, [V_{w2}, [..., V_{wk}]]] built from bracket_field: exact on
+    affine fields, while on GenericFields each level takes central
+    differences of the level below. With the affine pair of the tests as
+    GenericFields, words of length 1-5 cost 1, 10, 55, 280, 1405 field calls
+    per evaluation at relative errors 0, 2e-11, 2e-6, 0.2, 3e4."""
     if not word:
         raise ValueError("empty word has no bracket field")
     if any(a < 0 or a > sys.n_controls for a in word):

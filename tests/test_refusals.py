@@ -1,0 +1,95 @@
+"""Inputs that the CLI and the library refuse with one clear message: the
+Euler reference's step count in converge, and gaps that are not positive
+and finite in the lemma-gap experiment."""
+import json
+import math
+
+import numpy as np
+import pytest
+
+from wienercub import cli
+from wienercub.operator_calculus import flow_tensor_gap, remainder_box_bound
+
+
+def run(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def ou_power_config(tmp_path, reference):
+    # an ou system with a power payoff has no closed form: converge falls
+    # back to the Euler reference
+    config = {
+        "system": {"name": "ou", "theta": 0.7, "sigma": 0.4},
+        "payoff": {"name": "power", "exponent": 2},
+        "x0": [0.8],
+        "T": 1.0,
+        "cubature": {"builtin": "degree3", "dimension": 1},
+        "partition": {"gamma": 2.0, "k_list": [2, 3, 4]},
+        "reference": reference,
+        "seed": 3,
+    }
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    return str(target)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_converge_refuses_an_euler_reference_it_cannot_halve(tmp_path, capsys, steps):
+    cfg = ou_power_config(tmp_path, {"steps": steps, "paths": 200})
+    code, out, err = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: config reference.steps must be an even integer >= 2, "
+                   f"got {steps}\n")
+
+
+@pytest.mark.parametrize("command", ["converge", "mc-reference"])
+@pytest.mark.parametrize("reference", [{"steps": 4.5}, {"paths": 300.7}])
+def test_a_reference_size_that_is_not_an_integer_is_refused(tmp_path, capsys,
+                                                           command, reference):
+    cfg = ou_power_config(tmp_path, reference)
+    out_dir = ["--out", str(tmp_path)] if command == "converge" else []
+    code, out, err = run([command, "--config", cfg, *out_dir], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: config reference.steps and .paths must be integers")
+    assert err.count("\n") == 1
+
+
+def test_converge_runs_the_default_euler_reference(tmp_path, capsys):
+    cfg = ou_power_config(tmp_path, {"paths": 2000})
+    code, _, _ = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    reference = json.loads((tmp_path / "converge.json").read_text())["reference"]
+    assert reference["kind"] == "euler_richardson" and reference["steps"] == 256
+
+
+def test_mc_reference_accepts_an_odd_step_count(tmp_path, capsys):
+    cfg = ou_power_config(tmp_path, {"steps": 3, "paths": 200})
+    code, out, _ = run(["mc-reference", "--config", cfg], capsys)
+    assert code == 0 and json.loads(out)["steps"] == 3
+
+
+@pytest.mark.parametrize("grid", ["0.4,0.2,0.1,nan", "0.4,0.2,0.1,inf",
+                                  "0.4,0.2,0.1,0", "0.4,0.2"])
+def test_lemma_gap_refuses_a_grid_that_is_not_positive_and_finite(capsys, grid):
+    code, out, err = run(["lemma-gap", "--s-grid", grid], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: --s-grid needs >= 3 positive finite values\n"
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_lemma_gap_refuses_a_truncation_below_the_element(capsys, m):
+    code, out, err = run(["lemma-gap", "--m", m], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: --m must be >= 3\n"
+
+
+@pytest.mark.parametrize("s", [0.0, -0.1, math.nan, math.inf])
+def test_gap_functions_refuse_a_gap_that_is_not_positive_and_finite(s):
+    system, payoff, poly = cli._gap_experiment(3, None)
+    x = np.asarray(cli._GAP_X)
+    with pytest.raises(ValueError, match="gap must be positive and finite"):
+        flow_tensor_gap(poly, system, payoff, x, s)
+    with pytest.raises(ValueError, match="gap must be positive and finite"):
+        remainder_box_bound(poly, system, payoff, s)

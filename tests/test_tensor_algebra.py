@@ -11,7 +11,6 @@ from wienercub.tensor_algebra import (
     mul,
     exp,
     log,
-    dilate,
     inner,
     norm2,
     shuffle,
