@@ -485,7 +485,7 @@ def main(argv=None) -> int:
         return _fail(f"bad JSON: {exc}")
     except KeyError as exc:
         return _fail(f"config missing key {exc}")
-    except (FlowDivergence, ValueError) as exc:
+    except (FlowDivergence, TypeError, ValueError) as exc:
         return _fail(str(exc))
 
 

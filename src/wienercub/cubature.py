@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 from .tensor_algebra import GradedTensor, Word, exp
-from .lie_structures import DYNKIN_TOL, LiePolynomial, NotLieElement, certify
+from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
 from .path_signature import (
     PiecewiseLinearPath,
     brownian_expected_signature,
-    _check_horizon,
+    _check_positive,
     brownian_rescale,
     log_signature,
     signature,
@@ -62,9 +62,10 @@ class CubatureFormula:
             raise ValueError(
                 f"{len(self.weights)} weights for {n} support points"
             )
-        if any(not (w > 0.0 and math.isfinite(w)) for w in self.weights):
-            raise ValueError(f"weights must be strictly positive: {self.weights!r}")
-        _check_horizon(self.horizon)
+        for j, w in enumerate(self.weights):
+            if not (w > 0.0 and math.isfinite(w)):
+                raise ValueError(f"weight {j} must be strictly positive, got {w!r}")
+        _check_positive(self.horizon)
         if self.paths is not None:
             for j, p in enumerate(self.paths):
                 if p.dimension != self.dimension:
@@ -245,7 +246,7 @@ def _check_unit_horizon(formula: CubatureFormula) -> None:
 def rescale(formula: CubatureFormula, horizon: float) -> CubatureFormula:
     """Carry a unit-horizon formula to [0, horizon]: Brownian-rescale the
     paths, or dilate Lie support by sqrt(horizon). Weights are unchanged."""
-    _check_horizon(horizon)
+    _check_positive(horizon)
     _check_unit_horizon(formula)
     if formula.paths is not None:
         return CubatureFormula(
@@ -301,52 +302,35 @@ def from_file(path: str) -> CubatureFormula:
 
 
 def from_dict(data: dict, where: str = "<dict>") -> CubatureFormula:
+    """Rebuild a formula from its to_dict record.
+
+    Every rule on the values is CubatureFormula's (and the path and Lie
+    checks of its support), so this only reads the record. A missing key,
+    a value of the wrong type or a refused value raises one
+    CubatureLoadError that names `where` and, for a bad support element,
+    its index: "formula.json: lie_polys[1]: bracketing certificate failed".
+    """
+    at = where
     try:
-        dimension = int(data["dimension"])
-        degree = int(data["degree"])
-        horizon = float(data.get("horizon", 1.0))
-        weights = tuple(float(w) for w in data["weights"])
         support = data["support"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CubatureLoadError(f"{where}: missing or malformed field: {exc}") from exc
-    for j, w in enumerate(weights):
-        if not w > 0.0:
-            raise CubatureLoadError(f"{where}: weight {j} is {w!r}, must be > 0")
-    paths = lie_polys = None
-    if "paths" in support:
-        try:
-            paths = tuple(
-                PiecewiseLinearPath.from_dict(p) for p in support["paths"]
-            )
-        except ValueError as exc:
-            raise CubatureLoadError(f"{where}: bad path: {exc}") from exc
-    elif "lie_polys" in support:
-        polys = []
-        for j, rec in enumerate(support["lie_polys"]):
-            try:
-                tensor = GradedTensor.from_dict(rec)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CubatureLoadError(
-                    f"{where}: lie_polys[{j}] malformed: {exc}"
-                ) from exc
-            try:
-                polys.append(certify(tensor))
-            except NotLieElement as exc:
-                raise CubatureLoadError(
-                    f"{where}: lie_polys[{j}] is not a Lie element "
-                    f"(bracket-expansion defect {exc.defect:.3e})"
-                ) from exc
-        lie_polys = tuple(polys)
-    else:
-        raise CubatureLoadError(f"{where}: support must hold 'paths' or 'lie_polys'")
-    try:
+        if "paths" in support:
+            kind, load = "paths", PiecewiseLinearPath.from_dict
+        elif "lie_polys" in support:
+            kind, load = "lie_polys", lambda rec: certify(GradedTensor.from_dict(rec))
+        else:
+            raise ValueError("support must hold 'paths' or 'lie_polys'")
+        elements = []
+        for j, rec in enumerate(support[kind]):
+            at = f"{where}: {kind}[{j}]"
+            elements.append(load(rec))
+        at = where
         return CubatureFormula(
-            dimension=dimension,
-            degree=degree,
-            weights=weights,
-            paths=paths,
-            lie_polys=lie_polys,
-            horizon=horizon,
+            dimension=int(data["dimension"]),
+            degree=int(data["degree"]),
+            weights=tuple(float(w) for w in data["weights"]),
+            horizon=float(data.get("horizon", 1.0)),
+            **{kind: tuple(elements)},
         )
-    except ValueError as exc:
-        raise CubatureLoadError(f"{where}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise CubatureLoadError(f"{at}: {reason}") from exc

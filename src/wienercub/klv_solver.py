@@ -35,7 +35,7 @@ import numpy as np
 
 from .cubature import CubatureFormula, _check_unit_horizon
 from .operator_calculus import MultiPoly
-from .path_signature import _brownian_mean, _check_horizon
+from .path_signature import _brownian_mean, _check_positive, _check_times
 from .vector_fields import (
     DEFAULT_FLOW,
     AffineField,
@@ -51,21 +51,14 @@ from .vector_fields import (
 
 @dataclass(frozen=True)
 class Partition:
-    """0 = t_0 < t_1 < ... < t_k = T."""
+    """0 = t_0 < t_1 < ... < t_k = T: the grid rule of
+    path_signature._check_times (at least two finite times, the first within
+    1e-12 of 0, strictly increasing), as for path knots."""
 
     times: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.times) < 2:
-            raise ValueError("partition needs at least two times")
-        if abs(self.times[0]) > 1e-12:
-            raise ValueError(f"partition must start at 0, got {self.times[0]!r}")
-        for t in self.times:
-            if not math.isfinite(t):
-                raise ValueError(f"partition times must be finite, got {t!r}")
-        for a, b in zip(self.times, self.times[1:]):
-            if not b > a:
-                raise ValueError(f"times must increase strictly: {a!r} !< {b!r}")
+        _check_times(self.times, "partition times")
 
     @property
     def horizon(self) -> float:
@@ -83,7 +76,7 @@ class Partition:
 def gamma_partition(horizon: float, k: int, gamma: float) -> Partition:
     """t_j = T (1 - (1 - j/k)^gamma); gamma = 1 is the uniform grid, larger
     gamma packs the short steps toward T."""
-    _check_horizon(horizon)
+    _check_positive(horizon)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if gamma < 1.0:
@@ -465,8 +458,7 @@ def kusuoka_step(
     """
     if formula.lie_polys is None:
         raise ValueError("kusuoka_step needs Lie support; use cubature.lie_form")
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"gap must be positive and finite, got {s!r}")
+    _check_positive(s, "gap")
     return klv_full(formula, sys, f, x, Partition((0.0, s)), SolverConfig(flow=cfg)).value
 
 
@@ -516,7 +508,7 @@ def euler_mc(
     (a jacobian_func once per path and step). A non-finite state raises
     FlowDivergence with its step as `substep`, its batch row as `row`.
     """
-    _check_horizon(horizon)
+    _check_positive(horizon)
     if steps < 1 or paths < 2:
         raise ValueError("need steps >= 1 and paths >= 2")
     if batch < 1:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .tensor_algebra import GradedTensor, exp
 from .lie_structures import LiePolynomial
+from .path_signature import _check_positive
 from .vector_fields import (AffineField, VectorFieldSystem, affine_flow_exact,
                             gamma_field)
 
@@ -257,8 +258,7 @@ def flow_tensor_gap(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
     of the truncated operator approximation.
     """
     _require_affine(sys)
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"gap must be positive and finite, got {s!r}")
+    _check_positive(s, "gap")
     u = w.dilate(math.sqrt(s))
     tensor_side = taylor_operator(exp(u.tensor), sys, f)(x)
     y = affine_flow_exact(gamma_field(u, sys), 1.0, np.asarray(x, dtype=float))
@@ -278,8 +278,7 @@ def remainder_box_bound(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
     points inside the box.
     """
     _require_affine(sys)
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"gap must be positive and finite, got {s!r}")
+    _check_positive(s, "gap")
     m = w.truncation
     u2 = w.tensor.with_truncation(2 * m).dilate(math.sqrt(s))
     tail = exp(u2)

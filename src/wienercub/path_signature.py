@@ -35,31 +35,47 @@ from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
 _KNOT_TOL = 1e-12
 
 
+def _check_times(times: Sequence[float], name: str) -> None:
+    """The grid rule 0 = t_0 < t_1 < ... < t_k of partitions and path knots:
+    at least two entries, all finite, the first within 1e-12 of 0, strictly
+    increasing. `name` leads each message ("partition times", "knots")."""
+    if len(times) < 2:
+        raise ValueError(f"{name} need at least two entries, got {times!r}")
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t!r}")
+    if abs(times[0]) > _KNOT_TOL:
+        raise ValueError(f"{name} must start at 0, got {times[0]!r}")
+    for a, b in zip(times, times[1:]):
+        if not b > a:
+            raise ValueError(f"{name} must increase strictly: {a!r} !< {b!r}")
+
+
+def _check_positive(value: float, name: str = "horizon") -> None:
+    """Refuse a horizon or gap (`name`) that is not positive and finite;
+    NaN fails too."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearPath:
     """Knot representation: values points[j] at times knots[j], joined linearly.
 
-    knots[0] == 0 and points[0] is the origin; knots increase strictly;
-    knots and points are finite.
+    The knots obey the grid rule of `_check_times` (at least two, finite,
+    the first within 1e-12 of 0, strictly increasing); points[0] is the
+    origin and the points are finite.
     """
 
     knots: tuple[float, ...]
     points: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if len(self.knots) < 2:
-            raise ValueError("path needs at least two knots")
+        _check_times(self.knots, "knots")
         if len(self.knots) != len(self.points):
             raise ValueError(
                 f"knot/point count mismatch: {len(self.knots)} vs {len(self.points)}"
             )
-        if not all(math.isfinite(t) for t in self.knots):
-            raise ValueError(f"knots must be finite, got {self.knots!r}")
-        if abs(self.knots[0]) > _KNOT_TOL:
-            raise ValueError(f"first knot must be 0, got {self.knots[0]!r}")
-        for a, b in zip(self.knots, self.knots[1:]):
-            if not b > a:
-                raise ValueError(f"knots must increase strictly: {a!r} !< {b!r}")
         d = len(self.points[0])
         if d < 1:
             raise ValueError("path dimension must be >= 1")
@@ -241,17 +257,11 @@ def brownian_rescale(path: PiecewiseLinearPath, horizon: float) -> PiecewiseLine
     space by its square root, so the signature dilates by sqrt(horizon)."""
     if abs(path.horizon - 1.0) > 1e-9:
         raise ValueError(f"rescale expects a unit-horizon path, got {path.horizon!r}")
-    _check_horizon(horizon)
+    _check_positive(horizon)
     root = math.sqrt(horizon)
     knots = tuple(t * horizon for t in path.knots)
     points = tuple(tuple(c * root for c in p) for p in path.points)
     return PiecewiseLinearPath(knots, points)
-
-
-def _check_horizon(horizon: float) -> None:
-    """Reject a horizon that is not a positive finite number (NaN included)."""
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
 
 
 def brownian_expected_signature(
@@ -266,7 +276,7 @@ def brownian_expected_signature(
     the number of blocks `0`. Every block has graded degree 2. The Monte
     Carlo estimator below provides the independent cross-check.
     """
-    _check_horizon(horizon)
+    _check_positive(horizon)
     blocks = [(0,)] + [(i, i) for i in range(1, dimension + 1)]
     coeffs: dict[Word, float] = {}
     for k in range(truncation // 2 + 1):
@@ -298,7 +308,7 @@ def monte_carlo_expected_signature(
         raise ValueError("need n_paths >= 2 and n_steps >= 1")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-    _check_horizon(horizon)
+    _check_positive(horizon)
     program = word_program(dimension, truncation)
     plan = _chen_plan(dimension, truncation)
     h = horizon / n_steps

@@ -228,17 +228,6 @@ class GradedTensor:
             return GradedTensor.zero(self.dimension, self.truncation)
         return self._like(self._v * scalar)
 
-    def __mul__(self, other):
-        if isinstance(other, GradedTensor):
-            return mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, scalar: float) -> "GradedTensor":
-        return self.scale(scalar)
-
-    def __truediv__(self, scalar: float) -> "GradedTensor":
-        return self.scale(1.0 / float(scalar))
-
     # -- graded operations ---------------------------------------------------
 
     def project(self, degree: int) -> "GradedTensor":
