@@ -73,31 +73,46 @@ def fit_slope(pairs: list[tuple[float, float]]) -> tuple[float, float]:
 # -- config parsing --------------------------------------------------------------
 
 
+def _number(value, key: str, integer: bool = False):
+    """A config number as a float, or as an int when integer is set (4.0
+    reads as 4); a tuple is a group of integers read at once. Anything else
+    is refused with one message that names the key and the value."""
+    group = value if isinstance(value, tuple) else (value,)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and
+               (not integer or math.isfinite(v) and v == int(v)) for v in group):
+        if not integer:
+            raise ValueError(f"config {key} must be a number, got {value!r}")
+        plural = "s" if isinstance(value, tuple) else ""
+        raise ValueError(f"config {key} must be integer{plural}, got {value!r}")
+    read = [int(v) if integer else float(v) for v in group]
+    return tuple(read) if isinstance(value, tuple) else read[0]
+
+
 def _load_config(args) -> tuple[dict, int]:
-    """The JSON run config of args.config, its mode and k_list checked, and
-    the seed: --seed if given, else the config's (default 0)."""
+    """The JSON run config of args.config, its mode checked and its k_list
+    read, and the seed: --seed if given, else the config's (default 0)."""
     with open(args.config) as fh:
         config = json.load(fh)
     mode = config.get("mode", "full")
     if mode not in ("full", "sampled"):
         raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
-    k_list = config.get("partition", {}).get("k_list")
-    if k_list is not None and (
-        not k_list or sorted(set(int(k) for k in k_list)) != list(k_list)
-    ):
-        raise ValueError(
-            "config partition.k_list must be nonempty and strictly increasing"
-        )
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    part = config.get("partition", {})
+    if "k_list" in part:
+        part["k_list"] = list(_number(tuple(part["k_list"]), "partition.k_list", True))
+        if not part["k_list"] or sorted(set(part["k_list"])) != part["k_list"]:
+            raise ValueError(
+                "config partition.k_list must be nonempty and strictly increasing"
+            )
+    seed = args.seed if args.seed is not None else _number(config.get("seed", 0), "seed", True)
     return config, seed
 
 
 def _build_system(spec: dict) -> VectorFieldSystem:
     name = spec.get("name")
     if name == "gbm":
-        return gbm(float(spec["mu"]), float(spec["sigma"]))
+        return gbm(_number(spec["mu"], "system.mu"), _number(spec["sigma"], "system.sigma"))
     if name == "ou":
-        return ou(float(spec["theta"]), float(spec["sigma"]))
+        return ou(_number(spec["theta"], "system.theta"), _number(spec["sigma"], "system.sigma"))
     if name == "affine":
         return affine_from_file(spec["file"])
     raise ValueError(f"unknown system {name!r} (use gbm, ou, or affine)")
@@ -105,20 +120,16 @@ def _build_system(spec: dict) -> VectorFieldSystem:
 
 def _build_payoff(spec: dict, n_vars: int):
     name = spec.get("name", "identity")
-    index = int(spec.get("index", 0))
+    index = _number(spec.get("index", 0), "payoff.index", True)
     if not 0 <= index < n_vars:
         raise ValueError(f"payoff index {index} outside state dimension {n_vars}")
     if name == "identity":
         return MultiPoly.coordinate(n_vars, index)
     if name == "power":
-        p = float(spec["exponent"])
+        p = _number(spec["exponent"], "payoff.exponent")
         return lambda y: float(y[index] ** p)
     if name == "poly":
-        terms = {
-            tuple(int(e) for e in rec["exps"]): float(rec["coeff"])
-            for rec in spec["terms"]
-        }
-        return MultiPoly(n_vars, terms)
+        return MultiPoly(n_vars, {tuple(rec["exps"]): rec["coeff"] for rec in spec["terms"]})
     raise ValueError(f"unknown payoff {name!r} (use identity, power, or poly)")
 
 
@@ -127,7 +138,7 @@ def _build_formula(spec: dict) -> CubatureFormula:
         return cubature.from_file(spec["file"])
     label = str(spec.get("builtin"))
     if "dimension" in spec:
-        label += f":{int(spec['dimension'])}"
+        label += f":{_number(spec['dimension'], 'cubature.dimension', True)}"
     formula = _builtin_formula(label)
     if formula is None:
         raise ValueError("cubature spec needs 'file' or builtin in "
@@ -151,13 +162,13 @@ def _closed_form_reference(system_spec: dict, payoff_spec: dict, x0, horizon):
     spec is read with _build_payoff's defaults."""
     name = system_spec.get("name")
     payoff = payoff_spec.get("name", "identity")
-    x = float(x0[int(payoff_spec.get("index", 0))])
+    x = float(x0[_number(payoff_spec.get("index", 0), "payoff.index", True)])
     if name == "gbm" and payoff in ("identity", "power"):
-        mu, sigma = float(system_spec["mu"]), float(system_spec["sigma"])
-        p = float(payoff_spec["exponent"]) if payoff == "power" else 1.0
+        mu, sigma = (_number(system_spec[key], f"system.{key}") for key in ("mu", "sigma"))
+        p = _number(payoff_spec["exponent"], "payoff.exponent") if payoff == "power" else 1.0
         return x**p * math.exp(p * mu * horizon + 0.5 * p**2 * sigma**2 * horizon)
     if name == "ou" and payoff == "identity":
-        return x * math.exp(-float(system_spec["theta"]) * horizon)
+        return x * math.exp(-_number(system_spec["theta"], "system.theta") * horizon)
     return None
 
 
@@ -166,9 +177,7 @@ def _reference_size(config: dict) -> tuple[int, int]:
     and reference.paths, by default 256 and 400 000; both must be integers."""
     spec = config.get("reference", {})
     sizes = spec.get("steps", 256), spec.get("paths", 400_000)
-    if any(n != int(n) for n in sizes):
-        raise ValueError(f"config reference.steps and .paths must be integers, got {sizes}")
-    return int(sizes[0]), int(sizes[1])
+    return _number(sizes, "reference.steps and .paths", True)
 
 
 def _require_finite(*named) -> None:
@@ -249,7 +258,7 @@ def _problem(config: dict):
     four arguments."""
     system = _build_system(config["system"])
     payoff = _build_payoff(config.get("payoff", {}), system.dimension)
-    return system, payoff, np.asarray(config["x0"], dtype=float), float(config["T"])
+    return system, payoff, np.asarray(config["x0"], dtype=float), _number(config["T"], "T")
 
 
 def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
@@ -260,14 +269,16 @@ def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
     problem = _problem(config)
     system, payoff, x0, horizon = problem
     formula = _build_formula(config["cubature"])
-    gamma = float(config.get("partition", {}).get("gamma", formula.degree - 1))
+    gamma = _number(config.get("partition", {}).get("gamma", formula.degree - 1),
+                    "partition.gamma")
     parts = [gamma_partition(horizon, k, gamma) for k in k_list]
     caps = config.get("caps", {})
-    cfg = SolverConfig(leaf_cap=int(caps.get("leaf_cap", 10_000_000)),
-                       threads=threads, batch=int(caps.get("batch", 1 << 16)))
+    cfg = SolverConfig(
+        leaf_cap=_number(caps.get("leaf_cap", 10_000_000), "caps.leaf_cap", True),
+        threads=threads, batch=_number(caps.get("batch", 1 << 16), "caps.batch", True))
     # _load_config admits only the modes full and sampled
     n_samples = (None if config.get("mode", "full") == "full"
-                 else int(config.get("samples", 100_000)))
+                 else _number(config.get("samples", 100_000), "samples", True))
     results = klv_sweep(formula, system, payoff, x0, parts, cfg, n_samples, seed)
     reference = _closed_form_reference(config["system"], config.get("payoff", {}),
                                        x0, horizon)
@@ -277,7 +288,7 @@ def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
 def cmd_solve(args) -> int:
     config, seed = _load_config(args)
     part_spec = config.get("partition", {})
-    k = int(part_spec.get("k", part_spec.get("k_list", [4])[0]))
+    k = _number(part_spec.get("k", part_spec.get("k_list", [4])[0]), "partition.k", True)
     [result], reference, _ = _sweep(config, seed, [k])
     _require_finite((f"value at k={k}", result.value),
                     (f"stderr at k={k}", result.stderr), ("reference", reference))
@@ -299,7 +310,7 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     config, seed = _load_config(args)
-    k_list = [int(k) for k in config.get("partition", {}).get("k_list", [])]
+    k_list = config.get("partition", {}).get("k_list", [])
     if not k_list:
         return _fail("config partition.k_list must be nonempty and strictly increasing")
     steps, paths = _reference_size(config)

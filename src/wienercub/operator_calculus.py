@@ -1,15 +1,18 @@
 """Exact polynomial calculus for affine differential operators.
 
-Affine fields map polynomials to polynomials of the same degree, so iterated
-directional derivatives, word operators, and truncated-exponential operators
-can all be expanded symbolically with no truncation error. This module is the
-independent oracle against which flow-based computations are measured: any
-disagreement is attributable to ODE integration or to a genuine remainder
-term, never to the operator side.
+Affine fields keep the degree of a polynomial, so on the monomials of one
+cached `MonomialProgram` each field is a matrix and word and
+truncated-exponential operators are its products and sums, with no
+truncation error. This is the independent oracle for flow-based
+computations: any disagreement is attributable to ODE integration or to a
+genuine remainder term, never to the operator side.
 """
 from __future__ import annotations
 
 import math
+import numbers
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -23,43 +26,43 @@ Exponents = tuple[int, ...]
 
 
 class MultiPoly:
-    """Polynomial in n_vars real variables, stored as exponent -> coefficient."""
+    """Polynomial in n_vars real variables, stored as exponent -> coefficient.
+
+    Built from a term dict whose exponents are nonnegative integers (4.0 is
+    4, 1.5 is refused) and whose coefficients are finite. It has no
+    arithmetic: the operators below act on its coefficient vector.
+    """
 
     __slots__ = ("n_vars", "_terms")
 
-    def __init__(self, n_vars: int, terms: dict[Exponents, float] | None = None,
-                 _trusted: bool = False):
+    def __init__(self, n_vars: int, terms: dict[Exponents, float] | None = None):
         if n_vars < 1:
             raise ValueError(f"n_vars must be >= 1, got {n_vars}")
         self.n_vars = n_vars
-        if terms is None:
-            terms = {}
-        if _trusted:
-            self._terms = terms
-            return
         clean: dict[Exponents, float] = {}
-        for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n_vars or any(e < 0 for e in exps):
+        for exps, c in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != n_vars or not all(isinstance(e, numbers.Real) and
+                                              math.isfinite(e) and e == int(e) >= 0
+                                              for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {n_vars} variables")
+            exps = tuple(int(e) for e in exps)
             c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient of {exps} is not finite: {c!r}")
             if c != 0.0:
                 clean[exps] = clean.get(exps, 0.0) + c
         self._terms = {e: c for e, c in clean.items() if c != 0.0}
 
     @classmethod
     def constant(cls, n_vars: int, value: float) -> "MultiPoly":
-        if value == 0.0:
-            return cls(n_vars, {}, _trusted=True)
-        return cls(n_vars, {(0,) * n_vars: float(value)}, _trusted=True)
+        return cls(n_vars, {(0,) * n_vars: value})
 
     @classmethod
     def coordinate(cls, n_vars: int, j: int) -> "MultiPoly":
         if not 0 <= j < n_vars:
             raise ValueError(f"coordinate {j} out of range for {n_vars} variables")
-        e = [0] * n_vars
-        e[j] = 1
-        return cls(n_vars, {tuple(e): 1.0}, _trusted=True)
+        return cls(n_vars, {tuple(int(i == j) for i in range(n_vars)): 1.0})
 
     def items(self):
         return self._terms.items()
@@ -76,67 +79,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly(n_vars={self.n_vars}, terms={len(self._terms)}, degree={self.degree})"
-
-    def _check(self, other: "MultiPoly"):
-        if self.n_vars != other.n_vars:
-            raise ValueError(
-                f"variable count mismatch: {self.n_vars} vs {other.n_vars}"
-            )
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0.0) + c
-            if s == 0.0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiPoly(self.n_vars, out, _trusted=True)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(
-            self.n_vars, {e: -c for e, c in self._terms.items()}, _trusted=True
-        )
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def scale(self, c: float) -> "MultiPoly":
-        c = float(c)
-        if c == 0.0:
-            return MultiPoly(self.n_vars, {}, _trusted=True)
-        return MultiPoly(
-            self.n_vars, {e: c * v for e, v in self._terms.items()}, _trusted=True
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        self._check(other)
-        out: dict[Exponents, float] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0.0) + c1 * c2
-                if s == 0.0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.n_vars, out, _trusted=True)
-
-    __rmul__ = __mul__
-
-    def partial(self, j: int) -> "MultiPoly":
-        """d/dx_j, exact."""
-        out: dict[Exponents, float] = {}
-        for e, c in self._terms.items():
-            if e[j] == 0:
-                continue
-            down = list(e)
-            down[j] -= 1
-            out[tuple(down)] = out.get(tuple(down), 0.0) + c * e[j]
-        return MultiPoly(self.n_vars, out, _trusted=True)
 
     def __call__(self, x):
         """Value at a point (N,), as a float, or at each row of a block
@@ -174,78 +116,106 @@ class MultiPoly:
         return out
 
     def max_coeff_difference(self, other: "MultiPoly") -> float:
-        self._check(other)
+        if self.n_vars != other.n_vars:
+            raise ValueError(f"variable count mismatch: {self.n_vars} vs {other.n_vars}")
         keys = set(self._terms) | set(other._terms)
-        return max(
-            (abs(self._terms.get(e, 0.0) - other._terms.get(e, 0.0)) for e in keys),
-            default=0.0,
-        )
+        return max((abs(self.coeff(e) - other.coeff(e)) for e in keys), default=0.0)
 
 
-def _field_component(v: AffineField, j: int) -> MultiPoly:
-    """Row j of an affine field as a degree-1 polynomial."""
-    n = v.dimension
-    terms: dict[Exponents, float] = {}
-    for k in range(n):
-        if v.matrix[j, k] != 0.0:
-            e = [0] * n
-            e[k] = 1
-            terms[tuple(e)] = float(v.matrix[j, k])
-    if v.offset[j] != 0.0:
-        terms[(0,) * n] = float(v.offset[j])
-    return MultiPoly(n, terms, _trusted=True)
+class MonomialProgram:
+    """The D = C(n_vars + p, p) monomials of degree <= p in (degree, lex)
+    order, their `index`, and (D, D) matrices on coefficient vectors:
+    `shift[i]` multiplies by x_i and drops what reaches degree p + 1,
+    `partial[i]` is d/dx_i."""
+
+    def __init__(self, n_vars: int, degree: int):
+        self.n_vars, self.degree = n_vars, degree
+        self.monomials = sorted((e for e in product(range(degree + 1), repeat=n_vars)
+                                 if sum(e) <= degree), key=lambda e: (sum(e), e))
+        self.index = {e: k for k, e in enumerate(self.monomials)}
+        self.shift, self.partial = np.zeros((2, n_vars, len(self.index), len(self.index)))
+        for k, e in enumerate(self.monomials):
+            for i in range(n_vars):
+                if sum(e) < degree:
+                    self.shift[i, self.index[e[:i] + (e[i] + 1,) + e[i + 1:]], k] = 1.0
+                if e[i]:
+                    self.partial[i, self.index[e[:i] + (e[i] - 1,) + e[i + 1:]], k] = e[i]
+
+    def field(self, v: AffineField) -> np.ndarray:
+        """The matrix of f -> sum_j V^j df/dx_j for V^j(x) = sum_i M_ji x_i + c_j:
+        sum_j (sum_i M_ji shift[i] + c_j I) @ partial[j]."""
+        if v.dimension != self.n_vars:
+            raise ValueError(f"field on R^{v.dimension}, polynomial in {self.n_vars} variables")
+        lift = (np.tensordot(v.matrix, self.shift, 1)
+                + v.offset[:, None, None] * np.eye(len(self.index)))
+        return (lift @ self.partial).sum(axis=0)
+
+    def vector(self, f: MultiPoly) -> np.ndarray:
+        out = np.zeros(len(self.index))
+        for e, c in f.items():
+            out[self.index[e]] = c
+        return out
+
+    def poly(self, vector: np.ndarray) -> MultiPoly:
+        return MultiPoly(self.n_vars, {e: c for e, c in zip(self.monomials, vector.tolist())
+                                       if c != 0.0})
+
+
+# the one shared program of each (n_vars, degree)
+monomial_program = lru_cache(maxsize=64)(MonomialProgram)
+
+
+def _field_matrices(sys: VectorFieldSystem, f: MultiPoly):
+    """The program of f and the matrix of each field of an affine system."""
+    if not sys.is_affine:
+        raise TypeError("operator calculus is exact only for affine systems")
+    program = monomial_program(f.n_vars, f.degree)
+    return program, [program.field(v) for v in sys.fields]
 
 
 def lie_derivative(v: AffineField, f: MultiPoly) -> MultiPoly:
-    """(Vf)(x) = sum_j V^j(x) df/dx_j, expanded symbolically."""
+    """(Vf)(x) = sum_j V^j(x) df/dx_j: the field's matrix times f's vector."""
     if not isinstance(v, AffineField):
         raise TypeError("lie_derivative requires an affine field")
-    if v.dimension != f.n_vars:
-        raise ValueError(
-            f"field on R^{v.dimension}, polynomial in {f.n_vars} variables"
-        )
-    out = MultiPoly(f.n_vars, {}, _trusted=True)
-    for j in range(f.n_vars):
-        pj = f.partial(j)
-        if len(pj):
-            out = out + _field_component(v, j) * pj
-    return out
-
-
-def _require_affine(sys: VectorFieldSystem):
-    if not sys.is_affine:
-        raise TypeError("operator calculus is exact only for affine systems")
+    program = monomial_program(f.n_vars, f.degree)
+    return program.poly(program.field(v) @ program.vector(f))
 
 
 def word_operator(word: tuple[int, ...], sys: VectorFieldSystem,
                   f: MultiPoly) -> MultiPoly:
-    """V_{w_1} V_{w_2} ... V_{w_k} f with the rightmost factor acting first.
+    """V_{w_1} V_{w_2} ... V_{w_k} f with the rightmost factor acting first:
+    the letters' matrices applied to f's vector from right to left.
 
     This is ordinary operator composition; it is the convention under which
     the signature-weighted sum of word operators reproduces f along the flow
     (segment exponentials multiply in run order on the left of the word).
     """
-    _require_affine(sys)
-    g = f
+    program, matrices = _field_matrices(sys, f)
+    g = program.vector(f)
     for letter in reversed(word):
         if letter < 0 or letter > sys.n_controls:
             raise ValueError(f"letter {letter} outside 0..{sys.n_controls}")
-        g = lie_derivative(sys.fields[letter], g)
-    return g
+        g = matrices[letter] @ g
+    return program.poly(g)
 
 
 def taylor_operator(w: GradedTensor, sys: VectorFieldSystem,
                     f: MultiPoly) -> MultiPoly:
-    """sum_words coeff(word) * (word operator applied to f), exact."""
-    _require_affine(sys)
+    """sum_words coeff(word) * (word operator applied to f), exact.
+
+    Each word's vector is its first letter's matrix times the vector of its
+    tail w[1:], which the word basis lists before w. The sum runs over the
+    words in basis order: a reduction over axis 0 adds one row at a time."""
+    program, matrices = _field_matrices(sys, f)
     if w.dimension != sys.n_controls:
-        raise ValueError(
-            f"tensor over {w.dimension} space letters, system has {sys.n_controls}"
-        )
-    out = MultiPoly(f.n_vars, {}, _trusted=True)
-    for word, c in w.sorted_items():
-        out = out + word_operator(word, sys, f).scale(c)
-    return out
+        raise ValueError(f"tensor over {w.dimension} space letters, "
+                         f"system has {sys.n_controls}")
+    words, index = w._program.words, w._program.index
+    vectors = np.empty((len(words), len(program.index)))
+    vectors[0] = program.vector(f)
+    for k, word in enumerate(words[1:], 1):
+        vectors[k] = matrices[word[0]] @ vectors[index[word[1:]]]
+    return program.poly((w._v[:, None] * vectors).sum(axis=0))
 
 
 def flow_tensor_gap(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
@@ -257,7 +227,6 @@ def flow_tensor_gap(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
     affine flow of the corresponding field. The gap is the genuine remainder
     of the truncated operator approximation.
     """
-    _require_affine(sys)
     _check_positive(s, "gap")
     u = w.dilate(math.sqrt(s))
     tensor_side = taylor_operator(exp(u.tensor), sys, f)(x)
@@ -277,7 +246,6 @@ def remainder_box_bound(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
     the doubled truncation, so for small s it bounds the gap observed at
     points inside the box.
     """
-    _require_affine(sys)
     _check_positive(s, "gap")
     m = w.truncation
     u2 = w.tensor.with_truncation(2 * m).dilate(math.sqrt(s))

@@ -12,7 +12,8 @@ import pytest
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "wienercub").glob("*.py"))
 
-RULES = ("must increase strictly", "must start at 0", "must be positive and finite")
+RULES = ("must increase strictly", "must start at 0", "must be positive and finite",
+         "must be integer")
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wienercub.vector_fields import (
 from wienercub.operator_calculus import (
     MultiPoly,
     lie_derivative,
+    monomial_program,
     word_operator,
     taylor_operator,
     flow_tensor_gap,
@@ -24,34 +26,30 @@ from wienercub.operator_calculus import (
 )
 
 
-def test_multipoly_arithmetic():
-    x = MultiPoly.coordinate(2, 0)
-    y = MultiPoly.coordinate(2, 1)
-    f = x * x * y - y.scale(2.0)  # x^2 y - 2 y
+def test_multipoly_terms_and_values():
+    f = MultiPoly(2, {(2, 1): 1.0, (0, 1): -2.0, (1, 0): 0.0})  # x^2 y - 2 y
     assert f.coeff((2, 1)) == 1.0
     assert f.coeff((0, 1)) == -2.0
+    assert f.coeff((1, 0)) == 0.0 and len(f) == 2
     assert f(np.array([3.0, 0.5])) == pytest.approx(9 * 0.5 - 1.0)
-    assert (f + f).coeff((2, 1)) == 2.0
-    assert (f - f).max_coeff_difference(MultiPoly(2)) == 0.0
     assert f.degree == 3
+    assert MultiPoly(2, {(4.0, 0): 1.5}).coeff((4, 0)) == 1.5
+    assert MultiPoly.coordinate(2, 1).max_coeff_difference(MultiPoly(2, {(0, 1): 1.0})) == 0.0
+    assert MultiPoly.constant(2, 5.0).coeff((0, 0)) == 5.0
+    assert MultiPoly.constant(2, 0.0).max_coeff_difference(MultiPoly(2)) == 0.0
+    assert f.max_coeff_difference(MultiPoly(2, {(2, 1): 1.0})) == 2.0
 
 
-def test_multipoly_partial_derivatives():
-    f = MultiPoly(2, {(3, 0): 1.0, (1, 2): 4.0})
-    fx = f.partial(0)
-    assert fx.coeff((2, 0)) == 3.0
-    assert fx.coeff((0, 2)) == 4.0
-    fy = f.partial(1)
-    assert fy.coeff((1, 1)) == 8.0
-    assert MultiPoly.constant(2, 5.0).partial(0).max_coeff_difference(
-        MultiPoly(2)
-    ) == 0.0
+@pytest.mark.parametrize("exps", [(1.5, 0), (-1, 0), (float("inf"), 0), ("1", 0), (1,)])
+def test_multipoly_refuses_an_exponent_that_is_not_a_nonnegative_integer(exps):
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        MultiPoly(2, {exps: 1.0})
 
 
-def test_multipoly_scalar_product_forms():
-    f = MultiPoly(1, {(2,): 3.0})
-    assert (2.0 * f).coeff((2,)) == 6.0
-    assert (f * 0.5).coeff((2,)) == 1.5
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+def test_multipoly_refuses_a_coefficient_that_is_not_finite(c):
+    with pytest.raises(ValueError, match=r"coefficient of \(1, 0\) is not finite"):
+        MultiPoly(2, {(1, 0): c})
 
 
 @pytest.mark.parametrize("poly", [
@@ -121,9 +119,8 @@ def test_word_operator_applies_rightmost_letter_first(noncommuting_system):
 def test_operator_commutator_matches_bracket_field(noncommuting_system, cubic_payoff):
     # L_i L_j - L_j L_i is the first-order operator of the field bracket
     v0, v1 = noncommuting_system.fields
-    lhs = word_operator((0, 1), noncommuting_system, cubic_payoff) - word_operator(
-        (1, 0), noncommuting_system, cubic_payoff
-    )
+    e0, e1 = GradedTensor.basis(1, 3, (0,)), GradedTensor.basis(1, 3, (1,))
+    lhs = taylor_operator(bracket(e0, e1), noncommuting_system, cubic_payoff)
     rhs = lie_derivative(bracket_field(v0, v1), cubic_payoff)
     assert lhs.max_coeff_difference(rhs) < 1e-15
 
@@ -157,13 +154,12 @@ def test_signature_pairing_matches_path_flow(noncommuting_system, cubic_payoff, 
     # truncation 10 is 5.9e-9, so 1e-7 leaves an order of magnitude of slack
     path = PiecewiseLinearPath.from_increments([(0.05, (0.0625,)), (0.075, (-0.0375,))])
     s = signature(path, 10)
-    total = MultiPoly(2)
-    for w, c in s.sorted_items():
-        total = total + word_operator(w, noncommuting_system, cubic_payoff).scale(c)
+    total = math.fsum(c * word_operator(w, noncommuting_system, cubic_payoff)(x_start)
+                      for w, c in s.sorted_items())
     flowed = flow_along_path(
         path, noncommuting_system, x_start, FlowConfig(substeps=1, exact_affine=True)
     )
-    assert total(x_start) == pytest.approx(float(cubic_payoff(flowed)), abs=1e-7)
+    assert total == pytest.approx(float(cubic_payoff(flowed)), abs=1e-7)
 
 
 def test_flow_tensor_gap_shrinks_with_scale(noncommuting_system, cubic_payoff, x_start):
@@ -187,3 +183,64 @@ def test_remainder_bound_dominates_gap(noncommuting_system, cubic_payoff, x_star
     gap = flow_tensor_gap(lie, noncommuting_system, cubic_payoff, x_start, s)
     bound = remainder_box_bound(lie, noncommuting_system, cubic_payoff, s)
     assert gap <= bound
+
+
+def dict_lie_derivative(v, terms):
+    """The dict Lie derivative the matrices replaced, kept as their oracle:
+    sum_j V^j df/dx_j with V^j(x) = sum_k M_jk x_k + c_j, expanded term by
+    term over exponent dicts."""
+    out = {}
+    for e, c in terms.items():
+        for j in range(v.dimension):
+            if e[j] == 0:
+                continue
+            down = e[:j] + (e[j] - 1,) + e[j + 1:]
+            factors = [(down[:k] + (down[k] + 1,) + down[k + 1:], v.matrix[j, k])
+                       for k in range(v.dimension)] + [(down, v.offset[j])]
+            for target, a in factors:
+                out[target] = out.get(target, 0.0) + a * c * e[j]
+    return out
+
+
+def assert_matches_reference(poly, reference):
+    scale = max((abs(c) for c in reference.values()), default=0.0)
+    for e in set(reference) | {e for e, _ in poly.items()}:
+        assert abs(poly.coeff(e) - reference.get(e, 0.0)) <= 1e-13 * scale, e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+def test_matrix_operators_match_the_dict_reference(n, p):
+    rng = np.random.default_rng(10 * n + p)
+    program = monomial_program(n, p)
+    assert len(program.monomials) == math.comb(n + p, p)
+    # shift[i] raises every monomial below degree p and drops those of degree p
+    for k, e in enumerate(program.monomials):
+        for i in range(n):
+            up = e[:i] + (e[i] + 1,) + e[i + 1:]
+            column = np.zeros(len(program.monomials))
+            if sum(e) < p:
+                column[program.index[up]] = 1.0
+            assert np.array_equal(program.shift[i][:, k], column)
+    d = int(rng.integers(1, 3))
+    sys = VectorFieldSystem(tuple(AffineField(rng.normal(size=(n, n)), rng.normal(size=n))
+                                  for _ in range(d + 1)))
+    terms = {e: float(rng.normal()) for e in program.monomials if rng.random() < 0.7}
+    terms[program.monomials[-1]] = 1.0  # f has degree p
+    f = MultiPoly(n, terms)
+    for v in sys.fields:
+        assert_matches_reference(lie_derivative(v, f), dict_lie_derivative(v, terms))
+    words = [w for length in range(1, 5) for w in product(range(d + 1), repeat=length)]
+    reference = {(): terms}
+    for w in words:  # shorter words first, so every tail is known
+        reference[w] = dict_lie_derivative(sys.fields[w[0]], reference[w[1:]])
+        assert_matches_reference(word_operator(w, sys, f), reference[w])
+    lie = certify(GradedTensor(d, 4, {(a,): float(rng.normal()) for a in range(1, d + 1)})
+                  + bracket(GradedTensor.basis(d, 4, (0,)), GradedTensor.basis(d, 4, (d,)))
+                  .scale(float(rng.normal())))
+    g = exp(lie.tensor)
+    expected = {}
+    for w, c in g.sorted_items():
+        for e, a in reference[w].items():
+            expected[e] = expected.get(e, 0.0) + c * a
+    assert_matches_reference(taylor_operator(g, sys, f), expected)

@@ -93,3 +93,73 @@ def test_gap_functions_refuse_a_gap_that_is_not_positive_and_finite(s):
         flow_tensor_gap(poly, system, payoff, x, s)
     with pytest.raises(ValueError, match="gap must be positive and finite"):
         remainder_box_bound(poly, system, payoff, s)
+
+
+def gbm_config(tmp_path, **overrides):
+    config = {
+        "system": {"name": "gbm", "mu": 0.05, "sigma": 0.3},
+        "payoff": {"name": "identity"},
+        "x0": [1.0],
+        "T": 1.0,
+        "cubature": {"builtin": "degree3"},
+        "partition": {"gamma": 2.0, "k": 2},
+        "seed": 3,
+    }
+    config.update(overrides)
+    target = tmp_path / "config.json"
+    target.write_text(json.dumps(config))
+    return str(target)
+
+
+def test_a_poly_payoff_with_a_fractional_exponent_is_refused(tmp_path, capsys):
+    # the exponent was once cut to 1, which solved for E[X_T] instead
+    payoff = {"name": "poly", "terms": [{"exps": [1.7], "coeff": 1.0}]}
+    code, out, err = run(["solve", "--config", gbm_config(tmp_path, payoff=payoff)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: bad exponent tuple (1.7,) for 1 variables\n"
+
+
+INTEGER_KEYS = {
+    "payoff.index": lambda v: {"payoff": {"name": "identity", "index": v}},
+    "partition.k": lambda v: {"partition": {"gamma": 2.0, "k": v}},
+    "caps.batch": lambda v: {"caps": {"batch": v}},
+    "samples": lambda v: {"mode": "sampled", "samples": v},
+    "seed": lambda v: {"seed": v},
+    "cubature.dimension": lambda v: {"cubature": {"builtin": "degree3", "dimension": v}},
+}
+
+
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+@pytest.mark.parametrize("value", [0.5, 2.7, [1]])
+def test_a_config_integer_that_is_not_one_is_refused_by_name(tmp_path, capsys, key, value):
+    cfg = gbm_config(tmp_path, **INTEGER_KEYS[key](value))
+    code, out, err = run(["solve", "--config", cfg], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: config {key} must be integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("k_list", [[4.5, 5], [[4], 5]])
+def test_a_k_list_that_is_not_integers_is_refused_by_name(tmp_path, capsys, k_list):
+    cfg = gbm_config(tmp_path, partition={"gamma": 2.0, "k_list": k_list})
+    code, out, err = run(["solve", "--config", cfg], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: config partition.k_list must be integers, got {tuple(k_list)!r}\n"
+
+
+@pytest.mark.parametrize("key", ["theta", "sigma"])
+def test_a_config_number_of_the_wrong_type_is_refused_by_name(tmp_path, capsys, key):
+    system = {"name": "ou", "theta": 0.7, "sigma": 0.4} | {key: [0.7]}
+    code, out, err = run(["solve", "--config", gbm_config(tmp_path, system=system)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: config system.{key} must be a number, got [0.7]\n"
+
+
+def test_integral_floats_read_as_integers(tmp_path, capsys):
+    def solve(index, k, batch, seed):
+        cfg = gbm_config(tmp_path, payoff={"name": "identity", "index": index},
+                         partition={"gamma": 2.0, "k": k}, caps={"batch": batch}, seed=seed)
+        return run(["solve", "--config", cfg], capsys)
+
+    code, out, err = solve(0.0, 3.0, 64.0, 3.0)
+    assert (code, err) == (0, "") and json.loads(out)["k"] == 3
+    assert solve(0, 3, 64, 3) == (0, out, "")
