@@ -75,15 +75,16 @@ def fit_slope(pairs: list[tuple[float, float]]) -> tuple[float, float]:
 
 def _number(value, key: str, integer: bool = False):
     """A config number as a float, or as an int when integer is set (4.0
-    reads as 4); a tuple is a group of integers read at once. Anything else
-    is refused with one message that names the key and the value."""
+    reads as 4); a tuple is a group of them read at once. Anything else is
+    refused with one message that names the key and the value."""
     group = value if isinstance(value, tuple) else (value,)
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and
                (not integer or math.isfinite(v) and v == int(v)) for v in group):
-        if not integer:
-            raise ValueError(f"config {key} must be a number, got {value!r}")
         plural = "s" if isinstance(value, tuple) else ""
-        raise ValueError(f"config {key} must be integer{plural}, got {value!r}")
+        if integer:
+            raise ValueError(f"config {key} must be integer{plural}, got {value!r}")
+        raise ValueError(f"config {key} must be {plural and 'numbers' or 'a number'}, "
+                         f"got {value!r}")
     read = [int(v) if integer else float(v) for v in group]
     return tuple(read) if isinstance(value, tuple) else read[0]
 
@@ -258,7 +259,9 @@ def _problem(config: dict):
     four arguments."""
     system = _build_system(config["system"])
     payoff = _build_payoff(config.get("payoff", {}), system.dimension)
-    return system, payoff, np.asarray(config["x0"], dtype=float), _number(config["T"], "T")
+    x0 = config["x0"]
+    x0 = np.asarray(_number(tuple(x0) if isinstance(x0, list) else x0, "x0"))
+    return system, payoff, x0, _number(config["T"], "T")
 
 
 def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):

@@ -21,7 +21,8 @@ measure's own. A level is then one composed map per row, broadcast
 column-major over the block in the full tree and gathered per node in the
 sampled one; a row that leaves the finite range is replayed segment by
 segment, only then, to name its segment. On generic fields a level is one
-RK4 pass per segment over all its rows. No level's arithmetic depends on
+RK4 pass per segment over all its rows, of _substeps steps, sized to the
+level's gap and the formula's degree. No level's arithmetic depends on
 another's, so a sweep gives the values of one solve per partition, bit for
 bit. The full tree's value is math.fsum of its leaf terms in branch order,
 taken by error-free extraction (_exact_sum), independent of the batch size.
@@ -88,10 +89,10 @@ def gamma_partition(horizon: float, k: int, gamma: float) -> Partition:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """flow: RK4 settings for generic fields (affine ones flow exactly);
-    leaf_cap: the largest tree klv_full enumerates; batch: the most states
-    klv_full flows as one block (klv_sampled does not read it); threads:
-    validated, but solves run on one thread."""
+    """flow: RK4 settings for generic fields (affine ones flow exactly), sized
+    per level by default; leaf_cap: the largest tree klv_full enumerates;
+    batch: the most states klv_full flows as one block (klv_sampled does not
+    read it); threads: validated, but solves run on one thread."""
 
     flow: FlowConfig = DEFAULT_FLOW
     leaf_cap: int = 10_000_000
@@ -284,7 +285,8 @@ def klv_sweep(
     the level offset k_1 + ... + k_{p-1}. Result p is, bit for bit, what
     klv_full (n_samples None) or klv_sampled (n_samples draws, from a
     generator seeded with seed afresh for every partition) gives for
-    partition p alone.
+    partition p alone. A generic-field result lists the RK4 count of each
+    of its levels in diagnostics["substeps"].
     """
     partitions = tuple(partitions)
     if not partitions:
@@ -303,7 +305,8 @@ def klv_sweep(
     x = _start_state(sys, x)
     _check_block_fields(sys, x)
     gaps = [gap for part in partitions for gap in part.gaps]
-    step = _LevelStep(sys, formula.paths or formula.lie_polys, gaps, cfg.flow)
+    step = _LevelStep(sys, formula.paths or formula.lie_polys, gaps, cfg.flow,
+                      formula.degree)
     payoff = _block_payoff(f)
     results, first = [], 0
     for part in partitions:
@@ -311,6 +314,8 @@ def klv_sweep(
             _full_tree(formula, step, payoff, x, part, first, cfg)
             if n_samples is None else
             _sampled_tree(formula, step, payoff, x, part, first, n_samples, seed))
+        if step.composed is None:
+            results[-1].diagnostics["substeps"] = step.substeps[first:first + part.k]
         first += part.k
     return results
 
@@ -452,7 +457,7 @@ def kusuoka_step(
 
     Each certified element is dilated by sqrt(s), mapped to its field
     (gamma_field's rule) and flowed over unit parameter by the level step:
-    exactly on affine fields, by RK4 with cfg.substeps otherwise; f is
+    exactly on affine fields, by RK4 otherwise (sized as klv_full's); f is
     called as klv_full calls it. Path support is converted first by
     cubature.lie_form, whose truncation sets the step's accuracy order.
     """

@@ -136,7 +136,7 @@ class GenericField:
         x = np.asarray(x, dtype=float)
         if self.jacobian_func is not None:
             if x.ndim > 1:
-                return np.array([self.jacobian(row) for row in x])
+                return np.array([self.jacobian_func(row) for row in x], dtype=float)
             return np.asarray(self.jacobian_func(x), dtype=float)
         jac = np.empty(x.shape + (self.dimension,))
         for j in range(self.dimension):
@@ -347,20 +347,30 @@ def gamma_field(poly: LiePolynomial, sys: VectorFieldSystem) -> Field:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """substeps: RK4 steps per unit flow parameter (and per segment);
-    exact_affine: let flow_exp use the closed-form affine flow, which the
-    level step (the tree solvers and kusuoka_step, on either support) and
+    """substeps: RK4 steps per unit flow parameter (and per segment), None
+    for _substeps' default; exact_affine: let flow_exp use the closed-form
+    affine flow, which the level step (the tree solvers and kusuoka_step) and
     flow_along_path always use. GenericField.fd_step is the FD Jacobian step."""
 
-    substeps: int = 32
+    substeps: int | None = None
     exact_affine: bool = False
 
     def __post_init__(self):
-        if self.substeps < 1:
+        if self.substeps is not None and self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
 
 
 DEFAULT_FLOW = FlowConfig()
+
+
+def _substeps(cfg: FlowConfig, gap: float = 1.0, degree: int | None = None) -> int:
+    """cfg.substeps if set, else 32 without a degree, else n = ceil(8 s^((4-m)/8))
+    for a tree level of gap s of a degree-m formula (8 measured): its RK4 error
+    O(s^(5/2)/n^4) stays a fixed fraction of its O(s^((m+1)/2)) scheme error."""
+    if cfg.substeps is None and degree is not None:
+        return max(1, math.ceil(8.0 * gap ** ((4 - degree) / 8)))
+    return cfg.substeps or 32
+
 
 # Taylor degree and scaling threshold of expm. On ||A||_1 <= 1 the degree-18
 # truncation error is below 1.1 / 19! ~ 1e-17, and relative to ||e^A||_1 >=
@@ -416,7 +426,7 @@ def flow_exp(
 ) -> np.ndarray:
     """Exp(tV)(x): the time-t value of y' = V(y), y(0) = x.
 
-    Classical RK4 with cfg.substeps steps per unit |t|; negative t runs the
+    Classical RK4 with _substeps(cfg) steps per unit |t|; negative t runs the
     reversed flow. Batches flow together when x has a leading batch axis.
     """
     x = np.asarray(x, dtype=float)
@@ -426,7 +436,7 @@ def flow_exp(
         return x.copy()
     if cfg.exact_affine and isinstance(v, AffineField):
         return affine_flow_exact(v, t, x)
-    n_steps = max(1, math.ceil(cfg.substeps * abs(t)))
+    n_steps = max(1, math.ceil(_substeps(cfg) * abs(t)))
     h = t / n_steps
     y = x.copy()
     for step in range(n_steps):
@@ -470,13 +480,15 @@ class _LevelStep:
     element is one segment on the fields of _bracket_terms, dilated by
     sqrt(gap): the field gamma_field forms. On affine fields one batched
     expm call gives every segment map, composed once per (level, point) as
-    M_m @ ... @ M_1; a zero segment's map is exactly I. A diverging flow
+    M_m @ ... @ M_1; a zero segment's map is exactly I. Level j flows a
+    generic segment by substeps[j] RK4 steps (_substeps). A diverging flow
     raises FlowDivergence naming the failing segment and output row.
     """
 
-    def __init__(self, sys: VectorFieldSystem, support, gaps, cfg: FlowConfig):
-        self.cfg = cfg
+    def __init__(self, sys: VectorFieldSystem, support, gaps, cfg: FlowConfig,
+                 degree: int | None = None):
         gaps = np.asarray(gaps, dtype=float)
+        self.substeps = [_substeps(cfg, gap, degree) for gap in gaps.tolist()]
         if isinstance(support[0], LiePolynomial):
             self.fields, table = _bracket_terms(
                 [poly.dilate(math.sqrt(gap)) for gap in gaps.tolist()
@@ -528,14 +540,14 @@ class _LevelStep:
             raise FlowDivergence(
                 f"segment {seg + 1}/{m}: affine flow left the finite range",
                 segment=seg + 1, row=row)
-        y = states
+        y, cfg = states, FlowConfig(self.substeps[level])
         for seg in range(self.lengths[point].max()):
             c = self.coefficients[level, point, seg]
             try:
                 try:
-                    y = flow_exp(combine_fields(self.fields, c), 1.0, y, self.cfg)
+                    y = flow_exp(combine_fields(self.fields, c), 1.0, y, cfg)
                 except FlowDivergence:
-                    y = flow_exp(_zero_safe(self.fields, c), 1.0, y, self.cfg)
+                    y = flow_exp(_zero_safe(self.fields, c), 1.0, y, cfg)
             except FlowDivergence as exc:
                 raise FlowDivergence(
                     f"segment {seg + 1}/{self.lengths[point[exc.row]]}: {exc}",
@@ -566,7 +578,7 @@ def flow_along_path(
     Each linear segment contributes the autonomous field
     dt*V_0 + sum_i dw^i*V_i flowed over unit parameter; segments chain.
     x is one state (N,) or a block of states (P, N). An affine segment field
-    flows in closed form, any other by RK4 with cfg.substeps; a non-finite
+    flows in closed form, any other by RK4 with _substeps(cfg); a non-finite
     state raises FlowDivergence naming the segment and the first bad row.
     This is the one-path case of the tree solvers' level step.
     """

@@ -261,6 +261,13 @@ def test_solve_refuses_a_start_state_of_another_shape(tmp_path, capsys, x0):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("x0", [["a"], [None], [1.0, [2.0]]], ids=["string", "null", "nested"])
+def test_solve_refuses_a_start_state_that_is_not_numbers_by_name(tmp_path, capsys, x0):
+    code, out, err = run(["solve", "--config", write_config(tmp_path, x0=x0)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: config x0 must be numbers, got {tuple(x0)!r}\n"
+
+
 def test_a_directory_for_a_file_is_one_error_line(tmp_path, capsys):
     cfg = write_config(tmp_path, system={"name": "affine", "file": str(tmp_path)})
     for config in (str(tmp_path), cfg):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -15,6 +16,7 @@ from wienercub.vector_fields import (
     FlowDivergence,
     _LevelStep,
     flow_along_path,
+    flow_exp,
     gbm,
 )
 from wienercub.operator_calculus import MultiPoly
@@ -32,6 +34,8 @@ from wienercub.klv_solver import (
 )
 
 FLOW64 = SolverConfig(flow=FlowConfig(substeps=64))
+# the count of flow_along_path's default, for trees compared against it
+FLOW32 = SolverConfig(flow=FlowConfig(substeps=32))
 EXACT = FlowConfig(substeps=1, exact_affine=True)
 
 
@@ -196,7 +200,7 @@ def test_per_point_generic_field_is_rejected():
     with pytest.raises(ValueError, match="field V_0"):
         klv_full(degree5_d1(), mixing, f, x0, part)
     vectorized = VectorFieldSystem((drift, GenericField(np.sin, 1)))
-    value = klv_full(degree5_d1(), vectorized, f, x0, part).value
+    value = klv_full(degree5_d1(), vectorized, f, x0, part, FLOW32).value
     assert value == pytest.approx(0.6709710583409587, abs=1e-12)
 
 
@@ -419,18 +423,19 @@ def test_generic_bracket_field_drives_the_solvers():
     f, x = (lambda y: float(y[0])), np.array([0.5])
     truth = 2.5 * math.exp(0.1) - 2.0
     formula, partition = degree5_d1(), gamma_partition(1.0, 2, 1.0)
-    full = klv_full(formula, sys, f, x, partition)
+    full = klv_full(formula, sys, f, x, partition, FLOW32)
     # the same tree, one branch at a time
     paths = [rescale(formula, gap).paths for gap in partition.gaps]
     terms = []
     for i, j in itertools.product(range(formula.n_points), repeat=2):
-        y = flow_along_path(paths[1][j], sys, flow_along_path(paths[0][i], sys, x))
+        y = flow_along_path(paths[1][j], sys, flow_along_path(
+            paths[0][i], sys, x, FLOW32.flow), FLOW32.flow)
         terms.append(formula.weights[i] * formula.weights[j] * f(y))
     assert full.value == math.fsum(terms)
     assert full.value == pytest.approx(truth, abs=1e-8)
-    sampled = klv_sampled(formula, sys, f, x, partition, 200, 3)
+    sampled = klv_sampled(formula, sys, f, x, partition, 200, 3, FLOW32)
     assert (sampled.value, sampled.stderr) == _per_sample_reference(
-        formula, sys, f, x, partition, 200, 3)
+        formula, sys, f, x, partition, 200, 3, FLOW32.flow)
     mean, se = euler_mc(sys, f, x, 1.0, 16, 2_000, 5)
     assert abs(mean - truth) < 4 * se + 1e-2
 
@@ -470,9 +475,10 @@ def test_dimension_mismatch_rejected(noncommuting_system):
         )
 
 
-def _per_sample_reference(formula, sys, f, x, partition, n_samples, seed):
+def _per_sample_reference(formula, sys, f, x, partition, n_samples, seed, flow):
     # the sampled solver as it was before it walked the drawn subtree: every
-    # sample is flowed at every level, and the payoff runs on every leaf
+    # sample is flowed at every level (by flow), and the payoff runs on every
+    # leaf
     lam = np.asarray(formula.weights, dtype=float)
     rng = np.random.default_rng(seed)
     draws = rng.choice(formula.n_points, size=(n_samples, partition.k),
@@ -483,7 +489,7 @@ def _per_sample_reference(formula, sys, f, x, partition, n_samples, seed):
         for i in range(formula.n_points):
             rows = np.flatnonzero(draws[:, level] == i)
             if rows.size:
-                states[rows] = flow_along_path(paths[i], sys, states[rows])
+                states[rows] = flow_along_path(paths[i], sys, states[rows], flow)
     if isinstance(f, MultiPoly):
         vals = f(states)
     else:
@@ -523,8 +529,9 @@ def test_sampled_tree_bit_identical_to_per_sample_reference(
 ):
     formula, sys, f, x, k = _SAMPLED_CASES[case](noncommuting_system)
     part = gamma_partition(1.0, k, 2.0)
-    result = klv_sampled(formula, sys, f, x, part, n_samples, seed)
-    value, stderr = _per_sample_reference(formula, sys, f, x, part, n_samples, seed)
+    result = klv_sampled(formula, sys, f, x, part, n_samples, seed, FLOW32)
+    value, stderr = _per_sample_reference(formula, sys, f, x, part, n_samples, seed,
+                                          FLOW32.flow)
     assert result.value == value
     assert result.stderr == stderr
     nodes = result.diagnostics["nodes_per_level"]
@@ -638,15 +645,16 @@ def test_sampled_tree_flows_a_level_in_one_rk4_pass():
     assert flow_rows == [m for m in nodes for _ in range(3 * 4 * substeps)]
 
 
-def _reflow_divergence_segment(formula, sys, x, partition, branch):
+def _reflow_divergence_segment(formula, sys, x, partition, branch,
+                               flow=FlowConfig()):
     # flow the branch path by path; its last path must diverge, and the
     # segment it diverges on is returned
     levels = [rescale(formula, s).paths for s in partition.gaps]
     y = x
     for level, i in enumerate(branch[:-1]):
-        y = flow_along_path(levels[level][i], sys, y)
+        y = flow_along_path(levels[level][i], sys, y, flow)
     with pytest.raises(FlowDivergence) as err:
-        flow_along_path(levels[len(branch) - 1][branch[-1]], sys, y)
+        flow_along_path(levels[len(branch) - 1][branch[-1]], sys, y, flow)
     return err.value.segment
 
 
@@ -666,12 +674,12 @@ def test_full_tree_divergence_names_the_segment_of_a_multi_segment_path(
     x0 = np.array([1.0])
     with pytest.raises(FlowDivergence) as err:
         klv_full(degree5_d1(), sys, lambda y: float(y[0]), x0, part,
-                 SolverConfig(batch=batch))
+                 SolverConfig(flow=FLOW32.flow, batch=batch))
     named = re.search(r"branch \(([\d, ]+)\) \(level (\d+)\)", str(err.value))
     branch = tuple(int(i) for i in named.group(1).split(",") if i.strip())
     assert len(branch) == int(named.group(2))
     assert err.value.segment == _reflow_divergence_segment(
-        degree5_d1(), sys, x0, part, branch)
+        degree5_d1(), sys, x0, part, branch, FLOW32.flow)
     assert err.value.segment > 1
 
 
@@ -945,3 +953,90 @@ def test_flow_along_path_refuses_states_of_another_width(start):
     with pytest.raises(ValueError, match=re.escape(
             f"last axis of length 1, got shape {np.shape(start)}")):
         flow_along_path(degree3(1).paths[0], gbm(0.05, 0.3), start)
+
+
+def _parity_values():
+    # solves whose values a sized default flow must leave as they are:
+    # generic fields at an explicit count of 32, flow_exp and flow_along_path
+    # at their default count, and affine systems, which flow in closed form
+    f, x = (lambda y: float(y[0])), np.array([0.4])
+    pinned = FLOW32
+    generic, part = _sqrt_system(), gamma_partition(1.0, 4, 2.0)
+    with_jacobian = VectorFieldSystem((
+        GenericField(lambda y: 0.1 * np.sqrt(1.0 + y * y), 1,
+                     jacobian_func=lambda y: np.array([[0.1 * y[0] / math.sqrt(1.0 + y[0] ** 2)]])),
+        GenericField(lambda y: np.sqrt(1.0 + y * y), 1,
+                     jacobian_func=lambda y: np.array([[y[0] / math.sqrt(1.0 + y[0] ** 2)]])),
+    ))
+    pair = VectorFieldSystem((AffineField([[0.2, -0.4], [0.3, 0.1]], [0.1, -0.2]),
+                              AffineField([[0.0, 0.5], [-0.3, 0.2]], [0.4, 0.3]),
+                              AffineField([[0.1, 0.0], [0.2, -0.1]], [0.0, 0.2])))
+    cubic = MultiPoly(2, {(3, 0): 1.0, (0, 2): 0.5, (1, 1): -1.0})
+    xy = np.array([0.7, -0.3])
+    parts = [gamma_partition(1.0, k, 2.0) for k in (2, 4)]
+    sampled = [klv_sampled(degree5_d1(), generic, f, x, part, 500, 3, pinned),
+               klv_sampled(degree3(2), pair, cubic, xy, part, 500, 3),
+               *klv_sweep(degree3(1), generic, f, x, parts, pinned, 300, 5)]
+    return [r.value for r in sampled] + [r.stderr for r in sampled] + [
+        klv_full(degree5_d1(), generic, f, x, part, pinned).value,
+        *(r.value for r in klv_sweep(degree3(1), generic, f, x, parts, pinned)),
+        kusuoka_step(lie_form(degree3(1)), generic, f, x, 0.3, pinned.flow),
+        *euler_mc(with_jacobian, f, x, 1.0, 8, 200, 7),
+        *flow_exp(generic.fields[1], 0.7, np.array([[0.4], [-1.1]])).ravel(),
+        *flow_along_path(degree5_d1().paths[0], generic, x),
+        klv_full(degree5_d1(), gbm(0.05, 0.3), f, np.array([1.0]), part).value,
+        *(r.value for r in klv_sweep(degree3(2), pair, cubic, xy, parts)),
+        kusuoka_step(lie_form(degree5_d1()), gbm(0.05, 0.3), f, np.array([1.0]), 0.3),
+        *euler_mc(gbm(0.05, 0.3), f, np.array([1.0]), 1.0, 8, 200, 7),
+    ]
+
+
+def test_pinned_and_affine_flows_keep_their_values_bit_for_bit():
+    # the digest was taken when every generic flow ran 32 RK4 substeps per
+    # unit parameter: an explicit count and affine systems must not move
+    digest = hashlib.sha256("\n".join(
+        float(v).hex() for v in _parity_values()).encode()).hexdigest()
+    assert digest == "2088261254931ffa464691d5dbb657168acd9102bb3dd40c3290215e8d1b0cf2"
+
+
+def test_generic_solves_report_the_rk4_count_of_each_level():
+    # degree5_d1: V_0 runs 3 segments * 4 stages * n_j times at level j,
+    # plus the three calls of the field probe; n_j = ceil(8 s_j^(-1/8))
+    calls = []
+
+    def v0(x):
+        calls.append(x.shape)
+        return 0.1 * np.sqrt(1.0 + x * x)
+
+    sys = VectorFieldSystem(
+        (GenericField(v0, 1), GenericField(lambda x: np.sqrt(1.0 + x * x), 1))
+    )
+    part = gamma_partition(1.0, 8, 2.0)
+    result = klv_sampled(degree5_d1(), sys, lambda y: float(y[0]), np.array([0.4]),
+                         part, 2_000, 5)
+    counts = result.diagnostics["substeps"]
+    assert counts == [10, 10, 10, 11, 11, 12, 12, 14]
+    assert counts == [math.ceil(8.0 * s ** -0.125) for s in part.gaps]
+    assert len(calls) == sum(3 * 4 * n for n in counts) + 3
+    # an explicit count is every level's, and a sweep reports each slice
+    swept = klv_sweep(degree3(1), sys, lambda y: float(y[0]), np.array([0.4]),
+                      [gamma_partition(1.0, k, 1.0) for k in (1, 3)], FLOW64)
+    assert [r.diagnostics["substeps"] for r in swept] == [[64], [64, 64, 64]]
+    affine = klv_full(degree5_d1(), gbm(0.05, 0.3), lambda y: float(y[0]),
+                      np.array([1.0]), part)
+    assert "substeps" not in affine.diagnostics
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("formula", [degree5_d1(), degree3(1)],
+                         ids=["degree5_d1", "degree3_1"])
+def test_sized_default_flow_error_is_small_against_the_scheme_error(formula, gamma):
+    # dX = 0.1 c dt + c o dW, c = sqrt(1 + x^2): asinh X_t = asinh x + 0.1 t + W_t
+    x, f = np.array([0.4]), (lambda y: float(y[0]))
+    truth = math.sinh(math.asinh(0.4) + 0.1) * math.exp(0.5)
+    fine = SolverConfig(flow=FlowConfig(substeps=256))
+    for k in (2, 4, 6):
+        part = gamma_partition(1.0, k, gamma)
+        value = klv_full(formula, _sqrt_system(), f, x, part).value
+        reference = klv_full(formula, _sqrt_system(), f, x, part, fine).value
+        assert abs(value - reference) <= 0.01 * abs(reference - truth), k
