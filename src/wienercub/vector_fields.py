@@ -426,7 +426,7 @@ def flow_exp(
 ) -> np.ndarray:
     """Exp(tV)(x): the time-t value of y' = V(y), y(0) = x.
 
-    Classical RK4 with _substeps(cfg) steps per unit |t|; negative t runs the
+    Classical RK4, cfg.substeps or 32 steps per unit |t|; negative t runs the
     reversed flow. Batches flow together when x has a leading batch axis.
     """
     x = np.asarray(x, dtype=float)
@@ -578,7 +578,7 @@ def flow_along_path(
     Each linear segment contributes the autonomous field
     dt*V_0 + sum_i dw^i*V_i flowed over unit parameter; segments chain.
     x is one state (N,) or a block of states (P, N). An affine segment field
-    flows in closed form, any other by RK4 with _substeps(cfg); a non-finite
+    flows in closed form, any other by RK4 (cfg.substeps or 32); a non-finite
     state raises FlowDivergence naming the segment and the first bad row.
     This is the one-path case of the tree solvers' level step.
     """

@@ -960,13 +960,12 @@ def _parity_values():
     # generic fields at an explicit count of 32, flow_exp and flow_along_path
     # at their default count, and affine systems, which flow in closed form
     f, x = (lambda y: float(y[0])), np.array([0.4])
-    pinned = FLOW32
     generic, part = _sqrt_system(), gamma_partition(1.0, 4, 2.0)
     with_jacobian = VectorFieldSystem((
-        GenericField(lambda y: 0.1 * np.sqrt(1.0 + y * y), 1,
-                     jacobian_func=lambda y: np.array([[0.1 * y[0] / math.sqrt(1.0 + y[0] ** 2)]])),
-        GenericField(lambda y: np.sqrt(1.0 + y * y), 1,
-                     jacobian_func=lambda y: np.array([[y[0] / math.sqrt(1.0 + y[0] ** 2)]])),
+        GenericField(lambda y: 0.1 * np.sqrt(1.0 + y * y), 1, jacobian_func=lambda y:
+                     np.array([[0.1 * y[0] / math.sqrt(1.0 + y[0] ** 2)]])),
+        GenericField(lambda y: np.sqrt(1.0 + y * y), 1, jacobian_func=lambda y:
+                     np.array([[y[0] / math.sqrt(1.0 + y[0] ** 2)]])),
     ))
     pair = VectorFieldSystem((AffineField([[0.2, -0.4], [0.3, 0.1]], [0.1, -0.2]),
                               AffineField([[0.0, 0.5], [-0.3, 0.2]], [0.4, 0.3]),
@@ -974,13 +973,13 @@ def _parity_values():
     cubic = MultiPoly(2, {(3, 0): 1.0, (0, 2): 0.5, (1, 1): -1.0})
     xy = np.array([0.7, -0.3])
     parts = [gamma_partition(1.0, k, 2.0) for k in (2, 4)]
-    sampled = [klv_sampled(degree5_d1(), generic, f, x, part, 500, 3, pinned),
+    sampled = [klv_sampled(degree5_d1(), generic, f, x, part, 500, 3, FLOW32),
                klv_sampled(degree3(2), pair, cubic, xy, part, 500, 3),
-               *klv_sweep(degree3(1), generic, f, x, parts, pinned, 300, 5)]
+               *klv_sweep(degree3(1), generic, f, x, parts, FLOW32, 300, 5)]
     return [r.value for r in sampled] + [r.stderr for r in sampled] + [
-        klv_full(degree5_d1(), generic, f, x, part, pinned).value,
-        *(r.value for r in klv_sweep(degree3(1), generic, f, x, parts, pinned)),
-        kusuoka_step(lie_form(degree3(1)), generic, f, x, 0.3, pinned.flow),
+        klv_full(degree5_d1(), generic, f, x, part, FLOW32).value,
+        *(r.value for r in klv_sweep(degree3(1), generic, f, x, parts, FLOW32)),
+        kusuoka_step(lie_form(degree3(1)), generic, f, x, 0.3, FLOW32.flow),
         *euler_mc(with_jacobian, f, x, 1.0, 8, 200, 7),
         *flow_exp(generic.fields[1], 0.7, np.array([[0.4], [-1.1]])).ravel(),
         *flow_along_path(degree5_d1().paths[0], generic, x),
@@ -1018,10 +1017,14 @@ def test_generic_solves_report_the_rk4_count_of_each_level():
     assert counts == [10, 10, 10, 11, 11, 12, 12, 14]
     assert counts == [math.ceil(8.0 * s ** -0.125) for s in part.gaps]
     assert len(calls) == sum(3 * 4 * n for n in counts) + 3
-    # an explicit count is every level's, and a sweep reports each slice
-    swept = klv_sweep(degree3(1), sys, lambda y: float(y[0]), np.array([0.4]),
-                      [gamma_partition(1.0, k, 1.0) for k in (1, 3)], FLOW64)
-    assert [r.diagnostics["substeps"] for r in swept] == [[64], [64, 64, 64]]
+    # a sweep reports each partition's own levels; an explicit count is
+    # every level's
+    swept = klv_sweep(degree5_d1(), sys, lambda y: float(y[0]), np.array([0.4]),
+                      [gamma_partition(1.0, k, 1.0) for k in (1, 3)])
+    assert [r.diagnostics["substeps"] for r in swept] == [[8], [10, 10, 10]]
+    pinned = klv_full(degree3(1), sys, lambda y: float(y[0]), np.array([0.4]),
+                      gamma_partition(1.0, 3, 1.0), FLOW64)
+    assert pinned.diagnostics["substeps"] == [64, 64, 64]
     affine = klv_full(degree5_d1(), gbm(0.05, 0.3), lambda y: float(y[0]),
                       np.array([1.0]), part)
     assert "substeps" not in affine.diagnostics
