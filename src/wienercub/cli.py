@@ -89,11 +89,38 @@ def _number(value, key: str, integer: bool = False):
     return tuple(read) if isinstance(value, tuple) else read[0]
 
 
+# the keys of a run config: a section's own keys, or None for a plain value
+_CONFIG_KEYS = {
+    "system": dict.fromkeys(("name", "mu", "sigma", "theta", "file")),
+    "payoff": dict.fromkeys(("name", "index", "exponent", "terms")),
+    "cubature": dict.fromkeys(("file", "builtin", "dimension")),
+    "partition": dict.fromkeys(("k", "k_list", "gamma")),
+    "caps": dict.fromkeys(("leaf_cap", "batch")),
+    "reference": dict.fromkeys(("steps", "paths")),
+    **dict.fromkeys(("x0", "T", "mode", "samples", "seed")),
+}
+
+
+def _check_keys(config, known: dict = _CONFIG_KEYS, name: str = "") -> None:
+    """Refuse a config, or its section `name`, that is not a JSON object or
+    that holds a key outside `known`, naming the dotted key."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config {name or 'file'} must be a JSON object, "
+                         f"got {type(config).__name__}")
+    for key, value in config.items():
+        dotted = f"{name}.{key}" if name else key
+        if key not in known:
+            raise ValueError(f"config has unknown key {dotted!r}")
+        if known[key] is not None:
+            _check_keys(value, known[key], dotted)
+
+
 def _load_config(args) -> tuple[dict, int]:
-    """The JSON run config of args.config, its mode checked and its k_list
-    read, and the seed: --seed if given, else the config's (default 0)."""
+    """The JSON run config of args.config, its keys and mode checked and its
+    k_list read, and the seed: --seed if given, else the config's (default 0)."""
     with open(args.config) as fh:
         config = json.load(fh)
+    _check_keys(config)
     mode = config.get("mode", "full")
     if mode not in ("full", "sampled"):
         raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
@@ -275,10 +302,9 @@ def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
     gamma = _number(config.get("partition", {}).get("gamma", formula.degree - 1),
                     "partition.gamma")
     parts = [gamma_partition(horizon, k, gamma) for k in k_list]
-    caps = config.get("caps", {})
-    cfg = SolverConfig(
-        leaf_cap=_number(caps.get("leaf_cap", 10_000_000), "caps.leaf_cap", True),
-        threads=threads, batch=_number(caps.get("batch", 1 << 16), "caps.batch", True))
+    # _check_keys admits only SolverConfig's leaf_cap and batch; the rest are its defaults
+    cfg = SolverConfig(threads=threads, **{key: _number(value, f"caps.{key}", True)
+                                           for key, value in config.get("caps", {}).items()})
     # _load_config admits only the modes full and sampled
     n_samples = (None if config.get("mode", "full") == "full"
                  else _number(config.get("samples", 100_000), "samples", True))
@@ -494,7 +520,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         return _fail(f"missing file: {exc.filename}")
     except OSError as exc:
-        return _fail(f"cannot open {exc.filename}: {exc.strerror}")
+        # no filename: the error is in I/O itself, a closed standard output for one
+        where = "I/O failed" if exc.filename is None else f"cannot open {exc.filename}"
+        return _fail(f"{where}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         return _fail(f"bad JSON: {exc}")
     except KeyError as exc:

@@ -14,21 +14,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .tensor_algebra import GradedTensor, Word, exp
+from .tensor_algebra import GradedTensor, Word, _check_count, exp
 from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
 from .path_signature import (
     PiecewiseLinearPath,
+    _HORIZON_TOL,
     brownian_expected_signature,
     _check_positive,
+    _check_unit_horizon,
     brownian_rescale,
     log_signature,
     signature,
 )
 
 DEFAULT_TOL = 1e-10
-_MASS_TOL = 1e-9
 
 
 class CubatureLoadError(ValueError):
@@ -55,35 +56,25 @@ class CubatureFormula:
     def __post_init__(self):
         if (self.paths is None) == (self.lie_polys is None):
             raise ValueError("exactly one of paths / lie_polys must be given")
-        if self.dimension < 1 or self.degree < 1:
-            raise ValueError("dimension and degree must be >= 1")
-        n = len(self.paths if self.paths is not None else self.lie_polys)
-        if n == 0 or len(self.weights) != n:
-            raise ValueError(
-                f"{len(self.weights)} weights for {n} support points"
-            )
+        _check_count(self.dimension, "dimension")
+        _check_count(self.degree, "degree")
+        support = self.paths if self.paths is not None else self.lie_polys
+        if not support or len(self.weights) != len(support):
+            raise ValueError(f"{len(self.weights)} weights for {len(support)} support points")
         for j, w in enumerate(self.weights):
             if not (w > 0.0 and math.isfinite(w)):
                 raise ValueError(f"weight {j} must be strictly positive, got {w!r}")
         _check_positive(self.horizon)
-        if self.paths is not None:
-            for j, p in enumerate(self.paths):
-                if p.dimension != self.dimension:
-                    raise ValueError(
-                        f"path {j} has dimension {p.dimension}, formula says {self.dimension}"
-                    )
-                if abs(p.horizon - self.horizon) > _MASS_TOL:
-                    raise ValueError(
-                        f"path {j} has horizon {p.horizon!r}, formula says {self.horizon!r}"
-                    )
-        else:
-            for j, L in enumerate(self.lie_polys):
-                if L.dimension != self.dimension:
-                    raise ValueError(
-                        f"Lie element {j} has dimension {L.dimension}, formula says {self.dimension}"
-                    )
-                if not L.certified:
-                    raise ValueError(f"Lie element {j} is not certified")
+        kind = "path" if self.paths is not None else "Lie element"
+        for j, s in enumerate(support):
+            if s.dimension != self.dimension:
+                raise ValueError(
+                    f"{kind} {j} has dimension {s.dimension}, formula says {self.dimension}")
+            if self.paths is not None and abs(s.horizon - self.horizon) > _HORIZON_TOL:
+                raise ValueError(
+                    f"path {j} has horizon {s.horizon!r}, formula says {self.horizon!r}")
+            if self.lie_polys is not None and not s.certified:
+                raise ValueError(f"Lie element {j} is not certified")
 
     @property
     def n_points(self) -> int:
@@ -105,17 +96,10 @@ class CubatureFormula:
         return total
 
     def to_dict(self) -> dict:
-        out = {
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "horizon": self.horizon,
-            "weights": list(self.weights),
-        }
-        if self.paths is not None:
-            out["support"] = {"paths": [p.to_dict() for p in self.paths]}
-        else:
-            out["support"] = {"lie_polys": [L.to_dict() for L in self.lie_polys]}
-        return out
+        support = ({"paths": [p.to_dict() for p in self.paths]} if self.paths is not None
+                   else {"lie_polys": [L.to_dict() for L in self.lie_polys]})
+        return {"dimension": self.dimension, "degree": self.degree,
+                "horizon": self.horizon, "weights": list(self.weights), "support": support}
 
 
 @dataclass(frozen=True)
@@ -153,6 +137,7 @@ def validate(
     formula's own claim). A NaN defect fails: it becomes `max_defect`, on
     the first word that has one."""
     m = formula.degree if degree is None else degree
+    _check_count(m, "degree", 0)
     target = brownian_expected_signature(formula.dimension, m, formula.horizon)
     agg = formula.aggregate(m)
     defects = [(w, abs(c)) for w, c in (agg - target).items()]
@@ -176,8 +161,7 @@ def degree3(dimension: int) -> CubatureFormula:
     """Degree-3 formula in any dimension: 2d straight lines with increments
     +-sqrt(d)*e_i, weights 1/(2d). Odd space moments vanish by the sign
     symmetry; the quadratic moment is calibrated by the sqrt(d) stretch."""
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    _check_count(dimension, "dimension")
     root = math.sqrt(float(dimension))
     paths = []
     for i in range(dimension):
@@ -186,12 +170,7 @@ def degree3(dimension: int) -> CubatureFormula:
             z[i] = sign
             paths.append(PiecewiseLinearPath.straight_line(z))
     lam = 1.0 / (2 * dimension)
-    return CubatureFormula(
-        dimension=dimension,
-        degree=3,
-        weights=(lam,) * (2 * dimension),
-        paths=tuple(paths),
-    )
+    return CubatureFormula(dimension, 3, (lam,) * (2 * dimension), paths=tuple(paths))
 
 
 # Space increments of the bent outer path of the degree-5 formula below.
@@ -226,44 +205,20 @@ def degree5_d1() -> CubatureFormula:
         _D5_KNOTS, ((0.0,), (-_D5_V,), (-_D5_V - _D5_W,), (-2 * _D5_V - _D5_W,))
     )
     center = PiecewiseLinearPath.zero(1)
-    return CubatureFormula(
-        dimension=1,
-        degree=5,
-        weights=(1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0),
-        paths=(up, center, down),
-    )
-
-
-def _check_unit_horizon(formula: CubatureFormula) -> None:
-    """Reject a formula whose horizon is not 1 (within the mass tolerance):
-    rescaling, and the tree solvers, start from unit-horizon support."""
-    if abs(formula.horizon - 1.0) > _MASS_TOL:
-        raise ValueError(
-            f"rescale expects a unit-horizon formula, got horizon {formula.horizon!r}"
-        )
+    return CubatureFormula(1, 5, (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), paths=(up, center, down))
 
 
 def rescale(formula: CubatureFormula, horizon: float) -> CubatureFormula:
     """Carry a unit-horizon formula to [0, horizon]: Brownian-rescale the
     paths, or dilate Lie support by sqrt(horizon). Weights are unchanged."""
     _check_positive(horizon)
-    _check_unit_horizon(formula)
+    _check_unit_horizon(formula.horizon, "formula")
     if formula.paths is not None:
-        return CubatureFormula(
-            dimension=formula.dimension,
-            degree=formula.degree,
-            weights=formula.weights,
-            paths=tuple(brownian_rescale(p, horizon) for p in formula.paths),
-            horizon=horizon,
-        )
+        return replace(formula, horizon=horizon,
+                       paths=tuple(brownian_rescale(p, horizon) for p in formula.paths))
     root = math.sqrt(horizon)
-    return CubatureFormula(
-        dimension=formula.dimension,
-        degree=formula.degree,
-        weights=formula.weights,
-        lie_polys=tuple(L.dilate(root) for L in formula.lie_polys),
-        horizon=horizon,
-    )
+    return replace(formula, horizon=horizon,
+                   lie_polys=tuple(L.dilate(root) for L in formula.lie_polys))
 
 
 def lie_form(
@@ -277,13 +232,8 @@ def lie_form(
     if formula.paths is None:
         return formula
     m = formula.degree if truncation is None else truncation
-    return CubatureFormula(
-        dimension=formula.dimension,
-        degree=formula.degree,
-        weights=formula.weights,
-        lie_polys=tuple(log_signature(p, m, tol) for p in formula.paths),
-        horizon=formula.horizon,
-    )
+    return replace(formula, paths=None,
+                   lie_polys=tuple(log_signature(p, m, tol) for p in formula.paths))
 
 
 def to_file(formula: CubatureFormula, path: str) -> None:

@@ -34,9 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubature import CubatureFormula, _check_unit_horizon
+from .cubature import CubatureFormula
 from .operator_calculus import MultiPoly
-from .path_signature import _brownian_mean, _check_positive, _check_times
+from .path_signature import (_brownian_mean, _check_positive, _check_times,
+                             _check_unit_horizon)
+from .tensor_algebra import _check_count
 from .vector_fields import (
     DEFAULT_FLOW,
     AffineField,
@@ -45,6 +47,7 @@ from .vector_fields import (
     GenericField,
     VectorFieldSystem,
     _LevelStep,
+    _check_controls,
     _check_finite,
     _matvec,
 )
@@ -78,8 +81,7 @@ def gamma_partition(horizon: float, k: int, gamma: float) -> Partition:
     """t_j = T (1 - (1 - j/k)^gamma); gamma = 1 is the uniform grid, larger
     gamma packs the short steps toward T."""
     _check_positive(horizon)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count(k, "k")
     if gamma < 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma!r}")
     times = [horizon * (1.0 - (1.0 - j / k) ** gamma) for j in range(k + 1)]
@@ -92,7 +94,8 @@ class SolverConfig:
     """flow: RK4 settings for generic fields (affine ones flow exactly), sized
     per level by default; leaf_cap: the largest tree klv_full enumerates;
     batch: the most states klv_full flows as one block (klv_sampled does not
-    read it); threads: validated, but solves run on one thread."""
+    read it); threads: validated, but solves run on one thread. The three
+    are counts of at least 1 (tensor_algebra._check_count)."""
 
     flow: FlowConfig = DEFAULT_FLOW
     leaf_cap: int = 10_000_000
@@ -100,8 +103,8 @@ class SolverConfig:
     batch: int = 1 << 16
 
     def __post_init__(self):
-        if self.leaf_cap < 1 or self.threads < 1 or self.batch < 1:
-            raise ValueError("leaf_cap, threads, and batch must all be >= 1")
+        for name in ("leaf_cap", "threads", "batch"):
+            _check_count(getattr(self, name), name)
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -277,8 +280,9 @@ def klv_sweep(
 ) -> list[SolverResult]:
     """The tree of every partition in `partitions`, from one prologue.
 
-    The checks (formula against system, every leaf count against
-    cfg.leaf_cap in full mode, before any solve), the field probe near x
+    The checks (every leaf count against cfg.leaf_cap in full mode, else
+    n_samples a count of at least 2; a unit-horizon formula that drives
+    sys.n_controls controls; all before any solve), the field probe near x
     and the level step are shared: one step is built over the gaps of all
     the partitions in turn (on an affine system one expm call and one
     composition), and partition p runs on its own slice of levels, from
@@ -295,13 +299,10 @@ def klv_sweep(
         leaves = max(formula.n_points**part.k for part in partitions)
         if leaves > cfg.leaf_cap:
             raise LeafCapExceeded(leaves, cfg.leaf_cap)
-    elif n_samples < 2:
-        raise ValueError(f"need n_samples >= 2, got {n_samples}")
-    if formula.dimension != sys.n_controls:
-        raise ValueError(
-            f"formula drives {formula.dimension} controls, system has {sys.n_controls}"
-        )
-    _check_unit_horizon(formula)
+    else:
+        _check_count(n_samples, "n_samples", 2)
+    _check_controls(formula.dimension, sys, "formula")
+    _check_unit_horizon(formula.horizon, "formula")
     x = _start_state(sys, x)
     _check_block_fields(sys, x)
     gaps = [gap for part in partitions for gap in part.gaps]
@@ -514,10 +515,9 @@ def euler_mc(
     FlowDivergence with its step as `substep`, its batch row as `row`.
     """
     _check_positive(horizon)
-    if steps < 1 or paths < 2:
-        raise ValueError("need steps >= 1 and paths >= 2")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    _check_count(steps, "steps")
+    _check_count(paths, "paths", 2)
+    _check_count(batch, "batch")
     x = _start_state(sys, x)
     _check_block_fields(sys, x)
     payoff = _block_payoff(f)

@@ -16,11 +16,11 @@ from itertools import product
 
 import numpy as np
 
-from .tensor_algebra import GradedTensor, exp
+from .tensor_algebra import GradedTensor, _check_count, check_word, exp
 from .lie_structures import LiePolynomial
 from .path_signature import _check_positive
-from .vector_fields import (AffineField, VectorFieldSystem, affine_flow_exact,
-                            gamma_field)
+from .vector_fields import (AffineField, VectorFieldSystem, _check_controls,
+                            affine_flow_exact, gamma_field)
 
 Exponents = tuple[int, ...]
 
@@ -36,8 +36,7 @@ class MultiPoly:
     __slots__ = ("n_vars", "_terms")
 
     def __init__(self, n_vars: int, terms: dict[Exponents, float] | None = None):
-        if n_vars < 1:
-            raise ValueError(f"n_vars must be >= 1, got {n_vars}")
+        _check_count(n_vars, "n_vars")
         self.n_vars = n_vars
         clean: dict[Exponents, float] = {}
         for exps, c in (terms or {}).items():
@@ -190,11 +189,10 @@ def word_operator(word: tuple[int, ...], sys: VectorFieldSystem,
     the signature-weighted sum of word operators reproduces f along the flow
     (segment exponentials multiply in run order on the left of the word).
     """
+    check_word(word, sys.n_controls)
     program, matrices = _field_matrices(sys, f)
     g = program.vector(f)
     for letter in reversed(word):
-        if letter < 0 or letter > sys.n_controls:
-            raise ValueError(f"letter {letter} outside 0..{sys.n_controls}")
         g = matrices[letter] @ g
     return program.poly(g)
 
@@ -207,9 +205,7 @@ def taylor_operator(w: GradedTensor, sys: VectorFieldSystem,
     tail w[1:], which the word basis lists before w. The sum runs over the
     words in basis order: a reduction over axis 0 adds one row at a time."""
     program, matrices = _field_matrices(sys, f)
-    if w.dimension != sys.n_controls:
-        raise ValueError(f"tensor over {w.dimension} space letters, "
-                         f"system has {sys.n_controls}")
+    _check_controls(w.dimension, sys, "tensor")
     words, index = w._program.words, w._program.index
     vectors = np.empty((len(words), len(program.index)))
     vectors[0] = program.vector(f)

@@ -29,10 +29,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .tensor_algebra import GradedTensor, Word, graded_degree, log, word_program
+from .tensor_algebra import (GradedTensor, Word, _check_count, graded_degree, log,
+                             word_program)
 from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
 
 _KNOT_TOL = 1e-12
+_HORIZON_TOL = 1e-9
 
 
 def _check_times(times: Sequence[float], name: str) -> None:
@@ -58,6 +60,13 @@ def _check_positive(value: float, name: str = "horizon") -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_unit_horizon(horizon: float, what: str) -> None:
+    """Refuse a `what` ("path", "formula") whose horizon is not within 1e-9
+    of 1: rescaling, and the tree solvers, start from unit-horizon support."""
+    if abs(horizon - 1.0) > _HORIZON_TOL:
+        raise ValueError(f"rescale expects a unit-horizon {what}, got horizon {horizon!r}")
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearPath:
     """Knot representation: values points[j] at times knots[j], joined linearly.
@@ -77,8 +86,7 @@ class PiecewiseLinearPath:
                 f"knot/point count mismatch: {len(self.knots)} vs {len(self.points)}"
             )
         d = len(self.points[0])
-        if d < 1:
-            raise ValueError("path dimension must be >= 1")
+        _check_count(d, "path dimension")
         if any(len(p) != d for p in self.points):
             raise ValueError("inconsistent point dimensions")
         if not all(math.isfinite(c) for p in self.points for c in p):
@@ -154,7 +162,7 @@ class PiecewiseLinearPath:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed path record: {exc}") from exc
         path = cls(knots, points)
-        if "horizon" in data and abs(float(data["horizon"]) - path.horizon) > 1e-9:
+        if "horizon" in data and abs(float(data["horizon"]) - path.horizon) > _HORIZON_TOL:
             raise ValueError(
                 f"declared horizon {data['horizon']!r} != final knot {path.horizon!r}"
             )
@@ -255,8 +263,7 @@ def log_signature(
 def brownian_rescale(path: PiecewiseLinearPath, horizon: float) -> PiecewiseLinearPath:
     """Map a unit-horizon path to [0, horizon]: time scales by the horizon,
     space by its square root, so the signature dilates by sqrt(horizon)."""
-    if abs(path.horizon - 1.0) > 1e-9:
-        raise ValueError(f"rescale expects a unit-horizon path, got {path.horizon!r}")
+    _check_unit_horizon(path.horizon, "path")
     _check_positive(horizon)
     root = math.sqrt(horizon)
     knots = tuple(t * horizon for t in path.knots)
@@ -277,6 +284,7 @@ def brownian_expected_signature(
     Carlo estimator below provides the independent cross-check.
     """
     _check_positive(horizon)
+    _check_count(truncation, "truncation", 0)
     blocks = [(0,)] + [(i, i) for i in range(1, dimension + 1)]
     coeffs: dict[Word, float] = {}
     for k in range(truncation // 2 + 1):
@@ -304,10 +312,9 @@ def monte_carlo_expected_signature(
     rng and batch_size; the Chen step of the module docstring advances arrays
     of one coefficient per path: one multiply-add of arrays per program entry.
     """
-    if n_paths < 2 or n_steps < 1:
-        raise ValueError("need n_paths >= 2 and n_steps >= 1")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+    _check_count(n_paths, "n_paths", 2)
+    _check_count(n_steps, "n_steps")
+    _check_count(batch_size, "batch_size")
     _check_positive(horizon)
     program = word_program(dimension, truncation)
     plan = _chen_plan(dimension, truncation)

@@ -20,6 +20,7 @@ product would have skipped the pair.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
@@ -34,12 +35,20 @@ class AlgebraError(ValueError):
     """Structural mismatch or domain violation in tensor algebra operations."""
 
 
+def _check_count(value, name: str, minimum: int = 1) -> None:
+    """The count rule: `value` is an integer (a numpy integer too, never a
+    bool) of at least `minimum`. Raises AlgebraError, a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise AlgebraError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def graded_degree(word: Word) -> int:
     """Length of the word plus the number of occurrences of the letter 0."""
     return len(word) + word.count(0)
 
 
 def check_word(word: Word, dimension: int) -> None:
+    """The letter rule: every letter of `word` is in 0..dimension."""
     for a in word:
         if not (0 <= a <= dimension):
             raise AlgebraError(
@@ -65,10 +74,6 @@ class WordProgram:
     """
 
     def __init__(self, dimension: int, truncation: int):
-        if dimension < 1:
-            raise AlgebraError(f"dimension must be >= 1, got {dimension}")
-        if truncation < 0:
-            raise AlgebraError(f"truncation must be >= 0, got {truncation}")
         self.dimension = dimension
         self.truncation = truncation
         self.words = tuple(all_words(dimension, truncation))
@@ -96,8 +101,15 @@ class WordProgram:
         return tuple(np.array(x, dtype=np.intp) for x in (iu, iv, iw))
 
 
-# the one shared program of each (dimension, truncation)
-word_program = lru_cache(maxsize=64)(WordProgram)
+_cached_program = lru_cache(maxsize=64)(WordProgram)
+
+
+def word_program(dimension: int, truncation: int) -> WordProgram:
+    """The one shared program of each (dimension, truncation). The counts are
+    checked before the cache, which would take True for 1."""
+    _check_count(dimension, "dimension")
+    _check_count(truncation, "truncation", 0)
+    return _cached_program(int(dimension), int(truncation))
 
 
 class GradedTensor:
@@ -125,7 +137,7 @@ class GradedTensor:
             c = float(c)
             if c != 0.0:
                 v[program.index[w]] = c
-        self.dimension, self.truncation = dimension, truncation
+        self.dimension, self.truncation = program.dimension, program.truncation
         self._program, self._v = program, v
 
     @classmethod
@@ -232,8 +244,7 @@ class GradedTensor:
 
     def project(self, degree: int) -> "GradedTensor":
         """Zero out every word of graded degree > degree; truncation unchanged."""
-        if degree < 0:
-            raise AlgebraError(f"projection degree must be >= 0, got {degree}")
+        _check_count(degree, "projection degree", 0)
         return self._like(np.where(self._program.degrees <= degree, self._v, 0.0))
 
     def with_truncation(self, truncation: int) -> "GradedTensor":

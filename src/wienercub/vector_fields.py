@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lie_structures import LiePolynomial
-from .tensor_algebra import graded_degree
+from .tensor_algebra import _check_count, check_word, graded_degree
 
 # default finite-difference step scale: cube root of machine epsilon,
 # the optimum for central differences
@@ -208,6 +208,13 @@ class VectorFieldSystem:
         return combine_fields(self.fields, c)
 
 
+def _check_controls(dimension: int, sys: VectorFieldSystem, what: str) -> None:
+    """Refuse a `what` (formula, path, Lie element, tensor) over `dimension`
+    space letters that is not one per driving field V_1..V_d of sys."""
+    if dimension != sys.n_controls:
+        raise ValueError(f"{what} drives {dimension} controls, system has {sys.n_controls}")
+
+
 def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
     """The field sum_j c_j V_j, with coefficients of shape (m,) shared by all
     states, or (P, m), one set per row of a (P, N) block of states.
@@ -308,8 +315,7 @@ def nested_bracket_field(sys: VectorFieldSystem, word: tuple[int, ...]) -> Field
     per evaluation at relative errors 0, 2e-11, 2e-6, 0.2, 3e4."""
     if not word:
         raise ValueError("empty word has no bracket field")
-    if any(a < 0 or a > sys.n_controls for a in word):
-        raise ValueError(f"word {word} outside field range 0..{sys.n_controls}")
+    check_word(word, sys.n_controls)
     f = sys.fields[word[-1]]
     for letter in reversed(word[:-1]):
         f = bracket_field(sys.fields[letter], f)
@@ -324,9 +330,7 @@ def _bracket_terms(polys: Sequence[LiePolynomial], sys: VectorFieldSystem):
     for poly in polys:
         if not poly.certified:
             raise ValueError("a Lie element must be certified to map to a field")
-        if poly.dimension != sys.n_controls:
-            raise ValueError(f"Lie element over {poly.dimension} space letters, "
-                             f"system has {sys.n_controls}")
+        _check_controls(poly.dimension, sys, "Lie element")
     terms = [dict(poly.tensor.items()) for poly in polys]
     words = sorted(set().union(*terms), key=lambda w: (graded_degree(w), len(w), w))
     if not words:
@@ -347,8 +351,9 @@ def gamma_field(poly: LiePolynomial, sys: VectorFieldSystem) -> Field:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """substeps: RK4 steps per unit flow parameter (and per segment), None
-    for _substeps' default; exact_affine: let flow_exp use the closed-form
+    """substeps: RK4 steps per unit flow parameter (and per segment), a
+    count of at least 1 (tensor_algebra._check_count), or None for
+    _substeps' default; exact_affine: let flow_exp use the closed-form
     affine flow, which the level step (the tree solvers and kusuoka_step) and
     flow_along_path always use. GenericField.fd_step is the FD Jacobian step."""
 
@@ -356,8 +361,8 @@ class FlowConfig:
     exact_affine: bool = False
 
     def __post_init__(self):
-        if self.substeps is not None and self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        if self.substeps is not None:
+            _check_count(self.substeps, "substeps")
 
 
 DEFAULT_FLOW = FlowConfig()
@@ -586,8 +591,6 @@ def flow_along_path(
     if x.shape[-1:] != (sys.dimension,):
         raise ValueError(f"states must have a last axis of length {sys.dimension}, "
                          f"got shape {x.shape}")
-    if path.dimension != sys.n_controls:
-        raise ValueError(f"path has {path.dimension} space coordinates, "
-                         f"system expects {sys.n_controls}")
+    _check_controls(path.dimension, sys, "path")
     step = _LevelStep(sys, [path], [1.0], cfg)
     return step.children(0, x.reshape(-1, sys.dimension).T)[:, 0].T.reshape(x.shape)

@@ -295,7 +295,6 @@ def test_criterion_8_converge_byte_determinism(tmp_path):
             "partition": {"gamma": 2.0, "k_list": [2, 3, 4, 5]},
             "mode": "full",
             "seed": 7,
-            "caps": {"substeps": 32},
         }
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))

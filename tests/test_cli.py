@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ def write_config(tmp_path, **overrides):
         "partition": {"gamma": 2.0, "k_list": [2, 3, 4, 5]},
         "mode": "full",
         "seed": 5,
-        "caps": {"substeps": 16},
     }
     config.update(overrides)
     target = tmp_path / "config.json"
@@ -130,7 +132,7 @@ def test_solve_leaf_cap_exit(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         partition={"gamma": 1.0, "k": 30},
-        caps={"substeps": 16, "leaf_cap": 1000},
+        caps={"leaf_cap": 1000},
     )
     code, _, err = run(["solve", "--config", cfg], capsys)
     assert code == 1 and "leaf" in err
@@ -376,3 +378,15 @@ def test_a_value_that_is_not_finite_fails_the_command(tmp_path, capsys, command,
     assert code == 1 and out == ""
     assert err == f"error: {named}\n"
     assert not (tmp_path / "out").exists()
+
+
+class ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_closed_standard_output_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    code = cli.main(["validate-cubature", "degree3:2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: I/O failed: Broken pipe\n"

@@ -1,19 +1,27 @@
-"""The three input rules of the estimate, each refused by one function with
-one message that names the bad value:
+"""The input rules of the estimate and of the library, each refused by one
+function with one message that names the bad value:
 
 - time grids 0 = t_0 < ... < t_k (partitions and path knots), checked by
   path_signature._check_times;
 - positive finite horizons and gaps, checked by
   path_signature._check_positive;
 - cubature formulas, checked by CubatureFormula itself, also when a formula
-  is loaded with from_dict.
+  is loaded with from_dict;
+- counts (integers, never bools, of at least a minimum), checked by
+  tensor_algebra._check_count;
+- control dimensions (one space letter per driving field), checked by
+  vector_fields._check_controls;
+- unit horizons of the support that rescaling starts from, checked by
+  path_signature._check_unit_horizon;
+- letters of words in 0..d, checked by tensor_algebra.check_word.
 
 Boundary values stay accepted. The CLI reports a config value of the wrong
-JSON type as one error line.
+JSON type, or a key it does not know, as one error line.
 """
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,25 +29,36 @@ import pytest
 from wienercub import (
     CubatureFormula,
     CubatureLoadError,
+    FlowConfig,
+    GradedTensor,
+    MultiPoly,
     Partition,
     PiecewiseLinearPath,
+    SolverConfig,
     brownian_expected_signature,
     brownian_rescale,
     cli,
     degree3,
     degree5_d1,
     euler_mc,
+    flow_along_path,
     flow_tensor_gap,
+    gamma_field,
     gamma_partition,
     gbm,
     klv_sweep,
     kusuoka_step,
     lie_form,
     monte_carlo_expected_signature,
+    nested_bracket_field,
     remainder_box_bound,
     rescale,
+    taylor_operator,
+    validate,
+    word_operator,
 )
 from wienercub.cubature import from_dict
+from wienercub.tensor_algebra import word_program
 
 # -- time grids ------------------------------------------------------------
 
@@ -75,7 +94,7 @@ def test_a_first_time_within_the_tolerance_of_zero_is_accepted():
 
 
 def test_gamma_partition_refuses_fewer_than_one_step():
-    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="k must be an integer >= 1, got 0"):
         gamma_partition(1.0, 0, 2.0)
 
 
@@ -138,7 +157,7 @@ def test_a_tiny_gap_is_accepted(user):
 
 
 def test_klv_sweep_refuses_fewer_than_two_samples():
-    with pytest.raises(ValueError, match="need n_samples >= 2, got 1"):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 2, got 1"):
         klv_sweep(lie_form(degree3(1)), GBM, identity, X1,
                   (gamma_partition(1.0, 2, 1.0),), n_samples=1)
 
@@ -241,3 +260,181 @@ def test_a_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"caps": {"leaf_caps": 1}}, "'caps.leaf_caps'"),
+    ({"sample": 5}, "'sample'"),
+    ({"reference": {"steps": 4, "path": 200}}, "'reference.path'"),
+])
+def test_a_config_key_the_cli_does_not_know_is_one_error_line(tmp_path, capsys,
+                                                             changes, key):
+    code = cli.main(["solve", "--config", ou_config(tmp_path, **changes)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: config has unknown key {key}\n"
+
+
+def test_a_config_section_or_file_that_is_not_an_object_is_one_error_line(tmp_path,
+                                                                         capsys):
+    code = cli.main(["solve", "--config", ou_config(tmp_path, caps=5)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: config caps must be a JSON object, got int\n"
+    target = tmp_path / "list.json"
+    target.write_text("[1, 2]")
+    code = cli.main(["mc-reference", "--config", str(target)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: config file must be a JSON object, got list\n"
+
+
+def test_the_readme_example_config_passes_the_key_check():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1]
+    config = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    cli._check_keys(config)
+    assert set(config) == set(cli._CONFIG_KEYS)
+
+
+# -- counts -------------------------------------------------------------------
+
+SMALL = gamma_partition(1.0, 2, 1.0)
+TENSOR = GradedTensor(1, 2, {(1,): 1.0})
+
+# user -> (call with the count, its name, its minimum, a valid count)
+COUNT_USERS = {
+    "CubatureFormula.dimension": (
+        lambda n: CubatureFormula(n, 3, (1.0,), paths=(LINE,)), "dimension", 1, 1),
+    "CubatureFormula.degree": (
+        lambda n: CubatureFormula(1, n, (1.0,), paths=(LINE,)), "degree", 1, 3),
+    "degree3": (degree3, "dimension", 1, 2),
+    "gamma_partition": (lambda n: gamma_partition(1.0, n, 2.0), "k", 1, 3),
+    "SolverConfig.leaf_cap": (lambda n: SolverConfig(leaf_cap=n), "leaf_cap", 1, 8),
+    "SolverConfig.threads": (lambda n: SolverConfig(threads=n), "threads", 1, 2),
+    "SolverConfig.batch": (lambda n: SolverConfig(batch=n), "batch", 1, 8),
+    "klv_sweep.n_samples": (
+        lambda n: klv_sweep(lie_form(degree3(1)), GBM, identity, X1, (SMALL,), n_samples=n),
+        "n_samples", 2, 4),
+    "euler_mc.steps": (lambda n: euler_mc(GBM, identity, X1, 1.0, n, 10, 1),
+                       "steps", 1, 4),
+    "euler_mc.paths": (lambda n: euler_mc(GBM, identity, X1, 1.0, 4, n, 1),
+                       "paths", 2, 10),
+    "euler_mc.batch": (lambda n: euler_mc(GBM, identity, X1, 1.0, 4, 10, 1, batch=n),
+                       "batch", 1, 3),
+    "MultiPoly": (MultiPoly, "n_vars", 1, 2),
+    "monte_carlo_expected_signature.n_paths": (
+        lambda n: monte_carlo_expected_signature(1, 2, 1.0, n, 4, np.random.default_rng(0)),
+        "n_paths", 2, 10),
+    "monte_carlo_expected_signature.n_steps": (
+        lambda n: monte_carlo_expected_signature(1, 2, 1.0, 10, n, np.random.default_rng(0)),
+        "n_steps", 1, 4),
+    "monte_carlo_expected_signature.batch_size": (
+        lambda n: monte_carlo_expected_signature(1, 2, 1.0, 10, 4, np.random.default_rng(0),
+                                                 batch_size=n),
+        "batch_size", 1, 3),
+    "GradedTensor.dimension": (lambda n: GradedTensor(n, 2), "dimension", 1, 2),
+    "GradedTensor.truncation": (lambda n: GradedTensor(1, n), "truncation", 0, 3),
+    "GradedTensor.project": (TENSOR.project, "projection degree", 0, 1),
+    "FlowConfig.substeps": (lambda n: FlowConfig(substeps=n), "substeps", 1, 4),
+    "brownian_expected_signature": (lambda n: brownian_expected_signature(1, n),
+                                    "truncation", 0, 4),
+    "validate.degree": (lambda n: validate(degree3(1), degree=n), "degree", 0, 3),
+}
+
+
+def not_counts(minimum):
+    return [minimum - 1, 2.5, True]
+
+
+@pytest.mark.parametrize("user, value", [
+    (user, value) for user, (_, _, minimum, _) in COUNT_USERS.items()
+    for value in not_counts(minimum)])
+def test_a_count_must_be_an_integer_of_at_least_its_minimum(user, value):
+    call, name, minimum, _ = COUNT_USERS[user]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be an integer >= {minimum}, got {value!r}") + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize("user", sorted(COUNT_USERS))
+def test_a_numpy_integer_count_is_accepted(user):
+    call, _, _, valid = COUNT_USERS[user]
+    call(np.int64(valid))
+
+
+def test_a_path_needs_at_least_one_space_coordinate():
+    with pytest.raises(ValueError, match=re.escape(
+            "path dimension must be an integer >= 1, got 0")):
+        PiecewiseLinearPath((0.0, 1.0), ((), ()))
+
+
+def test_a_bool_truncation_is_refused_after_its_program_is_cached():
+    word_program(1, 1)
+    with pytest.raises(ValueError, match="truncation must be an integer >= 0, got True"):
+        GradedTensor(1, True)
+    assert GradedTensor(np.int64(1), np.int64(1)).truncation == 1
+
+
+# -- control dimensions --------------------------------------------------------
+
+TWO_CONTROLS = lie_form(degree3(2))
+
+CONTROL_USERS = {
+    "formula": lambda: klv_sweep(TWO_CONTROLS, GBM, identity, X1, (SMALL,)),
+    "path": lambda: flow_along_path(degree3(2).paths[0], GBM, X1),
+    "Lie element": lambda: gamma_field(TWO_CONTROLS.lie_polys[0], GBM),
+    "tensor": lambda: taylor_operator(GradedTensor(2, 2), GBM, MultiPoly.coordinate(1, 0)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(CONTROL_USERS))
+def test_support_must_drive_one_control_per_field(what):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{what} drives 2 controls, system has 1") + "$"):
+        CONTROL_USERS[what]()
+
+
+# -- unit horizons -------------------------------------------------------------
+
+
+def line_at(horizon):
+    return PiecewiseLinearPath.straight_line((0.3,), horizon)
+
+
+def formula_at(horizon):
+    return CubatureFormula(1, 3, (1.0,), paths=(line_at(horizon),), horizon=horizon)
+
+
+UNIT_HORIZON_USERS = {
+    "brownian_rescale": ("path", lambda h: brownian_rescale(line_at(h), 0.25)),
+    "rescale": ("formula", lambda h: rescale(formula_at(h), 0.25)),
+    "klv_sweep": ("formula", lambda h: klv_sweep(formula_at(h), GBM, identity, X1,
+                                                 (SMALL,))),
+}
+
+
+@pytest.mark.parametrize("user", sorted(UNIT_HORIZON_USERS))
+def test_rescaling_starts_from_a_unit_horizon_within_one_tolerance(user):
+    what, call = UNIT_HORIZON_USERS[user]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"rescale expects a unit-horizon {what}, got horizon 0.5") + "$"):
+        call(0.5)
+    call(1.0 + 5e-10)
+    with pytest.raises(ValueError, match="unit-horizon"):
+        call(1.0 + 2e-9)
+
+
+# -- letters -------------------------------------------------------------------
+
+LETTER_USERS = {
+    "GradedTensor": lambda word: GradedTensor(1, 4, {word: 1.0}),
+    "nested_bracket_field": lambda word: nested_bracket_field(GBM, word),
+    "word_operator": lambda word: word_operator(word, GBM, MultiPoly.coordinate(1, 0)),
+}
+
+
+@pytest.mark.parametrize("word", [(0, 2), (-1,)])
+@pytest.mark.parametrize("user", sorted(LETTER_USERS))
+def test_a_letter_must_lie_in_the_alphabet(user, word):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"letter {word[-1]} outside alphabet 0..1 in word {word!r}") + "$"):
+        LETTER_USERS[user](word)

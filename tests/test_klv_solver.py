@@ -770,7 +770,7 @@ def test_sweep_rejects_an_empty_sequence_of_partitions():
 
 @pytest.mark.parametrize("batch", [0, -3])
 def test_euler_rejects_a_batch_below_one(batch):
-    with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+    with pytest.raises(ValueError, match=f"batch must be an integer >= 1, got {batch}"):
         euler_mc(gbm(0.05, 0.3), lambda y: float(y[0]), [1.0], 1.0, 4, 10, 1,
                  batch=batch)
 

@@ -2,8 +2,8 @@
 
 An AST scan over all modules of `src/wienercub`: the message text of a rule
 may appear in the `raise` statements of exactly one function, so a second,
-inline copy of the grid or positivity check fails here instead of drifting
-apart from the first.
+inline copy of a rule (grid, positivity, config integer, count, control
+dimension, unit horizon, letter range) fails here instead of drifting apart from the first.
 """
 import ast
 from pathlib import Path
@@ -13,7 +13,8 @@ import pytest
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "wienercub").glob("*.py"))
 
 RULES = ("must increase strictly", "must start at 0", "must be positive and finite",
-         "must be integer")
+         "must be integer", "must be an integer >=", "controls, system has",
+         "rescale expects a unit-horizon", "outside alphabet")
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
