@@ -20,7 +20,6 @@ product would have skipped the pair.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
@@ -38,7 +37,7 @@ class AlgebraError(ValueError):
 def _check_count(value, name: str, minimum: int = 1) -> None:
     """The count rule: `value` is an integer (a numpy integer too, never a
     bool) of at least `minimum`. Raises AlgebraError, a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise AlgebraError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
