@@ -245,7 +245,7 @@ def cmd_expected_signature(args) -> int:
         "dimension": args.dimension,
         "degree": args.degree,
         "horizon": args.horizon,
-        "coefficients": {_word_key(w): c for w, c in tensor.sorted_items()},
+        "coefficients": {_word_key(w): c for w, c in tensor.items()},
     }
     if args.mc_paths:
         rng = np.random.default_rng(args.seed)

@@ -20,10 +20,10 @@ from .tensor_algebra import GradedTensor, Word, _check_count, exp
 from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
 from .path_signature import (
     PiecewiseLinearPath,
-    _HORIZON_TOL,
     brownian_expected_signature,
     _check_positive,
     _check_unit_horizon,
+    _horizons_match,
     brownian_rescale,
     log_signature,
     signature,
@@ -70,7 +70,7 @@ class CubatureFormula:
             if s.dimension != self.dimension:
                 raise ValueError(
                     f"{kind} {j} has dimension {s.dimension}, formula says {self.dimension}")
-            if self.paths is not None and abs(s.horizon - self.horizon) > _HORIZON_TOL:
+            if self.paths is not None and not _horizons_match(self.horizon, s.horizon):
                 raise ValueError(
                     f"path {j} has horizon {s.horizon!r}, formula says {self.horizon!r}")
             if self.lie_polys is not None and not s.certified:
@@ -79,10 +79,6 @@ class CubatureFormula:
     @property
     def n_points(self) -> int:
         return len(self.weights)
-
-    @property
-    def is_lie(self) -> bool:
-        return self.lie_polys is not None
 
     def aggregate(self, truncation: int) -> GradedTensor:
         """sum_j lambda_j * (signature or exp of Lie element), truncated."""

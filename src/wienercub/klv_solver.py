@@ -21,11 +21,12 @@ measure's own. A level is then one composed map per row, broadcast
 column-major over the block in the full tree and gathered per node in the
 sampled one; a row that leaves the finite range is replayed segment by
 segment, only then, to name its segment. On generic fields a level is one
-RK4 pass per segment over all its rows, of _substeps steps, sized to the
-level's gap and the formula's degree. No level's arithmetic depends on
-another's, so a sweep gives the values of one solve per partition, bit for
-bit. The full tree's value is math.fsum of its leaf terms in branch order,
-taken by error-free extraction (_exact_sum), independent of the batch size.
+RK4 pass per segment over the rows whose support point has that segment,
+of _substeps steps, sized to the level's gap and the formula's degree. No
+level's arithmetic depends on another's, so a sweep gives the values of one
+solve per partition, bit for bit. The full tree's value is math.fsum of
+its leaf terms in branch order, taken by error-free extraction
+(_exact_sum), independent of the batch size.
 """
 from __future__ import annotations
 
@@ -281,16 +282,16 @@ def klv_sweep(
     """The tree of every partition in `partitions`, from one prologue.
 
     The checks (every leaf count against cfg.leaf_cap in full mode, else
-    n_samples a count of at least 2; a unit-horizon formula that drives
-    sys.n_controls controls; all before any solve), the field probe near x
-    and the level step are shared: one step is built over the gaps of all
-    the partitions in turn (on an affine system one expm call and one
-    composition), and partition p runs on its own slice of levels, from
-    the level offset k_1 + ... + k_{p-1}. Result p is, bit for bit, what
-    klv_full (n_samples None) or klv_sampled (n_samples draws, from a
-    generator seeded with seed afresh for every partition) gives for
-    partition p alone. A generic-field result lists the RK4 count of each
-    of its levels in diagnostics["substeps"].
+    n_samples a count of at least 2 and seed one of at least 0; a
+    unit-horizon formula that drives sys.n_controls controls; all before any
+    solve), the field probe near x and the level step are shared: one step
+    is built over the gaps of all the partitions in turn (on an affine
+    system one expm call and one composition), and partition p runs on its
+    own slice of levels, from the level offset k_1 + ... + k_{p-1}. Result
+    p is, bit for bit, what klv_full (n_samples None) or klv_sampled
+    (n_samples draws, from a generator seeded with seed afresh for every
+    partition) gives for partition p alone. A generic-field result lists the
+    RK4 count of each of its levels in diagnostics["substeps"].
     """
     partitions = tuple(partitions)
     if not partitions:
@@ -301,6 +302,7 @@ def klv_sweep(
             raise LeafCapExceeded(leaves, cfg.leaf_cap)
     else:
         _check_count(n_samples, "n_samples", 2)
+        _check_count(seed, "seed", 0)
     _check_controls(formula.dimension, sys, "formula")
     _check_unit_horizon(formula.horizon, "formula")
     x = _start_state(sys, x)
@@ -518,6 +520,7 @@ def euler_mc(
     _check_count(steps, "steps")
     _check_count(paths, "paths", 2)
     _check_count(batch, "batch")
+    _check_count(seed, "seed", 0)
     x = _start_state(sys, x)
     _check_block_fields(sys, x)
     payoff = _block_payoff(f)

@@ -60,10 +60,17 @@ def _check_positive(value: float, name: str = "horizon") -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _horizons_match(stated: float, actual: float) -> bool:
+    """Whether a horizon `actual` is the `stated` one, within 1e-9 relative
+    to max(1, stated): rescaling a path multiplies its deviation by the new
+    horizon, so an absolute tolerance would refuse what it produced."""
+    return abs(actual - stated) <= _HORIZON_TOL * max(1.0, stated)
+
+
 def _check_unit_horizon(horizon: float, what: str) -> None:
     """Refuse a `what` ("path", "formula") whose horizon is not within 1e-9
     of 1: rescaling, and the tree solvers, start from unit-horizon support."""
-    if abs(horizon - 1.0) > _HORIZON_TOL:
+    if not _horizons_match(1.0, horizon):
         raise ValueError(f"rescale expects a unit-horizon {what}, got horizon {horizon!r}")
 
 
@@ -162,7 +169,7 @@ class PiecewiseLinearPath:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed path record: {exc}") from exc
         path = cls(knots, points)
-        if "horizon" in data and abs(float(data["horizon"]) - path.horizon) > _HORIZON_TOL:
+        if "horizon" in data and not _horizons_match(float(data["horizon"]), path.horizon):
             raise ValueError(
                 f"declared horizon {data['horizon']!r} != final knot {path.horizon!r}"
             )

@@ -19,7 +19,6 @@ product would have skipped the pair.
 """
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
@@ -176,14 +175,11 @@ class GradedTensor:
         words, v = self._program.words, self._v
         return ((words[i], float(v[i])) for i in np.flatnonzero(v).tolist())
 
-    def sorted_items(self) -> list[tuple[Word, float]]:
-        return list(self.items())
-
     def __len__(self) -> int:
         return int(np.count_nonzero(self._v))
 
     def __repr__(self) -> str:
-        terms = self.sorted_items()
+        terms = list(self.items())
         head = ", ".join(f"{w}: {c:.6g}" for w, c in terms[:6])
         tail = ", ..." if len(terms) > 6 else ""
         return f"GradedTensor(d={self.dimension}, m={self.truncation}, {{{head}{tail}}})"
@@ -279,9 +275,7 @@ class GradedTensor:
         return {
             "dimension": self.dimension,
             "truncation": self.truncation,
-            "terms": [
-                {"word": list(w), "coeff": c} for w, c in self.sorted_items()
-            ],
+            "terms": [{"word": list(w), "coeff": c} for w, c in self.items()],
         }
 
     @classmethod
@@ -350,16 +344,6 @@ def log(g: GradedTensor) -> GradedTensor:
             break
         result = result + term.scale(((-1.0) ** (k + 1)) / k)
     return result
-
-
-def inner(a: GradedTensor, b: GradedTensor) -> float:
-    """Euclidean pairing of coefficient vectors in the word basis."""
-    a._check_compat(b)
-    return math.fsum((a._v * b._v).tolist())
-
-
-def norm2(a: GradedTensor) -> float:
-    return math.sqrt(math.fsum((a._v * a._v).tolist()))
 
 
 @lru_cache(maxsize=200_000)

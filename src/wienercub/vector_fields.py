@@ -219,12 +219,13 @@ def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
     """The field sum_j c_j V_j, with coefficients of shape (m,) shared by all
     states, or (P, m), one set per row of a (P, N) block of states.
 
-    A field whose coefficients are all zero is not called. A row whose
-    coefficients are all zero gets the zero vector where the fields are
-    finite (0 * nan is nan: _zero_safe masks such terms). Shared coefficients
-    on affine fields give an AffineField; otherwise the value is summed in
-    field order and the Jacobian is the same combination of the fields'
-    Jacobians, both on one state or on a whole block.
+    A field whose coefficients are all zero is not called, and a row whose
+    coefficient on a field is 0 gets exactly 0 from it in the value, also
+    where the field is not finite (0 * nan would be nan), so a row whose
+    coefficients are all zero gets the zero vector. Shared coefficients on
+    affine fields give an AffineField; otherwise the value is summed in field
+    order from +0.0 (a ±0 term adds no bit) and the Jacobian is the same
+    combination of the fields' Jacobians, both on one state or on a block.
     """
     c = np.asarray(coefficients, dtype=float)
     if c.ndim == 1 and all(isinstance(f, AffineField) for f in fields):
@@ -239,11 +240,15 @@ def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
     kept = [j for j in range(len(fields)) if c[..., j].any()]
     terms = [fields[j] for j in kept]
     weights = c[..., kept]
+    zero_rows = [np.flatnonzero(weights[..., i] == 0.0) for i in range(len(kept))]
 
     def func(x):
         out = 0.0
         for i, f in enumerate(terms):
-            out = out + weights[..., i, None] * f(x)
+            term = weights[..., i, None] * f(x)
+            if zero_rows[i].size:
+                term[zero_rows[i]] = 0.0
+            out = out + term
         return out
 
     def jac(x):
@@ -253,20 +258,6 @@ def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
         return _matvec(stacked, weights[..., None, :])
 
     return _Combination(func, fields[0].dimension, jacobian_func=jac)
-
-
-def _zero_safe(fields: Sequence[Field], coefficients) -> GenericField:
-    """combine_fields' sum on a block, except that a zero coefficient adds
-    exactly 0, also where its field is not finite (0 * nan is nan)."""
-    def func(x):
-        out = 0.0
-        for j, f in enumerate(fields):
-            c = coefficients[..., j, None]
-            if c.any():
-                out = out + np.multiply(c, f(x), out=np.zeros(np.shape(x)), where=c != 0)
-        return out
-
-    return GenericField(func, fields[0].dimension)
 
 
 # -- builtin systems -----------------------------------------------------------
@@ -486,8 +477,9 @@ class _LevelStep:
     sqrt(gap): the field gamma_field forms. On affine fields one batched
     expm call gives every segment map, composed once per (level, point) as
     M_m @ ... @ M_1; a zero segment's map is exactly I. Level j flows a
-    generic segment by substeps[j] RK4 steps (_substeps). A diverging flow
-    raises FlowDivergence naming the failing segment and output row.
+    generic segment by substeps[j] RK4 steps (_substeps), over the rows whose
+    point has that segment only: a padded segment calls no field. A diverging
+    flow raises FlowDivergence naming the failing segment and output row.
     """
 
     def __init__(self, sys: VectorFieldSystem, support, gaps, cfg: FlowConfig,
@@ -527,8 +519,9 @@ class _LevelStep:
         fields by its gathered composed map, and only a non-finite row is
         replayed segment by segment, to name its first non-finite segment (or
         its point's last); on generic ones by one RK4 pass per segment of the
-        longest path over all rows, which zero segments leave as is: a
-        pass that diverges is run again by _zero_safe before it raises."""
+        longest path, on the live rows (those whose point has that segment),
+        gathered, flowed by combine_fields' one sum and scattered back. A
+        divergence names the segment and the row in the whole block."""
         if self.composed is not None:
             maps = self.composed[level, point]
             y = _affine_map(maps[..., :-1], maps[..., -1], states)
@@ -545,18 +538,18 @@ class _LevelStep:
             raise FlowDivergence(
                 f"segment {seg + 1}/{m}: affine flow left the finite range",
                 segment=seg + 1, row=row)
-        y, cfg = states, FlowConfig(self.substeps[level])
-        for seg in range(self.lengths[point].max()):
-            c = self.coefficients[level, point, seg]
+        y, cfg = np.array(states, dtype=float), FlowConfig(self.substeps[level])
+        lengths = self.lengths[point]
+        for seg in range(lengths.max()):
+            live = np.flatnonzero(lengths > seg)
+            c = self.coefficients[level, point[live], seg]
             try:
-                try:
-                    y = flow_exp(combine_fields(self.fields, c), 1.0, y, cfg)
-                except FlowDivergence:
-                    y = flow_exp(_zero_safe(self.fields, c), 1.0, y, cfg)
+                y[live] = flow_exp(combine_fields(self.fields, c), 1.0, y[live], cfg)
             except FlowDivergence as exc:
+                row = int(live[exc.row])
                 raise FlowDivergence(
-                    f"segment {seg + 1}/{self.lengths[point[exc.row]]}: {exc}",
-                    substep=exc.substep, segment=seg + 1, row=exc.row) from exc
+                    f"segment {seg + 1}/{lengths[row]}: {exc}",
+                    substep=exc.substep, segment=seg + 1, row=row) from exc
         return y
 
     def children(self, level: int, columns: np.ndarray) -> np.ndarray:

@@ -110,7 +110,6 @@ def test_rescale_scales_knots_and_values():
 def test_lie_form_log_signatures():
     formula = degree5_d1()
     lie = lie_form(formula)
-    assert lie.is_lie and not formula.is_lie
     assert lie.n_points == formula.n_points
     for poly, path in zip(lie.lie_polys, formula.paths):
         assert poly.certified

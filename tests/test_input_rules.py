@@ -12,7 +12,8 @@ function with one message that names the bad value:
 - control dimensions (one space letter per driving field), checked by
   vector_fields._check_controls;
 - unit horizons of the support that rescaling starts from, checked by
-  path_signature._check_unit_horizon;
+  path_signature._check_unit_horizon through the horizon match
+  (path_signature._horizons_match) that formulas and path records share;
 - letters of words in 0..d, checked by tensor_algebra.check_word.
 
 Boundary values stay accepted. The CLI reports a config value of the wrong
@@ -46,6 +47,7 @@ from wienercub import (
     gamma_field,
     gamma_partition,
     gbm,
+    klv_sampled,
     klv_sweep,
     kusuoka_step,
     lie_form,
@@ -320,6 +322,10 @@ COUNT_USERS = {
                        "paths", 2, 10),
     "euler_mc.batch": (lambda n: euler_mc(GBM, identity, X1, 1.0, 4, 10, 1, batch=n),
                        "batch", 1, 3),
+    "euler_mc.seed": (lambda n: euler_mc(GBM, identity, X1, 1.0, 4, 10, n), "seed", 0, 3),
+    "klv_sampled.seed": (
+        lambda n: klv_sampled(lie_form(degree3(1)), GBM, identity, X1, SMALL, 4, n),
+        "seed", 0, 3),
     "MultiPoly": (MultiPoly, "n_vars", 1, 2),
     "monte_carlo_expected_signature.n_paths": (
         lambda n: monte_carlo_expected_signature(1, 2, 1.0, n, 4, np.random.default_rng(0)),
@@ -421,6 +427,15 @@ def test_rescaling_starts_from_a_unit_horizon_within_one_tolerance(user):
     call(1.0 + 5e-10)
     with pytest.raises(ValueError, match="unit-horizon"):
         call(1.0 + 2e-9)
+
+
+@pytest.mark.parametrize("horizon", [0.25, 2.0, 1e6])
+def test_a_formula_accepted_as_unit_horizon_rescales_to_any_horizon(horizon):
+    # rescaling multiplies the path's deviation from the unit horizon by the
+    # new horizon; the formula's own horizon match scales its tolerance alike
+    formula = rescale(formula_at(1.0 + 5e-10), horizon)
+    assert formula.horizon == horizon
+    assert formula.paths[0].horizon == (1.0 + 5e-10) * horizon
 
 
 # -- letters -------------------------------------------------------------------

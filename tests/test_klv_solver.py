@@ -620,10 +620,12 @@ def test_full_tree_generic_fields_bit_identical_to_per_branch_flows(drift, batch
 
 
 def test_sampled_tree_flows_a_level_in_one_rk4_pass():
-    # each level is one RK4 pass per segment over all its rows, so V_0 runs
+    # each level is one RK4 pass per segment over its live rows, so V_0 runs
     # 4 * substeps times per segment of the longest path (3 for degree5_d1),
     # not once per segment of every path (3 + 1 + 3), plus the three calls
-    # of the field probe (two states, then the block of both)
+    # of the field probe (two states, then the block of both); segment 1
+    # sees every node of the level, segments 2-3 only the nodes of the
+    # two three-segment paths
     calls = []
 
     def v0(x):
@@ -641,8 +643,11 @@ def test_sampled_tree_flows_a_level_in_one_rk4_pass():
     )
     assert len(calls) == k * 3 * 4 * substeps + 3
     nodes = result.diagnostics["nodes_per_level"]
-    flow_rows = [shape[0] for shape in calls[3:]]
-    assert flow_rows == [m for m in nodes for _ in range(3 * 4 * substeps)]
+    passes = np.array([shape[0] for shape in calls[3:]]).reshape(k, 3, 4 * substeps)
+    assert (passes == passes[:, :, :1]).all()
+    live = passes[:, :, 0]
+    assert live[:, 0].tolist() == nodes
+    assert (live[:, 1] == live[:, 2]).all() and (live[:, 1] < live[:, 0]).all()
 
 
 def _reflow_divergence_segment(formula, sys, x, partition, branch,

@@ -61,7 +61,7 @@ def per_point_step(formula, sys, f, x, s, cfg):
     total = []
     for lam, poly in zip(formula.weights, formula.lie_polys):
         terms = [(c / len(w), nested_bracket_field(sys, w))
-                 for w, c in poly.dilate(root).tensor.sorted_items()]
+                 for w, c in poly.dilate(root).tensor.items()]
         fld = (combine_fields([v for _, v in terms], np.array([c for c, _ in terms]))
                if terms else AffineField.zero(sys.dimension))
         total.append(lam * float(f(flow_exp(fld, 1.0, x, exact))))

@@ -155,7 +155,7 @@ def test_signature_pairing_matches_path_flow(noncommuting_system, cubic_payoff, 
     path = PiecewiseLinearPath.from_increments([(0.05, (0.0625,)), (0.075, (-0.0375,))])
     s = signature(path, 10)
     total = math.fsum(c * word_operator(w, noncommuting_system, cubic_payoff)(x_start)
-                      for w, c in s.sorted_items())
+                      for w, c in s.items())
     flowed = flow_along_path(
         path, noncommuting_system, x_start, FlowConfig(substeps=1, exact_affine=True)
     )
@@ -240,7 +240,7 @@ def test_matrix_operators_match_the_dict_reference(n, p):
                   .scale(float(rng.normal())))
     g = exp(lie.tensor)
     expected = {}
-    for w, c in g.sorted_items():
+    for w, c in g.items():
         for e, a in reference[w].items():
             expected[e] = expected.get(e, 0.0) + c * a
     assert_matches_reference(taylor_operator(g, sys, f), expected)

@@ -11,8 +11,6 @@ from wienercub.tensor_algebra import (
     mul,
     exp,
     log,
-    inner,
-    norm2,
     shuffle,
 )
 
@@ -192,13 +190,6 @@ def test_projection_and_truncation_change():
     assert lifted.truncation == 6 and lifted.coeff((1,)) == 1.0
 
 
-def test_inner_and_norm():
-    a = GradedTensor(1, 3, {(1,): 2.0, (0,): 3.0})
-    b = GradedTensor(1, 3, {(1,): 0.5, (1, 1): 4.0})
-    assert inner(a, b) == 1.0
-    assert norm2(a) == math.sqrt(13.0)
-
-
 def test_dimension_mismatch_rejected():
     a = GradedTensor.basis(1, 3, (1,))
     b = GradedTensor.basis(2, 3, (1,))
@@ -269,7 +260,6 @@ def test_lower_truncations_are_prefixes_and_round_trip():
 def test_items_and_len_list_nonzero_terms_in_word_order():
     t = GradedTensor(2, 4, {(2, 1): 3.0, (0,): 0.0, (1,): -1.0, (): 2.0, (1, 2, 2): 0.5})
     assert list(t.items()) == [((), 2.0), ((1,), -1.0), ((2, 1), 3.0), ((1, 2, 2), 0.5)]
-    assert t.sorted_items() == list(t.items())
     assert len(t) == 4 and len(t - t) == 0 and list((t - t).items()) == []
     assert t.coeff((0,)) == 0.0 and t.coeff((0, 0, 0)) == 0.0  # outside the basis
 

@@ -122,6 +122,25 @@ def test_combine_fields_with_one_coefficient_row_per_state():
         v.jacobian(block), [[[math.cos(0.3) + 1.0]], [[0.0]], [[4.0]]], rtol=1e-9)
 
 
+def test_a_zero_coefficient_adds_exactly_zero_where_its_field_is_nan():
+    # 0 * nan is nan: row 1 must still be the sum of its other terms, bit
+    # for bit, and row 2 (one nonzero coefficient) that term alone
+    def nan_on_row_1(x):
+        out = np.ones_like(x)
+        out[1] = np.nan
+        return out
+
+    fields = [GenericField(np.sin, 1), GenericField(nan_on_row_1, 1),
+              AffineField([[2.0]], [1.0])]
+    coefficients = np.array([[0.3, 1.5, -0.25], [0.7, 0.0, 0.4], [0.0, 2.0, 0.0]])
+    block = np.array([[0.3], [-0.7], [1.1]])
+    got = combine_fields(fields, coefficients)(block)
+    row = block[1:2]
+    assert np.array_equal(got[1:2], 0.7 * fields[0](row) + 0.4 * fields[2](row))
+    assert np.array_equal(got[2], [2.0])
+    assert np.isfinite(got).all()
+
+
 def test_combine_fields_affine_stays_affine():
     sys = gbm(0.05, 0.3)
     combined = sys.combine(np.array([0.5, 2.0]))
@@ -323,6 +342,46 @@ def test_every_point_is_along_on_three_states_and_on_a_strided_block():
         assert np.array_equal(
             step.children(level, np.ascontiguousarray(strided.T)).T.reshape(-1, 3),
             gathered)
+
+
+def _tagged_clock(seen, nan_tag=None):
+    # V_0 = e_1 on states (t, tag), V_1 = 0: the tag names a row and no
+    # field moves it. V_0 records the tags of each call and is NaN on the
+    # row tagged nan_tag once t > 0.5
+    def v0(x):
+        seen.append(x[:, 1].tolist())
+        out = np.zeros_like(x)
+        out[:, 0] = np.where((x[:, 1] == nan_tag) & (x[:, 0] > 0.5), np.nan, 1.0)
+        return out
+
+    return VectorFieldSystem((GenericField(v0, 2), GenericField(np.zeros_like, 2)))
+
+
+def test_a_generic_level_step_calls_the_fields_on_the_live_rows_only():
+    # degree5_d1's middle path has one segment, the other two three:
+    # segments 2-3 see only the rows of points 0 and 2, and every path ends
+    # at t = 1
+    seen = []
+    step = _LevelStep(_tagged_clock(seen), degree5_d1().paths, [1.0],
+                      FlowConfig(substeps=2))
+    point = np.array([0, 1, 2, 1, 2, 0])
+    states = np.column_stack([np.zeros(6), np.arange(6.0)])
+    y = step.along(0, states, point)
+    assert seen == [[0, 1, 2, 3, 4, 5]] * 8 + [[0, 2, 4, 5]] * 16
+    np.testing.assert_allclose(y, np.column_stack([np.ones(6), np.arange(6.0)]),
+                               rtol=1e-15)
+    assert np.array_equal(states[:, 0], np.zeros(6))
+
+
+def test_a_divergence_on_the_live_rows_names_its_row_in_the_block():
+    # row 4 (point 2) is the third live row of segment 2; it passes t = 0.5
+    # in that segment's second RK4 step
+    step = _LevelStep(_tagged_clock([], nan_tag=4.0), degree5_d1().paths, [1.0],
+                      FlowConfig(substeps=2))
+    states = np.column_stack([np.zeros(6), np.arange(6.0)])
+    with pytest.raises(FlowDivergence, match="^segment 2/3: state left") as err:
+        step.along(0, states, np.array([0, 1, 2, 1, 2, 0]))
+    assert (err.value.segment, err.value.substep, err.value.row) == (2, 2, 4)
 
 
 def test_composed_path_flow_matches_segment_by_segment_flow(noncommuting_system):
