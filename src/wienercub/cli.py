@@ -33,7 +33,7 @@ from .path_signature import (
     brownian_expected_signature,
     monte_carlo_expected_signature,
 )
-from .tensor_algebra import GradedTensor
+from .tensor_algebra import GradedTensor, _check_count
 from .vector_fields import (
     AffineField,
     FlowDivergence,
@@ -73,74 +73,77 @@ def fit_slope(pairs: list[tuple[float, float]]) -> tuple[float, float]:
 # -- config parsing --------------------------------------------------------------
 
 
-def _number(value, key: str, integer: bool = False):
-    """A config number as a float, or as an int when integer is set (4.0
-    reads as 4); a tuple is a group of them read at once. Anything else is
-    refused with one message that names the key and the value."""
-    group = value if isinstance(value, tuple) else (value,)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and
-               (not integer or math.isfinite(v) and v == int(v)) for v in group):
-        plural = "s" if isinstance(value, tuple) else ""
-        if integer:
-            raise ValueError(f"config {key} must be integer{plural}, got {value!r}")
-        raise ValueError(f"config {key} must be {plural and 'numbers' or 'a number'}, "
-                         f"got {value!r}")
-    read = [int(v) if integer else float(v) for v in group]
-    return tuple(read) if isinstance(value, tuple) else read[0]
-
-
-# the keys of a run config: a section's own keys, or None for a plain value
-_CONFIG_KEYS = {
-    "system": dict.fromkeys(("name", "mu", "sigma", "theta", "file")),
-    "payoff": dict.fromkeys(("name", "index", "exponent", "terms")),
-    "cubature": dict.fromkeys(("file", "builtin", "dimension")),
-    "partition": dict.fromkeys(("k", "k_list", "gamma")),
-    "caps": dict.fromkeys(("leaf_cap", "batch")),
-    "reference": dict.fromkeys(("steps", "paths")),
-    **dict.fromkeys(("x0", "T", "mode", "samples", "seed")),
+# every key of a run config with its type: a dict is a section of its own
+# keys, [section] a JSON list of such sections, (t,) a JSON list of t's; an
+# int reads 4.0 as 4, and a bool is no number
+_CONFIG = {
+    "system": {"name": str, "mu": float, "sigma": float, "theta": float, "file": str},
+    "payoff": {"name": str, "index": int, "exponent": float,
+               "terms": [{"exps": (int,), "coeff": float}]},
+    "cubature": {"file": str, "builtin": str, "dimension": int},
+    "partition": {"k": int, "k_list": (int,), "gamma": float},
+    "caps": {"leaf_cap": int, "batch": int},
+    "reference": {"steps": int, "paths": int},
+    "x0": (float,), "T": float, "mode": str, "samples": int, "seed": int,
 }
+# the steps and paths of an Euler reference where the config gives none
+_REFERENCE = {"steps": 256, "paths": 400_000}
 
 
-def _check_keys(config, known: dict = _CONFIG_KEYS, name: str = "") -> None:
-    """Refuse a config, or its section `name`, that is not a JSON object or
-    that holds a key outside `known`, naming the dotted key."""
-    if not isinstance(config, dict):
-        raise ValueError(f"config {name or 'file'} must be a JSON object, "
-                         f"got {type(config).__name__}")
-    for key, value in config.items():
-        dotted = f"{name}.{key}" if name else key
-        if key not in known:
-            raise ValueError(f"config has unknown key {dotted!r}")
-        if known[key] is not None:
-            _check_keys(value, known[key], dotted)
+def _read(value, kind, key: str):
+    """`value` read as `kind` of _CONFIG, or refused with one message that
+    names the dotted `key` ("" for the whole file) and the value."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"config {key or 'file'} must be a JSON object, "
+                             f"got {type(value).__name__}")
+        dotted = {name: f"{key}.{name}" if key else name for name in value}
+        if unknown := [dotted[name] for name in value if name not in kind]:
+            raise ValueError(f"config has unknown key {unknown[0]!r}")
+        return {name: _read(value[name], kind[name], dotted[name]) for name in value}
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"config {key} must be a list of JSON objects, got {value!r}")
+        return [_read(item, kind[0], f"{key}[{i}]") for i, item in enumerate(value)]
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"config {key} must be a string, got {value!r}")
+        return value
+    many = isinstance(kind, tuple)
+    number = kind[0] if many else kind
+    group = value if many else [value]
+    if many != isinstance(value, list) or not all(
+            (number is float or v.is_integer()) if isinstance(v, float) else
+            isinstance(v, int) and not isinstance(v, bool) and
+            (number is int or abs(v) <= sys.float_info.max) for v in group):
+        shown = tuple(value) if many and isinstance(value, list) else value
+        if number is int:
+            raise ValueError(f"config {key} must be integer{'s' * many}, got {shown!r}")
+        raise ValueError(f"config {key} must be {'numbers' if many else 'a number'}, "
+                         f"got {shown!r}")
+    return [number(v) for v in group] if many else number(value)
 
 
 def _load_config(args) -> tuple[dict, int]:
-    """The JSON run config of args.config, its keys and mode checked and its
-    k_list read, and the seed: --seed if given, else the config's (default 0)."""
+    """The JSON run config of args.config read through _CONFIG, its mode and
+    k_list checked, and the seed: --seed if given, else the config's (default 0)."""
     with open(args.config) as fh:
-        config = json.load(fh)
-    _check_keys(config)
+        config = _read(json.load(fh), _CONFIG, "")
     mode = config.get("mode", "full")
     if mode not in ("full", "sampled"):
         raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
-    part = config.get("partition", {})
-    if "k_list" in part:
-        part["k_list"] = list(_number(tuple(part["k_list"]), "partition.k_list", True))
-        if not part["k_list"] or sorted(set(part["k_list"])) != part["k_list"]:
-            raise ValueError(
-                "config partition.k_list must be nonempty and strictly increasing"
-            )
-    seed = args.seed if args.seed is not None else _number(config.get("seed", 0), "seed", True)
-    return config, seed
+    k_list = config.get("partition", {}).get("k_list")
+    if k_list is not None and (not k_list or sorted(set(k_list)) != k_list):
+        raise ValueError("config partition.k_list must be nonempty and strictly increasing")
+    return config, config.get("seed", 0) if args.seed is None else args.seed
 
 
 def _build_system(spec: dict) -> VectorFieldSystem:
     name = spec.get("name")
     if name == "gbm":
-        return gbm(_number(spec["mu"], "system.mu"), _number(spec["sigma"], "system.sigma"))
+        return gbm(spec["mu"], spec["sigma"])
     if name == "ou":
-        return ou(_number(spec["theta"], "system.theta"), _number(spec["sigma"], "system.sigma"))
+        return ou(spec["theta"], spec["sigma"])
     if name == "affine":
         return affine_from_file(spec["file"])
     raise ValueError(f"unknown system {name!r} (use gbm, ou, or affine)")
@@ -148,13 +151,13 @@ def _build_system(spec: dict) -> VectorFieldSystem:
 
 def _build_payoff(spec: dict, n_vars: int):
     name = spec.get("name", "identity")
-    index = _number(spec.get("index", 0), "payoff.index", True)
+    index = spec.get("index", 0)
     if not 0 <= index < n_vars:
         raise ValueError(f"payoff index {index} outside state dimension {n_vars}")
     if name == "identity":
         return MultiPoly.coordinate(n_vars, index)
     if name == "power":
-        p = _number(spec["exponent"], "payoff.exponent")
+        p = spec["exponent"]
         return lambda y: float(y[index] ** p)
     if name == "poly":
         return MultiPoly(n_vars, {tuple(rec["exps"]): rec["coeff"] for rec in spec["terms"]})
@@ -164,9 +167,9 @@ def _build_payoff(spec: dict, n_vars: int):
 def _build_formula(spec: dict) -> CubatureFormula:
     if "file" in spec:
         return cubature.from_file(spec["file"])
-    label = str(spec.get("builtin"))
+    label = spec.get("builtin", "")
     if "dimension" in spec:
-        label += f":{_number(spec['dimension'], 'cubature.dimension', True)}"
+        label += f":{spec['dimension']}"
     formula = _builtin_formula(label)
     if formula is None:
         raise ValueError("cubature spec needs 'file' or builtin in "
@@ -179,7 +182,11 @@ def _builtin_formula(label: str) -> CubatureFormula | None:
     degree3 (dimension 1), degree3:<d>, degree5_d1 (or degree5_d1:1)."""
     name, _, dimension = label.partition(":")
     if name == "degree3":
-        return cubature.degree3(int(dimension or 1))
+        try:
+            dimension = int(dimension or 1)
+        except ValueError:
+            raise ValueError(f"cubature spec {label!r}: dimension is not an integer") from None
+        return cubature.degree3(dimension)
     if name == "degree5_d1" and dimension in ("", "1"):
         return cubature.degree5_d1()
     return None
@@ -190,22 +197,14 @@ def _closed_form_reference(system_spec: dict, payoff_spec: dict, x0, horizon):
     spec is read with _build_payoff's defaults."""
     name = system_spec.get("name")
     payoff = payoff_spec.get("name", "identity")
-    x = float(x0[_number(payoff_spec.get("index", 0), "payoff.index", True)])
+    x = float(x0[payoff_spec.get("index", 0)])
     if name == "gbm" and payoff in ("identity", "power"):
-        mu, sigma = (_number(system_spec[key], f"system.{key}") for key in ("mu", "sigma"))
-        p = _number(payoff_spec["exponent"], "payoff.exponent") if payoff == "power" else 1.0
+        mu, sigma = system_spec["mu"], system_spec["sigma"]
+        p = payoff_spec["exponent"] if payoff == "power" else 1.0
         return x**p * math.exp(p * mu * horizon + 0.5 * p**2 * sigma**2 * horizon)
     if name == "ou" and payoff == "identity":
-        return x * math.exp(-_number(system_spec["theta"], "system.theta") * horizon)
+        return x * math.exp(-system_spec["theta"] * horizon)
     return None
-
-
-def _reference_size(config: dict) -> tuple[int, int]:
-    """Steps and paths of an Euler reference: the config's reference.steps
-    and reference.paths, by default 256 and 400 000; both must be integers."""
-    spec = config.get("reference", {})
-    sizes = spec.get("steps", 256), spec.get("paths", 400_000)
-    return _number(sizes, "reference.steps and .paths", True)
 
 
 def _require_finite(*named) -> None:
@@ -248,6 +247,7 @@ def cmd_expected_signature(args) -> int:
         "coefficients": {_word_key(w): c for w, c in tensor.items()},
     }
     if args.mc_paths:
+        _check_count(args.seed, "--seed", 0)
         rng = np.random.default_rng(args.seed)
         estimate, stderr = monte_carlo_expected_signature(
             args.dimension, args.degree, args.horizon,
@@ -286,9 +286,7 @@ def _problem(config: dict):
     four arguments."""
     system = _build_system(config["system"])
     payoff = _build_payoff(config.get("payoff", {}), system.dimension)
-    x0 = config["x0"]
-    x0 = np.asarray(_number(tuple(x0) if isinstance(x0, list) else x0, "x0"))
-    return system, payoff, x0, _number(config["T"], "T")
+    return system, payoff, np.asarray(config["x0"]), config["T"]
 
 
 def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
@@ -299,15 +297,13 @@ def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
     problem = _problem(config)
     system, payoff, x0, horizon = problem
     formula = _build_formula(config["cubature"])
-    gamma = _number(config.get("partition", {}).get("gamma", formula.degree - 1),
-                    "partition.gamma")
+    gamma = config.get("partition", {}).get("gamma", formula.degree - 1.0)
     parts = [gamma_partition(horizon, k, gamma) for k in k_list]
-    # _check_keys admits only SolverConfig's leaf_cap and batch; the rest are its defaults
-    cfg = SolverConfig(threads=threads, **{key: _number(value, f"caps.{key}", True)
-                                           for key, value in config.get("caps", {}).items()})
+    # _CONFIG admits only SolverConfig's leaf_cap and batch; the rest are its defaults
+    cfg = SolverConfig(threads=threads, **config.get("caps", {}))
     # _load_config admits only the modes full and sampled
     n_samples = (None if config.get("mode", "full") == "full"
-                 else _number(config.get("samples", 100_000), "samples", True))
+                 else config.get("samples", 100_000))
     results = klv_sweep(formula, system, payoff, x0, parts, cfg, n_samples, seed)
     reference = _closed_form_reference(config["system"], config.get("payoff", {}),
                                        x0, horizon)
@@ -317,7 +313,7 @@ def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
 def cmd_solve(args) -> int:
     config, seed = _load_config(args)
     part_spec = config.get("partition", {})
-    k = _number(part_spec.get("k", part_spec.get("k_list", [4])[0]), "partition.k", True)
+    k = part_spec.get("k", part_spec.get("k_list", [4])[0])
     [result], reference, _ = _sweep(config, seed, [k])
     _require_finite((f"value at k={k}", result.value),
                     (f"stderr at k={k}", result.stderr), ("reference", reference))
@@ -339,10 +335,8 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     config, seed = _load_config(args)
-    k_list = config.get("partition", {}).get("k_list", [])
-    if not k_list:
-        return _fail("config partition.k_list must be nonempty and strictly increasing")
-    steps, paths = _reference_size(config)
+    k_list = config.get("partition", {})["k_list"]
+    steps, paths = (_REFERENCE | config.get("reference", {})).values()
     if steps < 2 or steps % 2:
         return _fail(f"config reference.steps must be an even integer >= 2, got {steps}")
     ref_meta: dict = {"kind": "closed_form"}
@@ -352,12 +346,8 @@ def cmd_converge(args) -> int:
         half, half_se = euler_mc(*problem, steps // 2, paths, seed + 1)
         full, full_se = euler_mc(*problem, steps, paths, seed + 2)
         reference = 2.0 * full - half
-        ref_meta = {
-            "kind": "euler_richardson",
-            "steps": steps,
-            "paths": paths,
-            "stderr": math.hypot(2.0 * full_se, half_se),
-        }
+        ref_meta = {"kind": "euler_richardson", "steps": steps, "paths": paths,
+                    "stderr": math.hypot(2.0 * full_se, half_se)}
     values = [r.value for r in results]
     _require_finite(*[(f"value at k={k}", v) for k, v in zip(k_list, values)],
                     ("reference", reference), ("reference stderr", ref_meta.get("stderr")))
@@ -392,14 +382,11 @@ def cmd_converge(args) -> int:
 
 def cmd_mc_reference(args) -> int:
     config, seed = _load_config(args)
-    steps, paths = _reference_size(config)
+    steps, paths = (_REFERENCE | config.get("reference", {})).values()
     mean, stderr = euler_mc(*_problem(config), steps, paths, seed)
     _require_finite(("reference mean", mean), ("reference stderr", stderr))
-    print(json.dumps(
-        {"mean": mean, "stderr": stderr, "steps": steps, "paths": paths,
-         "seed": seed},
-        indent=1, sort_keys=True,
-    ))
+    print(json.dumps({"mean": mean, "stderr": stderr, "steps": steps, "paths": paths,
+                      "seed": seed}, indent=1, sort_keys=True))
     return 0
 
 
@@ -420,6 +407,7 @@ def _gap_experiment(m: int, seed: int | None):
     if seed is None:
         terms = {(1,): 1.0, (0, 1): 0.6, (1, 0): -0.6}
     else:
+        _check_count(seed, "--seed", 0)
         rng = np.random.default_rng(seed)
         a, b = rng.uniform(0.4, 1.2, size=2)
         terms = {(1,): float(a), (0, 1): float(b), (1, 0): float(-b)}
@@ -460,6 +448,14 @@ def cmd_lemma_gap(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+def finite(text: str) -> float:
+    """argparse type of a limit or tolerance: a finite float, as a NaN limit
+    would turn its check off."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -474,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="file path, or builtin: degree3:<d>, degree5_d1")
     p.add_argument("--degree", type=int, default=None,
                    help="test degree (default: the formula's claim)")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=finite, default=1e-10)
     p.set_defaults(func=cmd_validate_cubature)
 
     p = sub.add_parser("expected-signature",
@@ -485,8 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-paths", type=int, default=0)
     p.add_argument("--mc-steps", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z-limit", type=float, default=4.0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--z-limit", type=finite, default=4.0)
+    p.add_argument("--tol", type=finite, default=1e-12)
     p.set_defaults(func=cmd_expected_signature)
 
     for name, fn in (("solve", cmd_solve), ("converge", cmd_converge),
@@ -507,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="random Lie element; default is the canonical one")
     p.add_argument("--s-grid", default="0.4,0.2,0.1,0.05")
-    p.add_argument("--min-slope", type=float, default=None,
+    p.add_argument("--min-slope", type=finite, default=None,
                    help="default (m+1)/2 - 0.3")
     p.set_defaults(func=cmd_lemma_gap)
     return parser

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .tensor_algebra import GradedTensor, Word, _check_count, exp
-from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
+from .lie_structures import LiePolynomial, certify
 from .path_signature import (
     PiecewiseLinearPath,
     brownian_expected_signature,
@@ -217,9 +217,7 @@ def rescale(formula: CubatureFormula, horizon: float) -> CubatureFormula:
                    lie_polys=tuple(L.dilate(root) for L in formula.lie_polys))
 
 
-def lie_form(
-    formula: CubatureFormula, truncation: int | None = None, tol: float = DYNKIN_TOL
-) -> CubatureFormula:
+def lie_form(formula: CubatureFormula, truncation: int | None = None) -> CubatureFormula:
     """Replace path support by certified truncated log-signatures.
 
     kusuoka_step needs this form and every tree solver takes it; the
@@ -229,7 +227,7 @@ def lie_form(
         return formula
     m = formula.degree if truncation is None else truncation
     return replace(formula, paths=None,
-                   lie_polys=tuple(log_signature(p, m, tol) for p in formula.paths))
+                   lie_polys=tuple(log_signature(p, m) for p in formula.paths))
 
 
 def to_file(formula: CubatureFormula, path: str) -> None:

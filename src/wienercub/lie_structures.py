@@ -148,18 +148,14 @@ def certify(a: GradedTensor | LiePolynomial, tol: float = DYNKIN_TOL) -> LiePoly
     return LiePolynomial(a, certified=True)
 
 
-def bch(
-    a: GradedTensor | LiePolynomial,
-    b: GradedTensor | LiePolynomial,
-    tol: float = DYNKIN_TOL,
-) -> LiePolynomial:
+def bch(a: GradedTensor | LiePolynomial, b: GradedTensor | LiePolynomial) -> LiePolynomial:
     """Truncated Baker-Campbell-Hausdorff combination log(exp(a) exp(b)).
 
-    The certificate tolerance is tol times the largest coefficient of
+    The certificate tolerance is DYNKIN_TOL times the largest coefficient of
     exp(a) exp(b) (at least 1): the log's rounding grows with that size.
     """
     ta = a.tensor if isinstance(a, LiePolynomial) else a
     tb = b.tensor if isinstance(b, LiePolynomial) else b
     prod = mul(exp(ta), exp(tb))
     scale = max(1.0, float(np.max(np.abs(prod._v))))
-    return certify(log(prod), tol * scale)
+    return certify(log(prod), DYNKIN_TOL * scale)

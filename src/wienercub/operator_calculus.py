@@ -29,7 +29,7 @@ class MultiPoly:
     """Polynomial in n_vars real variables, stored as exponent -> coefficient.
 
     Built from a term dict whose exponents are nonnegative integers (4.0 is
-    4, 1.5 is refused) and whose coefficients are finite. It has no
+    4; 1.5 and a bool are refused) and whose coefficients are finite. It has no
     arithmetic: the operators below act on its coefficient vector.
     """
 
@@ -42,6 +42,7 @@ class MultiPoly:
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != n_vars or not all(isinstance(e, numbers.Real) and
+                                              not isinstance(e, bool) and
                                               math.isfinite(e) and e == int(e) >= 0
                                               for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {n_vars} variables")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .tensor_algebra import (GradedTensor, Word, _check_count, graded_degree, log,
                              word_program)
-from .lie_structures import DYNKIN_TOL, LiePolynomial, certify
+from .lie_structures import LiePolynomial, certify
 
 _KNOT_TOL = 1e-12
 _HORIZON_TOL = 1e-9
@@ -261,10 +261,8 @@ def signature(path: PiecewiseLinearPath, truncation: int) -> GradedTensor:
     return GradedTensor._of(program, np.array(coeffs))
 
 
-def log_signature(
-    path: PiecewiseLinearPath, truncation: int, tol: float = DYNKIN_TOL
-) -> LiePolynomial:
-    return certify(log(signature(path, truncation)), tol)
+def log_signature(path: PiecewiseLinearPath, truncation: int) -> LiePolynomial:
+    return certify(log(signature(path, truncation)))
 
 
 def brownian_rescale(path: PiecewiseLinearPath, horizon: float) -> PiecewiseLinearPath:

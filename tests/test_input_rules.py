@@ -289,12 +289,34 @@ def test_a_config_section_or_file_that_is_not_an_object_is_one_error_line(tmp_pa
     assert capsys.readouterr().err == "error: config file must be a JSON object, got list\n"
 
 
-def test_the_readme_example_config_passes_the_key_check():
+def readme_config_section() -> str:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("### Config files", 1)[1]
+    return readme.split("### Config files", 1)[1].split("\n## ", 1)[0]
+
+
+def test_the_readme_example_config_passes_the_key_check():
+    section = readme_config_section()
     config = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
-    cli._check_keys(config)
-    assert set(config) == set(cli._CONFIG_KEYS)
+    assert cli._read(config, cli._CONFIG, "") == config
+    assert set(config) == set(cli._CONFIG)
+
+
+def dotted_keys(kind, key=""):
+    """Every dotted key of a config table; a list of sections is indexed [i]."""
+    if isinstance(kind, list):
+        yield from dotted_keys(kind[0], f"{key}[i]")
+    elif isinstance(kind, dict):
+        for name, sub in kind.items():
+            dotted = f"{key}.{name}" if key else name
+            yield dotted
+            yield from dotted_keys(sub, dotted)
+
+
+def test_the_readme_gives_every_config_key():
+    section = readme_config_section()
+    keys = list(dotted_keys(cli._CONFIG))
+    assert "payoff.terms[i].coeff" in keys and len(keys) == 32
+    assert [key for key in keys if f"`{key}`" not in section] == []
 
 
 # -- counts -------------------------------------------------------------------

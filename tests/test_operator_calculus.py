@@ -40,7 +40,8 @@ def test_multipoly_terms_and_values():
     assert f.max_coeff_difference(MultiPoly(2, {(2, 1): 1.0})) == 2.0
 
 
-@pytest.mark.parametrize("exps", [(1.5, 0), (-1, 0), (float("inf"), 0), ("1", 0), (1,)])
+@pytest.mark.parametrize("exps", [(1.5, 0), (-1, 0), (float("inf"), 0), ("1", 0), (1,),
+                                  (True, 0), (0, False)])
 def test_multipoly_refuses_an_exponent_that_is_not_a_nonnegative_integer(exps):
     with pytest.raises(ValueError, match="bad exponent tuple"):
         MultiPoly(2, {exps: 1.0})

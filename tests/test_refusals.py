@@ -51,9 +51,9 @@ def test_a_reference_size_that_is_not_an_integer_is_refused(tmp_path, capsys,
     cfg = ou_power_config(tmp_path, reference)
     out_dir = ["--out", str(tmp_path)] if command == "converge" else []
     code, out, err = run([command, "--config", cfg, *out_dir], capsys)
+    [(key, value)] = reference.items()
     assert code == 1 and out == ""
-    assert err.startswith("error: config reference.steps and .paths must be integers")
-    assert err.count("\n") == 1
+    assert err == f"error: config reference.{key} must be integer, got {value!r}\n"
 
 
 def test_converge_runs_the_default_euler_reference(tmp_path, capsys):
@@ -116,7 +116,7 @@ def test_a_poly_payoff_with_a_fractional_exponent_is_refused(tmp_path, capsys):
     payoff = {"name": "poly", "terms": [{"exps": [1.7], "coeff": 1.0}]}
     code, out, err = run(["solve", "--config", gbm_config(tmp_path, payoff=payoff)], capsys)
     assert code == 1 and out == ""
-    assert err == "error: bad exponent tuple (1.7,) for 1 variables\n"
+    assert err == "error: config payoff.terms[0].exps must be integers, got (1.7,)\n"
 
 
 INTEGER_KEYS = {
@@ -163,3 +163,75 @@ def test_integral_floats_read_as_integers(tmp_path, capsys):
     code, out, err = solve(0.0, 3.0, 64.0, 3.0)
     assert (code, err) == (0, "") and json.loads(out)["k"] == 3
     assert solve(0, 3, 64, 3) == (0, out, "")
+
+
+# each value is of the wrong type for its key; the config reader refuses it
+# before any file is opened or any solve runs
+WRONG_TYPES = {
+    "cubature.file": ({"cubature": {"file": 0}}, "must be a string, got 0"),
+    "system.file": ({"system": {"name": "affine", "file": 5}}, "must be a string, got 5"),
+    "partition.k_list": ({"partition": {"gamma": 2.0, "k_list": 5}},
+                         "must be integers, got 5"),
+    "payoff.terms": ({"payoff": {"name": "poly", "terms": 5}},
+                     "must be a list of JSON objects, got 5"),
+    "payoff.terms[0]": ({"payoff": {"name": "poly", "terms": [5]}},
+                        "must be a JSON object, got int"),
+    "payoff.terms[0].exps": ({"payoff": {"name": "poly", "terms": [{"exps": [True],
+                                                                     "coeff": 1.0}]}},
+                             "must be integers, got (True,)"),
+    # an integer too large for a float; JSON sets no bound on it
+    "T": ({"T": 10**400}, f"must be a number, got {10**400!r}"),
+}
+for coeff in (True, "2.5", "abc"):
+    WRONG_TYPES[f"payoff.terms[0].coeff={coeff!r}"] = (
+        {"payoff": {"name": "poly", "terms": [{"exps": [1], "coeff": coeff}]}},
+        f"must be a number, got {coeff!r}")
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_a_config_value_of_the_wrong_type_is_one_line_naming_its_dotted_key(
+        tmp_path, capsys, case):
+    overrides, message = WRONG_TYPES[case]
+    code, out, err = run(["solve", "--config", gbm_config(tmp_path, **overrides)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: config {case.split('=')[0]} {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expected-signature", "--dimension", "1", "--degree", "2", "--z-limit", "nan"],
+    ["expected-signature", "--dimension", "1", "--degree", "2", "--tol", "inf"],
+    ["validate-cubature", "degree3", "--tol", "nan"],
+    ["lemma-gap", "--min-slope", "nan"],
+    ["lemma-gap", "--min-slope", "inf"],
+])
+def test_a_limit_that_is_not_finite_is_a_usage_error_naming_its_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert err.splitlines()[-1] == (f"wienercub {argv[0]}: error: argument {argv[-2]}: "
+                                    f"expected a finite number, got {argv[-1]!r}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma-gap", "--seed", "-1"],
+    ["expected-signature", "--dimension", "1", "--degree", "2", "--mc-paths", "10",
+     "--seed", "-1"],
+])
+def test_a_negative_seed_is_refused_by_its_flag(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == "error: --seed must be an integer >= 0, got -1\n"
+
+
+def test_a_builtin_spec_whose_dimension_is_not_an_integer_is_one_line(capsys):
+    code, out, err = run(["validate-cubature", "degree3:abc"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: cubature spec 'degree3:abc': dimension is not an integer\n"
+
+
+def test_converge_without_a_k_list_names_the_missing_key(tmp_path, capsys):
+    cfg = gbm_config(tmp_path)
+    code, out, err = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: config missing key 'k_list'\n"
