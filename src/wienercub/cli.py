@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import cubature
-from .cubature import CubatureFormula, CubatureLoadError, validate
+from .cubature import CubatureFormula, CubatureLoadError, _check_tolerance, validate
 from .klv_solver import (
     SolverConfig,
     gamma_partition,
@@ -247,31 +247,25 @@ def cmd_expected_signature(args) -> int:
         "coefficients": {_word_key(w): c for w, c in tensor.items()},
     }
     if args.mc_paths:
+        _check_count(args.mc_paths, "--mc-paths", 2)
+        _check_count(args.mc_steps, "--mc-steps")
         _check_count(args.seed, "--seed", 0)
         rng = np.random.default_rng(args.seed)
         estimate, stderr = monte_carlo_expected_signature(
             args.dimension, args.degree, args.horizon,
             args.mc_paths, args.mc_steps, rng,
         )
-        worst_z = 0.0
-        worst_word = None
-        rows = {}
+        worst_z, worst_word, rows = 0.0, (), {}
         for w in sorted(set(dict(tensor.items())) | set(dict(estimate.items()))):
             diff = abs(estimate.coeff(w) - tensor.coeff(w))
-            z = diff / stderr[w] if stderr.get(w, 0.0) > 0 else (
-                0.0 if diff <= args.tol else float("inf")
-            )
+            # a word with no spread passes when its difference is within --tol
+            z = diff / stderr[w] if stderr[w] > 0 else 0.0 if diff <= args.tol else math.inf
             rows[_word_key(w)] = {"diff": diff, "z": z}
             if z > worst_z:
                 worst_z, worst_word = z, w
-        out["monte_carlo"] = {
-            "paths": args.mc_paths,
-            "steps": args.mc_steps,
-            "seed": args.seed,
-            "worst_z": worst_z,
-            "worst_word": _word_key(worst_word) if worst_word else "",
-            "rows": rows,
-        }
+        out["monte_carlo"] = {"paths": args.mc_paths, "steps": args.mc_steps,
+                              "seed": args.seed, "worst_z": worst_z,
+                              "worst_word": _word_key(worst_word), "rows": rows}
     print(json.dumps(out, indent=1, sort_keys=True))
     if args.mc_paths and out["monte_carlo"]["worst_z"] > args.z_limit:
         return _fail(
@@ -416,7 +410,10 @@ def _gap_experiment(m: int, seed: int | None):
 
 
 def cmd_lemma_gap(args) -> int:
-    grid = [float(s) for s in args.s_grid.split(",")]
+    try:
+        grid = [float(s) for s in args.s_grid.split(",")]
+    except ValueError:  # not a number: refused with the other bad grids
+        grid = []
     if not all(0 < s < math.inf for s in grid) or len(grid) < 3:
         return _fail("--s-grid needs >= 3 positive finite values")
     if args.m < 3:
@@ -456,6 +453,16 @@ def finite(text: str) -> float:
     return value
 
 
+def tolerance(text: str) -> float:
+    """argparse type of a tolerance: `finite`, then `_check_tolerance`."""
+    value = finite(text)
+    try:
+        _check_tolerance(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -470,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="file path, or builtin: degree3:<d>, degree5_d1")
     p.add_argument("--degree", type=int, default=None,
                    help="test degree (default: the formula's claim)")
-    p.add_argument("--tol", type=finite, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=1e-10)
     p.set_defaults(func=cmd_validate_cubature)
 
     p = sub.add_parser("expected-signature",
@@ -482,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-steps", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--z-limit", type=finite, default=4.0)
-    p.add_argument("--tol", type=finite, default=1e-12)
+    p.add_argument("--tol", type=tolerance, default=1e-12)
     p.set_defaults(func=cmd_expected_signature)
 
     for name, fn in (("solve", cmd_solve), ("converge", cmd_converge),

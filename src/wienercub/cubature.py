@@ -32,6 +32,12 @@ from .path_signature import (
 DEFAULT_TOL = 1e-10
 
 
+def _check_tolerance(tol: float) -> None:
+    """The tolerance rule: `tol` is finite and >= 0 (NaN fails)."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 class CubatureLoadError(ValueError):
     """Raised when a formula file is malformed or fails basic checks."""
 
@@ -131,7 +137,8 @@ def validate(
     """Compare the weighted signature aggregate with the expected Brownian
     signature, coefficient by coefficient, up to `degree` (default: the
     formula's own claim). A NaN defect fails: it becomes `max_defect`, on
-    the first word that has one."""
+    the first word that has one. `tol` obeys `_check_tolerance`."""
+    _check_tolerance(tol)
     m = formula.degree if degree is None else degree
     _check_count(m, "degree", 0)
     target = brownian_expected_signature(formula.dimension, m, formula.horizon)

@@ -16,8 +16,10 @@ S -> S (x) exp(x), in Horner form. For a word w = w_1 ... w_k,
     R((), j) = S[()],
 
 which expands to sum_i S[w_1 ... w_i] x_{w_i+1} ... x_{w_k} / (k - i)!.
-`_chen_plan` lists the pairs (u, j) the words of the truncation need, shortest
-u first; the step costs one multiply-add per entry of that program.
+`_chen_plan` lists the T temps R(u, j), j >= 2, that the K words of the
+truncation need, and `_chen_step` forms them from S before it adds each
+R(w, 1) - S[w] into S[w]: it writes over S, costs one multiply-add per
+program entry, and a batch of b paths holds K + T rows of b floats.
 """
 from __future__ import annotations
 
@@ -192,18 +194,16 @@ def concat(first: PiecewiseLinearPath, second: PiecewiseLinearPath) -> Piecewise
 
 
 class _ChenPlan(NamedTuple):
-    """The Horner program of S -> S (x) exp(x) over the words of
-    `word_program(d, m)`.
-
-    `levels[l - 1]` holds the entries (u, j) with |u| = l as triples
-    (index of S[u], index of x_{u_last} / j in the scaled increment, slot of
-    R(u without its last letter, j + 1)); slot 0 is S[()] and the entries
-    take slots 1, 2, ... in order. `outputs[i]` is the slot of R(words[i], 1).
-    The scaled increment lists x_a / j for j = 1 .. depth, letter by letter.
+    """The Horner program of the Chen step over `word_program(d, m)`, as
+    triples (index of S[u], index of x_{u_last} / j in the scaled increment
+    x_a / j, j = 1 .. depth, letter by letter; slot of R(u without its last
+    letter, j + 1), where slot 0 is S[()]). `temps` are the R(u, j) with
+    j >= 2, shortest u first, in slots 1, 2, ...; `outputs` has one entry
+    S[w] += (x_{w_last} / 1) * R(w without its last letter, 2) per word w != ().
     """
 
-    levels: tuple[tuple[tuple[int, int, int], ...], ...]
-    outputs: tuple[int, ...]
+    temps: tuple[tuple[int, int, int], ...]
+    outputs: tuple[tuple[int, int, int], ...]
     depth: int
 
 
@@ -215,35 +215,30 @@ def _chen_plan(dimension: int, truncation: int) -> _ChenPlan:
     letters, i.e. when graded_degree(u) + j - 1 <= truncation.
     """
     program = word_program(dimension, truncation)
-    words = program.words
     slot: dict[tuple[Word, int], int] = {}
-    levels = []
-    for length in range(1, max(map(len, words)) + 1):
-        level = []
-        for u in words:
-            if len(u) != length:
-                continue
-            for j in range(1, truncation - graded_degree(u) + 2):
-                slot[u, j] = len(slot) + 1
-                src = slot[u[:-1], j + 1] if length > 1 else 0
-                level.append((program.index[u], u[-1] * truncation + j - 1, src))
-        levels.append(tuple(level))
-    outputs = tuple(slot[w, 1] if w else 0 for w in words)
-    return _ChenPlan(tuple(levels), outputs, truncation)
+    temps, outputs = [], []
+    for u in sorted(program.words[1:], key=len):
+        for j in range(1, truncation - graded_degree(u) + 2):
+            entry = (program.index[u], u[-1] * truncation + j - 1,
+                     slot[u[:-1], j + 1] if len(u) > 1 else 0)
+            (temps if j > 1 else outputs).append(entry)
+            slot[u, j] = len(temps)  # the slot of R(u, j) when j >= 2
+    return _ChenPlan(tuple(temps), tuple(outputs), truncation)
 
 
-def _chen_step(coeffs: Sequence, x: Sequence, plan: _ChenPlan) -> list:
-    """Coefficients of S (x) exp(x) for the level-one x = sum_a x[a] e_a.
-
-    `coeffs` lists S over the plan's words; entries may be floats or arrays of
-    one value per path, and the same arithmetic runs on both. One
-    multiply-add per program entry.
-    """
+def _chen_step(coeffs, x: Sequence, plan: _ChenPlan):
+    """Write S (x) exp(x) over the coefficients S in `coeffs` and return
+    `coeffs`, for the level-one x = sum_a x[a] e_a. `coeffs` is a list of
+    floats over the plan's words or a (K, b) array, one row per word and one
+    column per path, with the same arithmetic. The temps are formed from S
+    first; the outputs then read only temps and S[()], which none writes."""
     scaled = [xa / j for xa in x for j in range(1, plan.depth + 1)]
     r = [coeffs[0]]
-    for level in plan.levels:
-        r += [coeffs[s] + scaled[k] * r[src] for s, k, src in level]
-    return [r[i] for i in plan.outputs]
+    for s, k, src in plan.temps:
+        r.append(coeffs[s] + scaled[k] * r[src])
+    for s, k, src in plan.outputs:
+        coeffs[s] += scaled[k] * r[src]
+    return coeffs
 
 
 def signature(path: PiecewiseLinearPath, truncation: int) -> GradedTensor:
@@ -257,7 +252,7 @@ def signature(path: PiecewiseLinearPath, truncation: int) -> GradedTensor:
     plan = _chen_plan(path.dimension, truncation)
     coeffs = [1.0] + [0.0] * (len(program.words) - 1)
     for dt, dx in path.increments():
-        coeffs = _chen_step(coeffs, [float(dt), *dx.tolist()], plan)
+        _chen_step(coeffs, [float(dt), *dx.tolist()], plan)
     return GradedTensor._of(program, np.array(coeffs))
 
 
@@ -314,8 +309,9 @@ def monte_carlo_expected_signature(
 
     Returns the empirical mean tensor and a per-word standard error. The
     paths run in batches through `_brownian_mean`, so the values depend on
-    rng and batch_size; the Chen step of the module docstring advances arrays
-    of one coefficient per path: one multiply-add of arrays per program entry.
+    rng and batch_size. A batch of b paths is one (K, b) array, one row per
+    word, that the Chen step of the module docstring writes over (T more rows
+    of temps per step) and `_brownian_mean` then takes as its values.
     """
     _check_count(n_paths, "n_paths", 2)
     _check_count(n_steps, "n_steps")
@@ -326,18 +322,19 @@ def monte_carlo_expected_signature(
     h = horizon / n_steps
     mean, stderr = _brownian_mean(
         n_paths, n_steps, dimension, h, rng, batch_size,
-        lambda b: [np.ones(b)] + [np.zeros(b) for _ in program.words[1:]],
-        lambda coeffs, db, _: _chen_step(coeffs, [h, *db.T], plan), np.array)
+        lambda b: np.repeat(np.eye(len(program.words), 1), b, axis=1),
+        lambda coeffs, db, _: _chen_step(coeffs, [h, *db.T], plan), lambda coeffs: coeffs)
     return GradedTensor._of(program, mean), dict(zip(program.words, stderr.tolist()))
 
 
 def _brownian_mean(paths, steps, dims, h, rng, batch, start, step, values):
-    """(K,) mean and standard error of the new (K, b) arrays values(state),
-    which it overwrites, over `paths` Brownian paths in batches of b <= batch.
+    """(K,) mean and standard error of the (K, b) arrays values(state), which
+    it overwrites, over `paths` Brownian paths in batches of b <= batch.
 
     A batch starts as start(b); step k = 1..steps draws the increments
     dw = rng.standard_normal((b, dims)) * sqrt(h) and sets state to
-    step(state, dw, k). The variance is taken about the first path's values,
+    step(state, dw, k); values(state) may be the state itself, which the
+    batch no longer needs. The variance is taken about the first path's values,
     so it does not cancel against the mean: a value equal on every path gets
     a stderr of exactly 0.
     """

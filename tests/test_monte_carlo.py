@@ -6,6 +6,7 @@ loops were merged, written out here: its own batches, its own draws
 first path's values.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,3 +159,23 @@ def test_a_diverging_euler_path_names_its_step_and_row():
         euler_mc(system, lambda y: float(y[0]), [0.0], 1.0, steps, paths, seed)
     assert err.value.substep == 2
     assert err.value.row == row
+
+
+def test_the_expected_signature_holds_one_batch_array_and_the_step_temps():
+    # a batch of b paths is one (K, b) coefficient array, written over in
+    # place, plus the T temps of one Chen step: a peak of 1.25 (K + T) b
+    # floats leaves room for the draws and the scaled increments, not for a
+    # second (K, b) copy
+    dimension, truncation, paths = 2, 4, 2000
+    words = word_program(dimension, truncation).words
+    temps = _chen_plan(dimension, truncation).temps
+    monte_carlo_expected_signature(dimension, truncation, 1.0, 10, 2,
+                                   np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        monte_carlo_expected_signature(dimension, truncation, 1.0, paths, 64,
+                                       np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (len(words) + len(temps)) * paths * 8

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from wienercub.tensor_algebra import AlgebraError, GradedTensor, all_words, exp, mul
+from wienercub.tensor_algebra import (AlgebraError, GradedTensor, all_words, exp, mul,
+                                     word_program)
 from wienercub.path_signature import (
     PiecewiseLinearPath,
+    _chen_plan,
+    _chen_step,
     concat,
     signature,
     log_signature,
@@ -299,3 +302,23 @@ def test_expected_signature_is_the_exponential_of_its_generator(d, m, horizon):
     got = brownian_expected_signature(d, m, horizon)
     assert {w for w, _ in got.items()} == {w for w, _ in ref.items()}
     assert got.max_coeff_difference(ref) <= 1e-15 * max(abs(c) for _, c in ref.items())
+
+
+@pytest.mark.parametrize("d,m", [(1, 9), (2, 6), (3, 4)])
+def test_one_chen_step_serves_float_lists_and_coefficient_arrays(d, m):
+    # b = 3 paths of 4 segments: the (K, b) array is written over in place,
+    # and each column is, bit for bit, the float-list step on its own path
+    plan = _chen_plan(d, m)
+    n_words = len(word_program(d, m).words)
+    rng = np.random.default_rng(10 * d + m)
+    segments = [(float(rng.uniform(0.1, 0.5)), rng.standard_normal((d, 3)))
+                for _ in range(4)]
+    coeffs = np.zeros((n_words, 3))
+    coeffs[0] = 1.0
+    for dt, dx in segments:
+        assert _chen_step(coeffs, [dt, *dx], plan) is coeffs
+    for path in range(3):
+        column = [1.0] + [0.0] * (n_words - 1)
+        for dt, dx in segments:
+            assert _chen_step(column, [dt, *dx[:, path].tolist()], plan) is column
+        assert coeffs[:, path].tolist() == column

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wienercub import cli
+from wienercub.cubature import degree3, validate
 from wienercub.operator_calculus import flow_tensor_gap, remainder_box_bound
 
 
@@ -71,7 +72,7 @@ def test_mc_reference_accepts_an_odd_step_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid", ["0.4,0.2,0.1,nan", "0.4,0.2,0.1,inf",
-                                  "0.4,0.2,0.1,0", "0.4,0.2"])
+                                  "0.4,0.2,0.1,0", "0.4,0.2", "0.4,0.2,abc"])
 def test_lemma_gap_refuses_a_grid_that_is_not_positive_and_finite(capsys, grid):
     code, out, err = run(["lemma-gap", "--s-grid", grid], capsys)
     assert code == 1 and out == ""
@@ -235,3 +236,35 @@ def test_converge_without_a_k_list_names_the_missing_key(tmp_path, capsys):
     code, out, err = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)
     assert code == 1 and out == ""
     assert err == "error: config missing key 'k_list'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-cubature", "degree3:1", "--tol", "-1"],
+    ["expected-signature", "--dimension", "1", "--degree", "3", "--mc-paths", "10",
+     "--tol", "-1"],
+])
+def test_a_negative_tolerance_is_a_usage_error_naming_its_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"wienercub {argv[0]}: error: argument --tol: tol must be finite and >= 0, got -1.0")
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_validate_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError) as err:
+        validate(degree3(1), tol=tol)
+    assert str(err.value) == f"tol must be finite and >= 0, got {tol!r}"
+
+
+@pytest.mark.parametrize("flag, value, minimum", [("--mc-paths", "1", 2),
+                                                  ("--mc-paths", "-3", 2),
+                                                  ("--mc-steps", "0", 1)])
+def test_monte_carlo_sizes_are_refused_by_their_flags(capsys, flag, value, minimum):
+    argv = ["expected-signature", "--dimension", "1", "--degree", "3",
+            "--mc-paths", "10", flag, value]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be an integer >= {minimum}, got {value}\n"
