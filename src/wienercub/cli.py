@@ -29,10 +29,8 @@ from .klv_solver import (
 )
 from .lie_structures import certify
 from .operator_calculus import MultiPoly, flow_tensor_gap, remainder_box_bound
-from .path_signature import (
-    brownian_expected_signature,
-    monte_carlo_expected_signature,
-)
+from .path_signature import (_check_positive, brownian_expected_signature,
+                             monte_carlo_expected_signature)
 from .tensor_algebra import GradedTensor, _check_count
 from .vector_fields import (
     AffineField,
@@ -135,7 +133,9 @@ def _load_config(args) -> tuple[dict, int]:
     k_list = config.get("partition", {}).get("k_list")
     if k_list is not None and (not k_list or sorted(set(k_list)) != k_list):
         raise ValueError("config partition.k_list must be nonempty and strictly increasing")
-    return config, config.get("seed", 0) if args.seed is None else args.seed
+    seed = config.get("seed", 0) if args.seed is None else args.seed
+    _check_count(seed, "config seed" if args.seed is None else "--seed", 0)
+    return config, seed
 
 
 def _build_system(spec: dict) -> VectorFieldSystem:
@@ -186,6 +186,7 @@ def _builtin_formula(label: str) -> CubatureFormula | None:
             dimension = int(dimension or 1)
         except ValueError:
             raise ValueError(f"cubature spec {label!r}: dimension is not an integer") from None
+        _check_count(dimension, f"cubature spec {label!r}: dimension")
         return cubature.degree3(dimension)
     if name == "degree5_d1" and dimension in ("", "1"):
         return cubature.degree5_d1()
@@ -222,6 +223,8 @@ def _word_key(word) -> str:
 
 
 def cmd_validate_cubature(args) -> int:
+    if args.degree is not None:
+        _check_count(args.degree, "--degree", 0)
     formula = _builtin_formula(args.formula)
     if formula is None:
         try:
@@ -239,6 +242,9 @@ def cmd_validate_cubature(args) -> int:
 
 
 def cmd_expected_signature(args) -> int:
+    _check_count(args.dimension, "--dimension")
+    _check_count(args.degree, "--degree", 0)
+    _check_positive(args.horizon, "--horizon")
     tensor = brownian_expected_signature(args.dimension, args.degree, args.horizon)
     out = {
         "dimension": args.dimension,
@@ -246,6 +252,7 @@ def cmd_expected_signature(args) -> int:
         "horizon": args.horizon,
         "coefficients": {_word_key(w): c for w, c in tensor.items()},
     }
+    worst_z, worst_word = 0.0, ()
     if args.mc_paths:
         _check_count(args.mc_paths, "--mc-paths", 2)
         _check_count(args.mc_steps, "--mc-steps")
@@ -255,7 +262,7 @@ def cmd_expected_signature(args) -> int:
             args.dimension, args.degree, args.horizon,
             args.mc_paths, args.mc_steps, rng,
         )
-        worst_z, worst_word, rows = 0.0, (), {}
+        rows = {}
         for w in sorted(set(dict(tensor.items())) | set(dict(estimate.items()))):
             diff = abs(estimate.coeff(w) - tensor.coeff(w))
             # a word with no spread passes when its difference is within --tol
@@ -267,11 +274,9 @@ def cmd_expected_signature(args) -> int:
                               "seed": args.seed, "worst_z": worst_z,
                               "worst_word": _word_key(worst_word), "rows": rows}
     print(json.dumps(out, indent=1, sort_keys=True))
-    if args.mc_paths and out["monte_carlo"]["worst_z"] > args.z_limit:
-        return _fail(
-            f"monte carlo disagrees: z={out['monte_carlo']['worst_z']:.2f} "
-            f"on word {out['monte_carlo']['worst_word']!r}"
-        )
+    if worst_z > args.z_limit:  # worst_z is 0 without Monte Carlo, the limit >= 0
+        return _fail(f"monte carlo disagrees: z={worst_z:.2f} "
+                     f"on word {_word_key(worst_word)!r}")
     return 0
 
 
@@ -445,11 +450,13 @@ def cmd_lemma_gap(args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
-def finite(text: str) -> float:
-    """argparse type of a limit or tolerance: a finite float, as a NaN limit
-    would turn its check off."""
+def finite(text: str, least: float = -math.inf) -> float:
+    """argparse type of a limit or tolerance: a finite float (a NaN limit
+    would turn its check off) of at least `least` (no z is below 0)."""
     if not math.isfinite(value := float(text)):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a number >= {least}, got {text!r}")
     return value
 
 
@@ -488,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-paths", type=int, default=0)
     p.add_argument("--mc-steps", type=int, default=1024)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z-limit", type=finite, default=4.0)
+    p.add_argument("--z-limit", type=functools.partial(finite, least=0.0), default=4.0)
     p.add_argument("--tol", type=tolerance, default=1e-12)
     p.set_defaults(func=cmd_expected_signature)
 

@@ -7,26 +7,19 @@ value is the product of level operators Q_{s_1} ... Q_{s_k} f. The
 full-tree evaluator sums all n^k branches; the sampled one draws branches
 i.i.d. by weight and flows each distinct drawn node once, so level j costs
 at most min(N, n^(j+1)) rows for N samples. klv_sweep runs either over a
-sequence of partitions (the k of a convergence sweep) from one prologue:
-the checks, the field probe and one level step (vector_fields._LevelStep)
-over the gaps of every partition in turn, each partition on its own slice
-of levels from the offset k_1 + ... + k_{p-1}; klv_full and klv_sampled
-are its one-partition cases, kusuoka_step is klv_full's one-level case.
-The step holds one table of segment coefficients for every level: path
-increments on the system's fields, or one segment per Lie element on its
-bracket fields. On affine fields the segment maps come from one batched
-vector_fields.expm call, composed once into one map per (level, support
-point): the flows are closed-form and the only error left is the tree
-measure's own. A level is then one composed map per row, broadcast
-column-major over the block in the full tree and gathered per node in the
-sampled one; a row that leaves the finite range is replayed segment by
-segment, only then, to name its segment. On generic fields a level is one
-RK4 pass per segment over the rows whose support point has that segment,
-of _substeps steps, sized to the level's gap and the formula's degree. No
-level's arithmetic depends on another's, so a sweep gives the values of one
-solve per partition, bit for bit. The full tree's value is math.fsum of
-its leaf terms in branch order, taken by error-free extraction
-(_exact_sum), independent of the batch size.
+sequence of partitions from one prologue: the checks, the field probe and
+one level step (vector_fields._LevelStep) over the gaps of every partition
+in turn, each partition on its own slice of levels; klv_full and
+klv_sampled are its one-partition cases, kusuoka_step is klv_full's
+one-level case. Both trees reach a level only through the step's along, on
+(N, ...) columns of states and support points that broadcast against them:
+the full tree's (N, 1, P) nodes against every point, the sampled tree's
+(N, R) children against their own. Affine flows are closed-form, generic
+ones RK4 sized to the level's gap and the formula's degree. No level's
+arithmetic depends on another's, so a sweep gives the values of one solve
+per partition, bit for bit. The full tree's value is math.fsum of its leaf
+terms in branch order, taken by error-free extraction (_exact_sum),
+independent of the batch size.
 """
 from __future__ import annotations
 
@@ -219,8 +212,9 @@ def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
 class _TreeWalker:
     """Level-synchronous expansion of the whole tree, leaves in branch order.
     The tree's k levels are the step's levels first, ..., first + k - 1.
-    Nodes go as (N, P) columns, one copy per level; a block's leaves reach
-    the payoff as a view, i-major (row i * P + r), terms go to branch order."""
+    A block's nodes go as (N, P) columns, moved along every support point by
+    one along call into (N, n, P), one copy per level; its leaves reach the
+    payoff as a view, i-major (row i * P + r), terms go to branch order."""
 
     def __init__(self, step: _LevelStep, weights, payoff, cfg: SolverConfig,
                  first: int, k: int):
@@ -231,6 +225,7 @@ class _TreeWalker:
         self.n = len(weights)
         self.first = first
         self.k = k
+        self.points = np.arange(self.n)[:, None]
 
     def run(self, state: np.ndarray) -> dict:
         blocks: list[tuple[np.ndarray, float, float]] = []
@@ -252,7 +247,7 @@ class _TreeWalker:
             return self._expand(columns[:, half:], branch_weights[half:], level,
                                 rank + half, blocks)
         try:
-            y = self.step.children(self.first + level, columns)
+            y = self.step.along(self.first + level, columns[:, None], self.points)
         except FlowDivergence as exc:
             child = rank * self.n + exc.row
             branch = tuple(map(int, np.unravel_index(child, (self.n,) * (level + 1))))
@@ -350,25 +345,25 @@ def _sampled_tree(formula, step, payoff, x, partition, first, n_samples,
     n = formula.n_points
     draws = rng.choice(n, size=(n_samples, k), p=probs)
     # nodes holds one state per distinct drawn node of the current level,
-    # in branch order; node_of maps each sample to its node
-    nodes = x[None, :]
+    # as columns in branch order; node_of maps each sample to its node
+    nodes = x[:, None]
     node_of = np.zeros(n_samples, dtype=np.intp)
     nodes_per_level = []
     for level in range(k):
         key = node_of * n + draws[:, level]
-        drawn = np.zeros(nodes.shape[0] * n, dtype=bool)
+        drawn = np.zeros(nodes.shape[1] * n, dtype=bool)
         drawn[key] = True
         child = np.flatnonzero(drawn)
         node_of = (np.cumsum(drawn) - 1)[key]
         parent, point = np.divmod(child, n)
         try:
-            nodes = step.along(first + level, nodes[parent], point)
+            nodes = step.along(first + level, nodes[:, parent], point)
         except FlowDivergence as exc:
             raise _diverged(
                 exc, f"at level {level + 1}, support point {point[exc.row]}",
                 int(np.argmax(node_of == exc.row))) from exc
         nodes_per_level.append(int(child.size))
-    vals = payoff(nodes)[node_of]
+    vals = payoff(nodes.T)[node_of]
     scale = mass**k
     mean = float(np.mean(vals))
     # np.std's mean can miss identical values by an ulp; their stderr is 0

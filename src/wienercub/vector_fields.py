@@ -477,9 +477,7 @@ class _LevelStep:
     sqrt(gap): the field gamma_field forms. On affine fields one batched
     expm call gives every segment map, composed once per (level, point) as
     M_m @ ... @ M_1; a zero segment's map is exactly I. Level j flows a
-    generic segment by substeps[j] RK4 steps (_substeps), over the rows whose
-    point has that segment only: a padded segment calls no field. A diverging
-    flow raises FlowDivergence naming the failing segment and output row.
+    generic segment by substeps[j] RK4 steps (_substeps).
     """
 
     def __init__(self, sys: VectorFieldSystem, support, gaps, cfg: FlowConfig,
@@ -512,37 +510,49 @@ class _LevelStep:
                 # maps[seg] @ composed, summed term by term as _affine_map sums
                 composed = _affine_map(self.maps[:, :, seg, None], 0.0,
                                        composed.swapaxes(-1, -2)).swapaxes(-1, -2)
-            self.composed = composed[..., :sys.dimension, :]
+            # (level, N, point, N+1), so that along's take broadcasts as is
+            self.composed = np.ascontiguousarray(
+                composed[..., :sys.dimension, :].transpose(0, 2, 1, 3))
 
-    def along(self, level: int, states: np.ndarray, point: np.ndarray):
-        """states[r] flowed along the support of point point[r]: on affine
-        fields by its gathered composed map, and only a non-finite row is
-        replayed segment by segment, to name its first non-finite segment (or
-        its point's last); on generic ones by one RK4 pass per segment of the
-        longest path, on the live rows (those whose point has that segment),
-        gathered, flowed by combine_fields' one sum and scattered back. A
-        divergence names the segment and the row in the whole block."""
+    def along(self, level: int, columns: np.ndarray, point) -> np.ndarray:
+        """Columns x (N, ...) of states moved along the support of `point`,
+        an int array with one axis per trailing axis of x that broadcasts
+        against them: y[:, b] is x[:, b] moved along point[b]'s support. The
+        full tree passes x[:, None] (N, 1, P) and arange(n)[:, None] for y
+        (N, n, P), the sampled tree its children (N, R) and their points (R,).
+
+        Affine fields: y[a, b] = sum_j M[a, j] x[j, b] + c[a], the composed
+        map of point[b] summed in order of j (_affine_columns) in any layout;
+        only the first non-finite row is replayed segment by segment, to name
+        its first non-finite segment (or its point's last). Generic fields:
+        the broadcast block is flattened to rows, first axis fastest (row
+        r * n + i in the full tree: branch order), and each segment of the
+        longest path is one RK4 pass of combine_fields' sum over the live
+        rows (those whose point has that segment), gathered and scattered
+        back. A divergence names the segment and the row of the flat block."""
         if self.composed is not None:
-            maps = self.composed[level, point]
-            y = _affine_map(maps[..., :-1], maps[..., -1], states)
-            finite = np.isfinite(y).all(axis=-1)
-            if finite.all():
+            maps = self.composed[level].take(point, axis=1)
+            y = _affine_columns(maps[..., :-1], maps[..., -1], columns)
+            if np.isfinite(y).all():
                 return y
-            row = int(np.argmin(finite))
-            z, m = states[row], self.lengths[point[row]]
-            for seg in range(m):
-                seg_map = self.maps[level, point[row], seg, :-1]
+        shape = columns.shape[:1] + np.broadcast_shapes(columns.shape[1:], np.shape(point))
+        states = np.broadcast_to(columns, shape).reshape(len(columns), -1, order="F").T
+        points = np.broadcast_to(point, shape[1:]).ravel(order="F")
+        if self.composed is not None:
+            row = int(np.argmin(np.isfinite(y).all(axis=0).ravel(order="F")))
+            z, m = states[row], self.lengths[points[row]]
+            for seg, seg_map in enumerate(self.maps[level, points[row], :m, :-1]):
                 z = _affine_map(seg_map[:, :-1], seg_map[:, -1], z)
                 if not np.isfinite(z).all():
                     break
             raise FlowDivergence(
                 f"segment {seg + 1}/{m}: affine flow left the finite range",
                 segment=seg + 1, row=row)
-        y, cfg = np.array(states, dtype=float), FlowConfig(self.substeps[level])
-        lengths = self.lengths[point]
+        y, cfg = states.copy(), FlowConfig(self.substeps[level])
+        lengths = self.lengths[points]
         for seg in range(lengths.max()):
             live = np.flatnonzero(lengths > seg)
-            c = self.coefficients[level, point[live], seg]
+            c = self.coefficients[level, points[live], seg]
             try:
                 y[live] = flow_exp(combine_fields(self.fields, c), 1.0, y[live], cfg)
             except FlowDivergence as exc:
@@ -550,22 +560,7 @@ class _LevelStep:
                 raise FlowDivergence(
                     f"segment {seg + 1}/{lengths[row]}: {exc}",
                     substep=exc.substep, segment=seg + 1, row=row) from exc
-        return y
-
-    def children(self, level: int, columns: np.ndarray) -> np.ndarray:
-        """(N, P) columns x of states to y (N, n, P), y[:, i, r] = x[:, r] moved
-        along point i's support. Affine: y[a, i, r] = sum_j M_i[a, j] x[j, r]
-        + b_i[a], along's arithmetic broadcast with the long axis innermost.
-        Generic fields, or a non-finite y, run along on the repeated block
-        (an error's row is r * n + i)."""
-        p, n = columns.shape[1], self.lengths.size
-        if self.composed is not None:
-            maps = self.composed[level].transpose(1, 0, 2)[:, :, None]
-            y = _affine_columns(maps[..., :-1], maps[..., -1], columns)
-            if np.isfinite(y).all():
-                return y
-        return self.along(level, np.repeat(columns.T, n, axis=0),
-                          np.tile(np.arange(n), p)).reshape(p, n, -1).T
+        return y.T.reshape(shape, order="F")
 
 
 def flow_along_path(
@@ -585,5 +580,6 @@ def flow_along_path(
         raise ValueError(f"states must have a last axis of length {sys.dimension}, "
                          f"got shape {x.shape}")
     _check_controls(path.dimension, sys, "path")
-    step = _LevelStep(sys, [path], [1.0], cfg)
-    return step.children(0, x.reshape(-1, sys.dimension).T)[:, 0].T.reshape(x.shape)
+    columns = x.reshape(-1, sys.dimension).T
+    y = _LevelStep(sys, [path], [1.0], cfg).along(0, columns, np.zeros(1, int))
+    return y.T.reshape(x.shape)

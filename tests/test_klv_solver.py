@@ -247,6 +247,19 @@ def test_full_tree_divergence_of_an_exact_affine_flow():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_full_tree_names_the_first_diverging_branch_in_branch_order():
+    # x e^{300 (t - w)} from x = -1: at level 3 the branches (1, 2, 2),
+    # (2, 1, 2), (2, 2, 1) and (2, 2, 2) overflow in one block; the first in
+    # branch order is named, not the first of the lowest support point
+    sys = VectorFieldSystem((AffineField([[300.0]], [0.0]), AffineField([[-300.0]], [0.0])))
+    with pytest.raises(FlowDivergence) as err:
+        klv_full(degree5_d1(), sys, lambda y: float(y[0]), np.array([-1.0]),
+                 gamma_partition(1.0, 4, 1.0))
+    assert str(err.value).startswith("flow diverged on branch (1, 2, 2) (level 3): ")
+    assert (err.value.row, err.value.segment) == (5, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 def test_sampled_tree_divergence_names_level_and_support_point():
     with pytest.raises(FlowDivergence) as err:
         klv_sampled(degree3(1), _blowup_system(), lambda y: float(y[0]),
@@ -1048,3 +1061,102 @@ def test_sized_default_flow_error_is_small_against_the_scheme_error(formula, gam
         value = klv_full(formula, _sqrt_system(), f, x, part).value
         reference = klv_full(formula, _sqrt_system(), f, x, part, fine).value
         assert abs(value - reference) <= 0.01 * abs(reference - truth), k
+
+
+def _cubic_2d(seed):
+    # the conftest pair, a seeded third affine field, a seeded start and a
+    # dense seeded cubic payoff on all ten monomials of degree <= 3
+    rng = np.random.default_rng([seed, 2])
+    a2, b2 = rng.uniform(-0.3, 0.3, (2, 2)), rng.uniform(-0.3, 0.3, 2)
+    x0 = np.array([0.7, -0.3]) + rng.uniform(-0.2, 0.2, 2)
+    sys = VectorFieldSystem((AffineField([[0.2, -0.4], [0.3, 0.1]], [0.1, -0.2]),
+                             AffineField([[0.0, 0.5], [-0.3, 0.2]], [0.4, 0.3]),
+                             AffineField(a2, b2)))
+    exps = [e for e in np.ndindex(4, 4) if sum(e) <= 3]
+    return sys, x0, MultiPoly(2, {e: float(rng.uniform(-1.0, 1.0)) for e in exps})
+
+
+def _sinh_system(mu=0.1):
+    # dX = c(X) (mu dt + o dW), c(x) = sqrt(1 + x^2), with exact Jacobians
+    c = lambda x: np.sqrt(1.0 + x * x)
+    return VectorFieldSystem((
+        GenericField(lambda x: mu * c(x), 1,
+                     jacobian_func=lambda x: np.reshape(mu * x / c(x), (1, 1))),
+        GenericField(c, 1, jacobian_func=lambda x: np.reshape(x / c(x), (1, 1))),
+    ))
+
+
+def _bits(value) -> str:
+    # floats by their hex digits, containers element by element
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k}:{_bits(v)}" for k, v in sorted(value.items())) + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(_bits(v) for v in value) + "]"
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return repr(value)
+
+
+def _result_bits(result):
+    return _bits([result.value, result.stderr, result.leaves_evaluated,
+                  result.diagnostics])
+
+
+def _divergence_bits(solve):
+    with pytest.raises(FlowDivergence) as err:
+        solve()
+    return _bits([err.value.row, err.value.segment, err.value.substep, str(err.value)])
+
+
+def _layout_values():
+    # every way the level step is reached: both trees at several batch
+    # sizes, path and Lie support, generic and affine fields, flow_along_path
+    # on one state and on a block, and a divergence in each tree
+    out, f = [], (lambda y: float(y[0]))
+    for seed in range(3):
+        sys, x0, payoff = _cubic_2d(seed)
+        for k in (3, 7):
+            part = gamma_partition(1.0, k, 2.0)
+            for batch in (1 << 16, 37):
+                out.append(_result_bits(klv_full(degree3(2), sys, payoff, x0, part,
+                                                 SolverConfig(batch=batch))))
+            out.append(_result_bits(klv_sampled(degree3(2), sys, payoff, x0, part,
+                                                2_000, seed)))
+            out.append(_result_bits(klv_full(lie_form(degree3(2)), sys, payoff, x0,
+                                             part)))
+        states = x0 + np.random.default_rng(seed).standard_normal((7, 2))
+        for path in degree3(2).paths:
+            out.append(_bits([flow_along_path(path, sys, x0),
+                              flow_along_path(path, sys, states)]))
+    sinh, x = _sinh_system(), np.array([0.4])
+    part = gamma_partition(1.0, 4, 2.0)
+    for batch in (5, 1 << 16):
+        out.append(_result_bits(klv_full(degree5_d1(), sinh, f, x, part,
+                                         SolverConfig(batch=batch))))
+    out.append(_result_bits(klv_sampled(degree5_d1(), sinh, f, x,
+                                        gamma_partition(1.0, 8, 2.0), 1_000, 4)))
+    out.append(_bits([kusuoka_step(lie_form(degree3(1)), sinh, f, x, 0.3),
+                      *euler_mc(sinh, f, x, 1.0, 8, 200, 7)]))
+    states = np.linspace(-1.5, 1.5, 7)[:, None]
+    for path in degree5_d1().paths:
+        out.append(_bits([flow_along_path(path, sinh, x),
+                          flow_along_path(path, sinh, states)]))
+    blowup_part = gamma_partition(1.0, 4, 1.0)
+    for system in sorted(_MULTI_SEGMENT_BLOWUPS):
+        sys = _MULTI_SEGMENT_BLOWUPS[system]()
+        for batch in (1 << 16, 3):
+            out.append(_divergence_bits(lambda: klv_full(
+                degree5_d1(), sys, f, np.array([1.0]), blowup_part,
+                SolverConfig(batch=batch))))
+        out.append(_divergence_bits(lambda: klv_sampled(
+            degree5_d1(), sys, f, np.array([1.0]), blowup_part, 200, 3)))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_layouts_keep_their_bits():
+    # the digest was taken before the level step moved to one routine on
+    # broadcast columns: values, stderrs, diagnostics and the (row, segment,
+    # message) of each divergence must not move
+    digest = hashlib.sha256("\n".join(_layout_values()).encode()).hexdigest()
+    assert digest == "851ac009be577a09c31e8f2978d19a48383f2fbc41556861d69eb0e1ca512984"

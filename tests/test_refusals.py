@@ -268,3 +268,74 @@ def test_monte_carlo_sizes_are_refused_by_their_flags(capsys, flag, value, minim
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert err == f"error: {flag} must be an integer >= {minimum}, got {value}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expected-signature", "--dimension", "1", "--degree", "-1"],
+     "--degree must be an integer >= 0, got -1"),
+    (["expected-signature", "--dimension", "0", "--degree", "2"],
+     "--dimension must be an integer >= 1, got 0"),
+    (["expected-signature", "--dimension", "1", "--degree", "2", "--horizon", "0"],
+     "--horizon must be positive and finite, got 0.0"),
+    (["expected-signature", "--dimension", "1", "--degree", "2", "--horizon", "-0.5"],
+     "--horizon must be positive and finite, got -0.5"),
+    (["validate-cubature", "degree3:1", "--degree", "-1"],
+     "--degree must be an integer >= 0, got -1"),
+    (["validate-cubature", "degree3:0"],
+     "cubature spec 'degree3:0': dimension must be an integer >= 1, got 0"),
+    (["validate-cubature", "degree3:-2"],
+     "cubature spec 'degree3:-2': dimension must be an integer >= 1, got -2"),
+])
+def test_a_flag_is_checked_under_its_own_name_before_the_library_sees_it(
+        capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_config_builtin_of_dimension_zero_names_its_spec(tmp_path, capsys):
+    cfg = gbm_config(tmp_path, cubature={"builtin": "degree3", "dimension": 0})
+    code, out, err = run(["solve", "--config", cfg], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: cubature spec 'degree3:0': dimension must be an integer >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.001"])
+def test_a_negative_z_limit_is_a_usage_error_naming_its_flag(capsys, value):
+    # no z is below 0, so such a limit would fail every Monte Carlo check
+    argv = ["expected-signature", "--dimension", "1", "--degree", "2", "--mc-paths", "50",
+            "--mc-steps", "4", "--z-limit", value]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "wienercub expected-signature: error: argument --z-limit: "
+        f"expected a number >= 0.0, got {value!r}")
+
+
+def test_a_zero_z_limit_passes_without_a_monte_carlo_check(capsys):
+    code, out, err = run(["expected-signature", "--dimension", "1", "--degree", "2",
+                          "--z-limit", "0"], capsys)
+    assert (code, err) == (0, "") and "monte_carlo" not in json.loads(out)
+
+
+@pytest.mark.parametrize("command", ["solve", "converge", "mc-reference"])
+def test_a_negative_seed_flag_is_refused_by_name_before_any_solve(tmp_path, capsys,
+                                                                  command):
+    # converge on this config derives seed + 1 and seed + 2 for its Euler
+    # reference; the refusal names the seed as given, not a derived one
+    cfg = ou_power_config(tmp_path, {"steps": 4, "paths": 200})
+    out_dir = ["--out", str(tmp_path / "out")] if command == "converge" else []
+    code, out, err = run([command, "--config", cfg, *out_dir, "--seed", "-2"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: --seed must be an integer >= 0, got -2\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["full", "sampled"])
+def test_a_negative_config_seed_is_refused_by_its_key(tmp_path, capsys, mode):
+    cfg = gbm_config(tmp_path, seed=-5, mode=mode, samples=100)
+    code, out, err = run(["solve", "--config", cfg], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: config seed must be an integer >= 0, got -5\n"

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -300,8 +302,9 @@ def test_every_point_is_flow_along_path_point_by_point(system):
     formula, gaps, cfg = degree5_d1(), (0.3, 0.7), FlowConfig(substeps=8)
     step = _LevelStep(sys, formula.paths, gaps, cfg)
     states = np.random.default_rng(3).standard_normal((5, 2))
+    points = np.arange(formula.n_points)[:, None]
     for level, gap in enumerate(gaps):
-        got = step.children(level, states.T)
+        got = step.along(level, states.T[:, None], points)
         for i, path in enumerate(rescale(formula, gap).paths):
             assert np.array_equal(got[:, i].T, flow_along_path(path, sys, states, cfg))
 
@@ -309,8 +312,8 @@ def test_every_point_is_flow_along_path_point_by_point(system):
 @pytest.mark.parametrize("formula", [degree5_d1(), degree3(2)],
                          ids=["degree5_d1", "degree3_2"])
 def test_every_point_is_along_on_the_repeated_block(formula):
-    # children broadcasts the composed maps where along gathers one per
-    # row; both must give each row the same arithmetic
+    # the full tree's call broadcasts the composed maps where the sampled
+    # tree's gathers one per row; both must give each row the same arithmetic
     fields = [AffineField(*_PAIR[0]), AffineField(*_PAIR[1]),
               AffineField([[0.1, 0.0], [0.2, -0.3]], [0.0, 0.5])]
     sys = VectorFieldSystem(tuple(fields[:formula.dimension + 1]))
@@ -318,10 +321,10 @@ def test_every_point_is_along_on_the_repeated_block(formula):
     states = np.random.default_rng(5).standard_normal((6, 2))
     n = formula.n_points
     for level in range(2):
-        gathered = step.along(level, np.repeat(states, n, axis=0),
-                              np.tile(np.arange(n), 6))
-        assert np.array_equal(step.children(level, states.T).T.reshape(-1, 2),
-                              gathered)
+        gathered = step.along(level, np.repeat(states, n, axis=0).T,
+                              np.tile(np.arange(n), 6)).T
+        every = step.along(level, states.T[:, None], np.arange(n)[:, None])
+        assert np.array_equal(every.T.reshape(-1, 2), gathered)
 
 
 def test_every_point_is_along_on_three_states_and_on_a_strided_block():
@@ -333,15 +336,15 @@ def test_every_point_is_along_on_three_states_and_on_a_strided_block():
     step = _LevelStep(sys, formula.paths, (0.3, 0.7), FlowConfig())
     strided = rng.standard_normal((12, 6))[::2, ::2]
     assert not strided.flags.c_contiguous
-    n = formula.n_points
+    n, points = formula.n_points, np.arange(formula.n_points)[:, None]
     for level in range(2):
-        gathered = step.along(level, np.repeat(strided, n, axis=0),
-                              np.tile(np.arange(n), 6))
-        assert np.array_equal(step.children(level, strided.T).T.reshape(-1, 3),
-                              gathered)
+        gathered = step.along(level, np.repeat(strided, n, axis=0).T,
+                              np.tile(np.arange(n), 6)).T
+        assert np.array_equal(step.along(level, strided.T[:, None], points)
+                              .T.reshape(-1, 3), gathered)
         assert np.array_equal(
-            step.children(level, np.ascontiguousarray(strided.T)).T.reshape(-1, 3),
-            gathered)
+            step.along(level, np.ascontiguousarray(strided.T)[:, None], points)
+            .T.reshape(-1, 3), gathered)
 
 
 def _tagged_clock(seen, nan_tag=None):
@@ -366,7 +369,7 @@ def test_a_generic_level_step_calls_the_fields_on_the_live_rows_only():
                       FlowConfig(substeps=2))
     point = np.array([0, 1, 2, 1, 2, 0])
     states = np.column_stack([np.zeros(6), np.arange(6.0)])
-    y = step.along(0, states, point)
+    y = step.along(0, states.T, point).T
     assert seen == [[0, 1, 2, 3, 4, 5]] * 8 + [[0, 2, 4, 5]] * 16
     np.testing.assert_allclose(y, np.column_stack([np.ones(6), np.arange(6.0)]),
                                rtol=1e-15)
@@ -380,8 +383,34 @@ def test_a_divergence_on_the_live_rows_names_its_row_in_the_block():
                       FlowConfig(substeps=2))
     states = np.column_stack([np.zeros(6), np.arange(6.0)])
     with pytest.raises(FlowDivergence, match="^segment 2/3: state left") as err:
-        step.along(0, states, np.array([0, 1, 2, 1, 2, 0]))
+        step.along(0, states.T, np.array([0, 1, 2, 1, 2, 0]))
     assert (err.value.segment, err.value.substep, err.value.row) == (2, 2, 4)
+
+
+def test_the_level_step_has_one_level_routine():
+    # both trees and flow_along_path advance states over a level through
+    # along; a second routine would be a second method here
+    [cls] = ast.parse(inspect.getsource(_LevelStep)).body
+    assert isinstance(cls.body[0], ast.Expr)  # the docstring
+    assert [getattr(node, "name", type(node).__name__) for node in cls.body[1:]] == [
+        "__init__", "along"]
+
+
+@pytest.mark.parametrize("system", ["affine", "generic"])
+def test_along_gives_each_layout_the_broadcast_shape_and_the_same_rows(system):
+    # the three calls of the library: a block on one point (flow_along_path),
+    # each column on its own point (the sampled tree) and every column on
+    # every point (the full tree)
+    v1 = AffineField(*_PAIR[1]) if system == "affine" else GenericField(np.sin, 2)
+    sys = VectorFieldSystem((AffineField(*_PAIR[0]), v1))
+    step = _LevelStep(sys, degree5_d1().paths, [0.5], FlowConfig(substeps=8))
+    x = np.random.default_rng(1).standard_normal((2, 5))
+    every = step.along(0, x[:, None], np.arange(3)[:, None])
+    assert every.shape == (2, 3, 5)
+    for i in range(3):
+        assert np.array_equal(step.along(0, x, np.array([i])), every[:, i])
+    own = np.array([2, 0, 1, 1, 2])
+    assert np.array_equal(step.along(0, x, own), every[:, own, np.arange(5)])
 
 
 def test_composed_path_flow_matches_segment_by_segment_flow(noncommuting_system):
