@@ -334,6 +334,7 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     config, seed = _load_config(args)
+    _check_count(args.threads, "--threads")
     k_list = config.get("partition", {})["k_list"]
     steps, paths = (_REFERENCE | config.get("reference", {})).values()
     if steps < 2 or steps % 2:
@@ -470,6 +471,21 @@ def tolerance(text: str) -> float:
     return value
 
 
+class _Numbers:
+    """argparse's test of an argument that starts with '-' but is a value:
+    anything float() reads, so -1e-3 and -inf are values too (argparse's own
+    test knows only forms like -1 and -.5). No flag starts with '-' and a
+    digit, '.', 'i' or 'n'."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -520,6 +536,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-slope", type=finite, default=None,
                    help="default (m+1)/2 - 0.3")
     p.set_defaults(func=cmd_lemma_gap)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _Numbers
     return parser
 
 

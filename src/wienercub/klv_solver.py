@@ -35,7 +35,6 @@ from .path_signature import (_brownian_mean, _check_positive, _check_times,
 from .tensor_algebra import _check_count
 from .vector_fields import (
     DEFAULT_FLOW,
-    AffineField,
     FlowConfig,
     FlowDivergence,
     GenericField,
@@ -43,7 +42,6 @@ from .vector_fields import (
     _LevelStep,
     _check_controls,
     _check_finite,
-    _matvec,
 )
 
 
@@ -465,31 +463,6 @@ def kusuoka_step(
     return klv_full(formula, sys, f, x, Partition((0.0, s)), SolverConfig(flow=cfg)).value
 
 
-def _ito_drift(sys: VectorFieldSystem):
-    """Drift of the equivalent martingale-form equation.
-
-    The path-flow semantics pair V_0 with dt in the Fisk-Stratonovich sense,
-    so simulation by Euler steps needs the corrected drift
-    a(x) = V_0(x) + 1/2 sum_i J V_i(x) . V_i(x); exact for affine fields.
-    """
-    space = sys.fields[1:]
-    if sys.is_affine:
-        a = sys.fields[0].matrix.copy()
-        b = sys.fields[0].offset.copy()
-        for v in space:
-            a += 0.5 * (v.matrix @ v.matrix)
-            b += 0.5 * (v.matrix @ v.offset)
-        return AffineField(a, b)
-
-    def drift(x):
-        out = np.array(sys.fields[0](x), dtype=float)
-        for v in space:
-            out += 0.5 * _matvec(v.jacobian(x), v(x))
-        return out
-
-    return drift
-
-
 def euler_mc(
     sys: VectorFieldSystem,
     f,
@@ -500,16 +473,21 @@ def euler_mc(
     seed: int,
     batch: int = 65_536,
 ) -> tuple[float, float]:
-    """Euler reference estimate of E[f(X_T)]; returns (mean, stderr).
+    """Euler-Heun reference estimate of E[f(X_T)]; returns (mean, stderr).
 
-    The scheme is weak order one, so it serves as an independent check, not
-    a high-precision oracle; tighten steps and paths as needed. Paths run in
-    batches through `path_signature._brownian_mean`, so values depend on
-    seed and batch. A MultiPoly f is evaluated on each batch of final states
-    at once, any other callable once per path. Generic fields are probed as
-    in `klv_full`, then called with their Jacobians once per batch and step
-    (a jacobian_func once per path and step). A non-finite state raises
-    FlowDivergence with its step as `substep`, its batch row as `row`.
+    Each step of length h takes g = sum_i V_i(y) dW_i and moves y to
+    y + V_0(y) h + (g + sum_i V_i(y + g) dW_i) / 2: 1 + 2d block calls of
+    the fields, no Jacobian. The scheme reaches the Stratonovich solution
+    at weak order one (Kloeden and Platen 1992), so it serves as an
+    independent check, not a high-precision oracle; tighten steps and paths
+    as needed. On an affine system its mean is the Ito Euler chain's,
+    m <- m + h (A m + b) with the Ito drift A x + b = V_0(x) + 1/2 sum_i
+    A_i V_i(x). Paths run in batches through
+    `path_signature._brownian_mean`, so values depend on seed and batch. A
+    MultiPoly f is evaluated on each batch of final states at once, any
+    other callable once per path. Generic fields are probed as in
+    `klv_full`. A non-finite state raises FlowDivergence with its step as
+    `substep`, its batch row as `row`.
     """
     _check_positive(horizon)
     _check_count(steps, "steps")
@@ -519,15 +497,15 @@ def euler_mc(
     x = _start_state(sys, x)
     _check_block_fields(sys, x)
     payoff = _block_payoff(f)
-    drift = _ito_drift(sys)
-    space = sys.fields[1:]
+    drift, space = sys.fields[0], sys.fields[1:]
     h = horizon / steps
 
+    def noise(states, dw):
+        return sum(v(states) * dw[:, i : i + 1] for i, v in enumerate(space))
+
     def step(states, dw, k):
-        move = drift(states) * h
-        for i, v in enumerate(space):
-            move += v(states) * dw[:, i : i + 1]
-        states = states + move
+        g = noise(states, dw)
+        states = states + drift(states) * h + 0.5 * (g + noise(states + g, dw))
         _check_finite(states, f"Euler path left the finite range at step {k}/{steps}", k)
         return states
 

@@ -33,6 +33,8 @@ from wienercub.klv_solver import (
     _exact_sum,
 )
 
+from conftest import A0, A1, B0, B1, X_START
+
 FLOW64 = SolverConfig(flow=FlowConfig(substeps=64))
 # the count of flow_along_path's default, for trees compared against it
 FLOW32 = SolverConfig(flow=FlowConfig(substeps=32))
@@ -361,6 +363,60 @@ def test_euler_mean_matches_discrete_closed_form():
     assert abs(mean - discrete) < 4.0 * stderr
     uncorrected = (1.0 + mu / steps) ** steps
     assert abs(mean - uncorrected) > 20.0 * stderr
+
+
+def test_euler_mean_on_a_2d_affine_system_follows_the_ito_mean_recursion():
+    # on affine fields the Euler-Heun step's conditional mean is the Ito
+    # Euler step's, so E[X_n] follows m <- m + h (A m + b) with the Ito drift
+    # A = A_0 + 1/2 sum_i A_i^2, b = b_0 + 1/2 sum_i A_i b_i; the conftest
+    # pair and a third field do not commute
+    fields = [(np.array(A0), np.array(B0)), (np.array(A1), np.array(B1)),
+              (np.array([[0.1, 0.0], [0.2, -0.1]]), np.array([0.0, 0.2]))]
+    sys = VectorFieldSystem(tuple(AffineField(a, b) for a, b in fields))
+    steps, paths, h = 8, 400_000, 1.0 / 8
+    a_ito = fields[0][0] + 0.5 * sum(a @ a for a, _ in fields[1:])
+    b_ito = fields[0][1] + 0.5 * sum(a @ b for a, b in fields[1:])
+    ito = uncorrected = np.array(X_START)
+    for _ in range(steps):
+        ito = ito + h * (a_ito @ ito + b_ito)
+        uncorrected = uncorrected + h * (fields[0][0] @ uncorrected + fields[0][1])
+    for j in range(2):
+        mean, stderr = euler_mc(sys, MultiPoly.coordinate(2, j), X_START, 1.0, steps,
+                                paths, 11)
+        assert abs(mean - ito[j]) < 4.0 * stderr, j
+        assert abs(mean - uncorrected[j]) > 10.0 * stderr, j
+
+
+def test_euler_heun_bias_on_the_sinh_system_is_within_weak_order_one():
+    # asinh X_T = asinh x + mu T + W_T gives E[X_1]; the allowance is the
+    # signature_mc benchmark check's, |truth| / steps plus 4 stderr
+    x, steps = 0.4, 16
+    truth = math.sinh(math.asinh(x) + 0.1) * math.exp(0.5)
+    mean, stderr = euler_mc(_sinh_system(), lambda y: float(y[0]), [x], 1.0, steps,
+                            20_000, 3)
+    assert abs(mean - truth) <= 4.0 * stderr + abs(truth) / steps
+
+
+def test_euler_calls_the_fields_on_blocks_and_never_a_jacobian():
+    # per step: V_0 and V_1 at the states, V_1 at the predictor; plus the
+    # probe's three calls per generic field
+    calls = {"field": 0, "jacobian": 0}
+
+    def counted(fn, kind):
+        def call(x):
+            calls[kind] += 1
+            return fn(x)
+        return call
+
+    c = lambda x: np.sqrt(1.0 + x * x)
+    dc = lambda x: np.reshape(x / c(x), (1, 1))
+    sys = VectorFieldSystem((
+        GenericField(counted(lambda x: 0.1 * c(x), "field"), 1,
+                     jacobian_func=counted(lambda x: 0.1 * dc(x), "jacobian")),
+        GenericField(counted(c, "field"), 1, jacobian_func=counted(dc, "jacobian")),
+    ))
+    euler_mc(sys, lambda y: float(y[0]), [0.4], 1.0, 16, 300, 1)
+    assert calls == {"field": 2 * 3 + 16 * 3, "jacobian": 0}
 
 
 def test_euler_reproducible_and_batched():
@@ -979,12 +1035,6 @@ def _parity_values():
     # at their default count, and affine systems, which flow in closed form
     f, x = (lambda y: float(y[0])), np.array([0.4])
     generic, part = _sqrt_system(), gamma_partition(1.0, 4, 2.0)
-    with_jacobian = VectorFieldSystem((
-        GenericField(lambda y: 0.1 * np.sqrt(1.0 + y * y), 1, jacobian_func=lambda y:
-                     np.array([[0.1 * y[0] / math.sqrt(1.0 + y[0] ** 2)]])),
-        GenericField(lambda y: np.sqrt(1.0 + y * y), 1, jacobian_func=lambda y:
-                     np.array([[y[0] / math.sqrt(1.0 + y[0] ** 2)]])),
-    ))
     pair = VectorFieldSystem((AffineField([[0.2, -0.4], [0.3, 0.1]], [0.1, -0.2]),
                               AffineField([[0.0, 0.5], [-0.3, 0.2]], [0.4, 0.3]),
                               AffineField([[0.1, 0.0], [0.2, -0.1]], [0.0, 0.2])))
@@ -998,13 +1048,11 @@ def _parity_values():
         klv_full(degree5_d1(), generic, f, x, part, FLOW32).value,
         *(r.value for r in klv_sweep(degree3(1), generic, f, x, parts, FLOW32)),
         kusuoka_step(lie_form(degree3(1)), generic, f, x, 0.3, FLOW32.flow),
-        *euler_mc(with_jacobian, f, x, 1.0, 8, 200, 7),
         *flow_exp(generic.fields[1], 0.7, np.array([[0.4], [-1.1]])).ravel(),
         *flow_along_path(degree5_d1().paths[0], generic, x),
         klv_full(degree5_d1(), gbm(0.05, 0.3), f, np.array([1.0]), part).value,
         *(r.value for r in klv_sweep(degree3(2), pair, cubic, xy, parts)),
         kusuoka_step(lie_form(degree5_d1()), gbm(0.05, 0.3), f, np.array([1.0]), 0.3),
-        *euler_mc(gbm(0.05, 0.3), f, np.array([1.0]), 1.0, 8, 200, 7),
     ]
 
 
@@ -1013,7 +1061,21 @@ def test_pinned_and_affine_flows_keep_their_values_bit_for_bit():
     # unit parameter: an explicit count and affine systems must not move
     digest = hashlib.sha256("\n".join(
         float(v).hex() for v in _parity_values()).encode()).hexdigest()
-    assert digest == "2088261254931ffa464691d5dbb657168acd9102bb3dd40c3290215e8d1b0cf2"
+    assert digest == "ac8d7bc3c2d0c0310ae22882f7ddd64365f245218f3be5341a900ee532b8f824"
+
+
+def test_euler_heun_keeps_its_bits():
+    # the digest was taken when euler_mc moved to the Euler-Heun step: its
+    # values on generic fields with Jacobians, on gbm and on a 2-D affine
+    # system at two batch sizes must not move
+    f, x = (lambda y: float(y[0])), np.array([0.4])
+    sys, x0, payoff = _cubic_2d(0)
+    values = [*euler_mc(_sinh_system(), f, x, 1.0, 8, 200, 7),
+              *euler_mc(gbm(0.05, 0.3), f, np.array([1.0]), 1.0, 8, 200, 7),
+              *(v for batch in (37, 65_536)
+                for v in euler_mc(sys, payoff, x0, 1.0, 8, 200, 7, batch=batch))]
+    digest = hashlib.sha256(_bits(values).encode()).hexdigest()
+    assert digest == "86fa5bb4665dab94cc884e3652b458321b9a35703d2c3dbea0f9c8c2cf113d64"
 
 
 def test_generic_solves_report_the_rk4_count_of_each_level():
@@ -1135,8 +1197,7 @@ def _layout_values():
                                          SolverConfig(batch=batch))))
     out.append(_result_bits(klv_sampled(degree5_d1(), sinh, f, x,
                                         gamma_partition(1.0, 8, 2.0), 1_000, 4)))
-    out.append(_bits([kusuoka_step(lie_form(degree3(1)), sinh, f, x, 0.3),
-                      *euler_mc(sinh, f, x, 1.0, 8, 200, 7)]))
+    out.append(_bits([kusuoka_step(lie_form(degree3(1)), sinh, f, x, 0.3)]))
     states = np.linspace(-1.5, 1.5, 7)[:, None]
     for path in degree5_d1().paths:
         out.append(_bits([flow_along_path(path, sinh, x),
@@ -1159,4 +1220,4 @@ def test_layouts_keep_their_bits():
     # broadcast columns: values, stderrs, diagnostics and the (row, segment,
     # message) of each divergence must not move
     digest = hashlib.sha256("\n".join(_layout_values()).encode()).hexdigest()
-    assert digest == "851ac009be577a09c31e8f2978d19a48383f2fbc41556861d69eb0e1ca512984"
+    assert digest == "b53ea01586fc72a5056895b3af0ab47a9a666656fab9e065c0bcedfcdc542eac"

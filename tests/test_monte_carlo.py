@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wienercub.klv_solver import _block_payoff, _ito_drift, _start_state, euler_mc
+from wienercub.klv_solver import _block_payoff, _start_state, euler_mc
 from wienercub.operator_calculus import MultiPoly
 from wienercub.path_signature import (
     _chen_plan,
@@ -33,8 +33,7 @@ from conftest import A0, A1, B0, B1, X_START
 def looped_euler_mc(sys, f, x, horizon, steps, paths, seed, batch):
     x = _start_state(sys, x)
     payoff = _block_payoff(f)
-    drift = _ito_drift(sys)
-    space = sys.fields[1:]
+    drift, space = sys.fields[0], sys.fields[1:]
     h = horizon / steps
     rt = math.sqrt(h)
     rng = np.random.default_rng(seed)
@@ -47,11 +46,12 @@ def looped_euler_mc(sys, f, x, horizon, steps, paths, seed, batch):
         b = min(batch, paths - done)
         states = np.broadcast_to(x, (b, x.shape[0])).copy()
         for _ in range(steps):
-            z = rng.standard_normal((b, len(space)))
-            move = drift(states) * h
-            for i, v in enumerate(space):
-                move += v(states) * (rt * z[:, i : i + 1])
-            states = states + move
+            # one Euler-Heun step: predictor g, then the trapezoid of the
+            # noise fields at states and states + g
+            dw = rng.standard_normal((b, len(space))) * rt
+            g = sum(v(states) * dw[:, i : i + 1] for i, v in enumerate(space))
+            heun = sum(v(states + g) * dw[:, i : i + 1] for i, v in enumerate(space))
+            states = states + drift(states) * h + 0.5 * (g + heun)
         vals = payoff(states)
         if shift is None:
             shift = float(vals[0])

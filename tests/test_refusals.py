@@ -339,3 +339,40 @@ def test_a_negative_config_seed_is_refused_by_its_key(tmp_path, capsys, mode):
     code, out, err = run(["solve", "--config", cfg], capsys)
     assert code == 1 and out == ""
     assert err == "error: config seed must be an integer >= 0, got -5\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_a_thread_count_below_one_is_refused_by_its_flag_before_any_solve(
+        tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setattr(cli, "klv_sweep", lambda *args: pytest.fail("solved"))
+    cfg = gbm_config(tmp_path, partition={"gamma": 2.0, "k_list": [1, 2, 3]})
+    code, out, err = run(["converge", "--config", cfg, "--out", str(tmp_path / "out"),
+                          "--threads", threads], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: --threads must be an integer >= 1, got {threads}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_negative_value_in_exponent_notation_is_read_as_a_value(capsys):
+    code, out, err = run(["lemma-gap", "--min-slope", "-1e-3"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["min_slope"] == -0.001
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-1E2"])
+def test_a_negative_horizon_in_any_float_notation_is_refused_by_its_flag(capsys, value):
+    code, out, err = run(["expected-signature", "--dimension", "1", "--degree", "2",
+                          "--horizon", value], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: --horizon must be positive and finite, got {float(value)!r}\n"
+
+
+def test_no_flag_could_be_read_as_a_negative_number():
+    # every argument that float() reads is a value, so a flag such as -1 or
+    # -i would be shadowed by the value -1 or taken for a prefix of -inf
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if a.choices]
+    for name, p in [("wienercub", parser), *sub.choices.items()]:
+        for action in p._actions:
+            for flag in action.option_strings:
+                assert flag == "-h" or flag.startswith("--"), (name, flag)
