@@ -288,7 +288,7 @@ def _problem(config: dict):
     return system, payoff, np.asarray(config["x0"]), config["T"]
 
 
-def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
+def _sweep(config: dict, seed: int, k_list: list[int]):
     """The config's tree at every k of k_list from one prologue: system,
     payoff, formula and solver config are built once and one klv_sweep call
     solves every k. Returns the results, the closed-form reference (None if
@@ -299,7 +299,7 @@ def _sweep(config: dict, seed: int, k_list: list[int], threads: int = 1):
     gamma = config.get("partition", {}).get("gamma", formula.degree - 1.0)
     parts = [gamma_partition(horizon, k, gamma) for k in k_list]
     # _CONFIG admits only SolverConfig's leaf_cap and batch; the rest are its defaults
-    cfg = SolverConfig(threads=threads, **config.get("caps", {}))
+    cfg = SolverConfig(**config.get("caps", {}))
     # _load_config admits only the modes full and sampled
     n_samples = (None if config.get("mode", "full") == "full"
                  else config.get("samples", 100_000))
@@ -340,7 +340,7 @@ def cmd_converge(args) -> int:
     if steps < 2 or steps % 2:
         return _fail(f"config reference.steps must be an even integer >= 2, got {steps}")
     ref_meta: dict = {"kind": "closed_form"}
-    results, reference, problem = _sweep(config, seed, k_list, args.threads)
+    results, reference, problem = _sweep(config, seed, k_list)
     if reference is None:
         # first-order bias removed by step-halving extrapolation
         half, half_se = euler_mc(*problem, steps // 2, paths, seed + 1)

@@ -231,10 +231,14 @@ def flow_tensor_gap(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
     return abs(float(f(y)) - tensor_side)
 
 
+# remainder_box_bound's box [-_BOX, _BOX]^N and its grid points per axis
+_BOX, _GRID_POINTS = 2.0, 21
+
+
 def remainder_box_bound(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
-                        s: float, box: float = 2.0,
-                        grid_points: int = 21) -> float:
-    """Grid maximum over [-box, box]^N of the operator applied tail.
+                        s: float) -> float:
+    """Grid maximum of the operator applied tail over the box [-2, 2]^N,
+    21 points per axis.
 
     Expands exp of the dilated element in the doubled truncation, keeps the
     part between the original truncation and its double, pushes it through
@@ -249,7 +253,7 @@ def remainder_box_bound(w: LiePolynomial, sys: VectorFieldSystem, f: MultiPoly,
     tail = exp(u2)
     tail = tail - tail.project(m)
     poly = taylor_operator(tail, sys, f)
-    axes = np.meshgrid(*[np.linspace(-box, box, grid_points)] * f.n_vars,
+    axes = np.meshgrid(*[np.linspace(-_BOX, _BOX, _GRID_POINTS)] * f.n_vars,
                        indexing="ij")
     grid = np.stack(axes, axis=-1).reshape(-1, f.n_vars)
     return float(np.max(np.abs(poly(grid)), initial=0.0))

@@ -47,12 +47,6 @@ def _check_finite(y: np.ndarray, message: str, substep: int | None = None):
     raise FlowDivergence(message, substep=substep, row=row)
 
 
-def _matvec(jac: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """J @ y taken row by row: a Jacobian (N, N) or (P, N, N) applied to a
-    vector (N,) or a block (P, N)."""
-    return np.einsum("...ij,...j->...i", jac, y)
-
-
 def _affine_map(matrix: np.ndarray, offset: np.ndarray, x) -> np.ndarray:
     """matrix @ x + offset over leading batch axes, for one matrix (N, N)
     shared by all rows or one per row (P, N, N): _affine_columns on the
@@ -146,14 +140,6 @@ class GenericField:
         return jac
 
 
-class _Combination(GenericField):
-    """A linear combination of fields; its jacobian_func, like its func,
-    takes one state or a whole block."""
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.jacobian_func(np.asarray(x, dtype=float))
-
-
 Field = AffineField | GenericField
 
 
@@ -166,7 +152,9 @@ def bracket_field(v: Field, w: Field) -> Field:
         return AffineField(b @ a - a @ b, b @ v.offset - a @ w.offset)
 
     def func(x, v=v, w=w):
-        return _matvec(w.jacobian(x), v(x)) - _matvec(v.jacobian(x), w(x))
+        # J @ y row by row, on one state (N,) or a block (P, N)
+        return (np.einsum("...ij,...j->...i", w.jacobian(x), v(x))
+                - np.einsum("...ij,...j->...i", v.jacobian(x), w(x)))
 
     return GenericField(func, v.dimension)
 
@@ -199,13 +187,8 @@ class VectorFieldSystem:
         return all(isinstance(f, AffineField) for f in self.fields)
 
     def combine(self, coefficients: np.ndarray) -> Field:
-        """The field sum_i c_i V_i."""
-        c = np.asarray(coefficients, dtype=float)
-        if c.shape != (len(self.fields),):
-            raise ValueError(
-                f"need {len(self.fields)} coefficients, got shape {c.shape}"
-            )
-        return combine_fields(self.fields, c)
+        """The field sum_i c_i V_i (combine_fields on the system's fields)."""
+        return combine_fields(self.fields, coefficients)
 
 
 def _check_controls(dimension: int, sys: VectorFieldSystem, what: str) -> None:
@@ -215,28 +198,35 @@ def _check_controls(dimension: int, sys: VectorFieldSystem, what: str) -> None:
         raise ValueError(f"{what} drives {dimension} controls, system has {sys.n_controls}")
 
 
-def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
-    """The field sum_j c_j V_j, with coefficients of shape (m,) shared by all
-    states, or (P, m), one set per row of a (P, N) block of states.
+def _augmented(fields: Sequence[AffineField], c: np.ndarray) -> np.ndarray:
+    """Augmented (N+1)-square matrices [[A, b], [0, 0]] of the affine fields
+    sum_j c_j V_j for c of shape (..., m), summed in field order from +0.0:
+    combine_fields returns one, the exact flows exponentiate them."""
+    n = fields[0].dimension
+    aug = np.zeros(c.shape[:-1] + (n + 1, n + 1))
+    for j, v in enumerate(fields):
+        cj = c[..., j, None]
+        aug[..., :n, :n] += cj[..., None] * v.matrix
+        aug[..., :n, n] += cj * v.offset
+    return aug
 
-    A field whose coefficients are all zero is not called, and a row whose
-    coefficient on a field is 0 gets exactly 0 from it in the value, also
-    where the field is not finite (0 * nan would be nan), so a row whose
-    coefficients are all zero gets the zero vector. Shared coefficients on
-    affine fields give an AffineField; otherwise the value is summed in field
-    order from +0.0 (a ±0 term adds no bit) and the Jacobian is the same
-    combination of the fields' Jacobians, both on one state or on a block.
+
+def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
+    """The field sum_j c_j V_j for coefficients of shape (m,), shared by all
+    states, or (P, m), one set per row of a (P, N) block; any other shape is
+    refused. Shared coefficients on affine fields give an AffineField
+    (_augmented). Otherwise the GenericField's value is summed in field order
+    from +0.0 (a ±0 term adds no bit): a field whose coefficients are all zero
+    is not called, and a row whose coefficient on a field is 0 gets exactly 0
+    from it, also where the field is not finite (0 * nan is nan). Its
+    Jacobian, if asked for, is GenericField's block finite difference.
     """
     c = np.asarray(coefficients, dtype=float)
+    if c.ndim not in (1, 2) or c.shape[-1] != len(fields):
+        raise ValueError(f"need {len(fields)} coefficients, got shape {c.shape}")
     if c.ndim == 1 and all(isinstance(f, AffineField) for f in fields):
-        n = fields[0].dimension
-        a = np.zeros((n, n))
-        b = np.zeros(n)
-        for cj, f in zip(c, fields):
-            if cj != 0.0:
-                a += cj * f.matrix
-                b += cj * f.offset
-        return AffineField(a, b)
+        aug = _augmented(fields, c)
+        return AffineField(aug[:-1, :-1], aug[:-1, -1])
     kept = [j for j in range(len(fields)) if c[..., j].any()]
     terms = [fields[j] for j in kept]
     weights = c[..., kept]
@@ -251,13 +241,7 @@ def combine_fields(fields: Sequence[Field], coefficients: np.ndarray) -> Field:
             out = out + term
         return out
 
-    def jac(x):
-        if not terms:
-            return np.zeros(x.shape + (x.shape[-1],))
-        stacked = np.stack([f.jacobian(x) for f in terms], axis=-1)
-        return _matvec(stacked, weights[..., None, :])
-
-    return _Combination(func, fields[0].dimension, jacobian_func=jac)
+    return GenericField(func, fields[0].dimension)
 
 
 # -- builtin systems -----------------------------------------------------------
@@ -408,10 +392,16 @@ def expm(a: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _check_flow_time(t: float) -> None:
+    if not np.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t!r}")
+
+
 def affine_flow_exact(v: AffineField, t: float, x: np.ndarray) -> np.ndarray:
     """Exp(tV)(x) for affine V via the (N+1)-square augmented exponential,
     from this module's expm."""
-    big = _segment_maps([v], np.array([t]))
+    _check_flow_time(t)
+    big = expm(_augmented([v], np.array([t])))
     y = _affine_map(big[:-1, :-1], big[:-1, -1], x)
     _check_finite(y, "affine flow left the finite range")
     return y
@@ -426,8 +416,7 @@ def flow_exp(
     reversed flow. Batches flow together when x has a leading batch axis.
     """
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(t):
-        raise ValueError(f"flow time must be finite, got {t!r}")
+    _check_flow_time(t)
     if t == 0.0:
         return x.copy()
     if cfg.exact_affine and isinstance(v, AffineField):
@@ -446,21 +435,6 @@ def flow_exp(
             substep=step + 1,
         )
     return y
-
-
-def _segment_maps(fields: Sequence[AffineField],
-                  coefficients: np.ndarray) -> np.ndarray:
-    """Exponentials of the augmented (N+1)-square matrices of the affine
-    fields sum_j c_j V_j, for coefficients of shape (..., m), from one
-    batched expm call: no Python loop runs over the matrices. Each matrix is
-    summed in field order, as combine sums it."""
-    n = fields[0].dimension
-    aug = np.zeros(coefficients.shape[:-1] + (n + 1, n + 1))
-    for j, v in enumerate(fields):
-        c = coefficients[..., j, None]
-        aug[..., :n, :n] += c[..., None] * v.matrix
-        aug[..., :n, n] += c * v.offset
-    return expm(aug)
 
 
 class _LevelStep:
@@ -504,7 +478,7 @@ class _LevelStep:
                     points * np.sqrt(gaps)[:, None, None], axis=-2)
         self.maps = self.composed = None
         if all(isinstance(v, AffineField) for v in self.fields):
-            self.maps = _segment_maps(self.fields, self.coefficients)
+            self.maps = expm(_augmented(self.fields, self.coefficients))
             composed = self.maps[:, :, 0]
             for seg in range(1, self.maps.shape[2]):
                 # maps[seg] @ composed, summed term by term as _affine_map sums

@@ -3,8 +3,8 @@
 An AST scan over all modules of `src/wienercub`: the message text of a rule
 may appear in the `raise` statements of exactly one function, so a second,
 inline copy of a rule (grid, positivity, config integer, count, control
-dimension, unit horizon, letter range, tolerance) fails here instead of drifting apart
-from the first.
+dimension, unit horizon, letter range, tolerance, coefficient count, flow
+time) fails here instead of drifting apart from the first.
 """
 import ast
 from pathlib import Path
@@ -16,7 +16,8 @@ SOURCES = sorted((Path(__file__).parents[1] / "src" / "wienercub").glob("*.py"))
 RULES = ("must increase strictly", "must start at 0", "must be positive and finite",
          "must be integer", "must be an integer >=", "controls, system has",
          "rescale expects a unit-horizon", "outside alphabet",
-         "must be finite and >= 0")
+         "must be finite and >= 0", "coefficients, got shape",
+         "flow time must be finite")
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

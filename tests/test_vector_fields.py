@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,35 @@ def test_combine_fields_affine_stays_affine():
     np.testing.assert_allclose(combined(np.array([1.0])), [0.625])
 
 
+@pytest.mark.parametrize("coefficients", [[1.0, 2.0, 5.0], [1.0], [[1.0, 2.0, 5.0]] * 3,
+                                          [[1.0]] * 3, 1.0, [[[1.0, 2.0]]]])
+@pytest.mark.parametrize("kind", ["affine", "generic"])
+def test_combine_fields_refuses_a_wrong_coefficient_count(coefficients, kind):
+    fields = gbm(0.1, 0.2).fields
+    if kind == "generic":
+        fields = tuple(GenericField(f, 1) for f in fields)
+    shape = np.shape(coefficients)
+    with pytest.raises(ValueError, match=re.escape(f"need 2 coefficients, got shape {shape}")):
+        combine_fields(fields, coefficients)
+
+
+def test_combine_fields_affine_sum_is_the_zero_skipping_sum():
+    # the sum before the augmented matrices, which skipped zero coefficients:
+    # ±0 products of finite entries add no bit to it
+    rng = np.random.default_rng(4)
+    fields = [AffineField(rng.normal(size=(3, 3)), rng.normal(size=3)) for _ in range(4)]
+    for c in ([0.0, -0.7, 0.0, 1.3], [-0.0, 2.5, 0.1, 0.0], [0.0] * 4, [0.3, -1.1, 4.0, -2.0]):
+        a, b = np.zeros((3, 3)), np.zeros(3)
+        for cj, f in zip(c, fields):
+            if cj != 0.0:
+                a += cj * f.matrix
+                b += cj * f.offset
+        combined = combine_fields(fields, np.array(c))
+        assert isinstance(combined, AffineField)
+        assert combined.matrix.tobytes() == a.tobytes()
+        assert combined.offset.tobytes() == b.tobytes()
+
+
 def test_system_properties():
     sys = ou(0.8, 0.2)
     assert sys.dimension == 1 and sys.n_controls == 1 and sys.is_affine
@@ -191,6 +221,15 @@ def test_scalar_affine_flow_closed_form():
     np.testing.assert_allclose(affine_flow_exact(v, t, np.array([x])), [expected])
     got = flow_exp(v, t, np.array([x]), FlowConfig(substeps=128))
     np.testing.assert_allclose(got, [expected], atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("flow", [
+    affine_flow_exact, flow_exp,
+    lambda v, t, x: flow_exp(v, t, x, FlowConfig(exact_affine=True))])
+def test_flows_refuse_a_time_that_is_not_finite(flow, t):
+    with pytest.raises(ValueError, match="flow time must be finite"):
+        flow(AffineField([[0.3]], [-0.2]), t, np.array([1.1]))
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.1, 1.0, 5.0])
