@@ -6,25 +6,26 @@ concatenate rescaled support (paths, or flows of Lie elements), and its
 value is the product of level operators Q_{s_1} ... Q_{s_k} f. The
 full-tree evaluator sums all n^k branches; the sampled one draws branches
 i.i.d. by weight and flows each distinct drawn node once, so level j costs
-at most min(N, n^(j+1)) rows for N samples. klv_sweep runs either over a
-sequence of partitions from one prologue: the checks, the field probe and
-one level step (vector_fields._LevelStep) over the gaps of every partition
-in turn, each partition on its own slice of levels; klv_full and
-klv_sampled are its one-partition cases, kusuoka_step is klv_full's
-one-level case. Both trees reach a level only through the step's along, on
-(N, ...) columns of states and support points that broadcast against them:
-the full tree's (N, 1, P) nodes against every point, the sampled tree's
-(N, R) children against their own. Affine flows are closed-form, generic
-ones RK4 sized to the level's gap and the formula's degree. No level's
-arithmetic depends on another's, so a sweep gives the values of one solve
-per partition, bit for bit. The full tree's value is math.fsum of its leaf
-terms in branch order, taken by error-free extraction (_exact_sum),
-independent of the batch size.
+at most min(N, n^(j+1)) rows for N samples. klv_sweep runs either over
+partitions from one prologue: checks, field probe and one level step
+(vector_fields._LevelStep) over the gaps of every partition, each on its own
+slice of levels; klv_full and klv_sampled are its one-partition cases,
+kusuoka_step klv_full's one-level case. Calls on one model share the step,
+cached by sys, support tuple (by identity), gaps, cfg.flow and degree. Both
+trees reach a level only through the step's along, on (N, ...) columns of
+states and support points that broadcast against them: the full tree's
+(N, 1, P) nodes against every point, the sampled tree's (N, R) children
+against their own. Affine flows are closed-form, generic ones RK4 sized to
+the level's gap and the formula's degree. No level's arithmetic depends on
+another's, so a sweep gives the values of one solve per partition, bit for
+bit. The full tree's value is math.fsum of its leaf terms in branch order,
+by error-free extraction (_exact_sum), independent of the batch size.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,11 +72,11 @@ class Partition:
 
 def gamma_partition(horizon: float, k: int, gamma: float) -> Partition:
     """t_j = T (1 - (1 - j/k)^gamma); gamma = 1 is the uniform grid, larger
-    gamma packs the short steps toward T."""
+    gamma packs the short steps toward T; gamma must be finite and >= 1."""
     _check_positive(horizon)
     _check_count(k, "k")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma!r}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma!r}")
     times = [horizon * (1.0 - (1.0 - j / k) ** gamma) for j in range(k + 1)]
     times[0], times[-1] = 0.0, horizon
     return Partition(tuple(times))
@@ -262,6 +263,25 @@ class _TreeWalker:
                        float(np.max(vals))))
 
 
+@dataclass(frozen=True, eq=False)
+class _Same:
+    """A cache key that holds obj and compares it by identity: its id stays taken."""
+
+    obj: object
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
+@lru_cache(maxsize=32)
+def _level_step(sys, support: _Same, gaps, flow, degree) -> _LevelStep:
+    """One step per model: it calls no field, and affine arrays are read-only."""
+    return _LevelStep(sys, support.obj, gaps, flow, degree)
+
+
 def klv_sweep(
     formula: CubatureFormula,
     sys: VectorFieldSystem,
@@ -280,11 +300,12 @@ def klv_sweep(
     solve), the field probe near x and the level step are shared: one step
     is built over the gaps of all the partitions in turn (on an affine
     system one expm call and one composition), and partition p runs on its
-    own slice of levels, from the level offset k_1 + ... + k_{p-1}. Result
-    p is, bit for bit, what klv_full (n_samples None) or klv_sampled
-    (n_samples draws, from a generator seeded with seed afresh for every
-    partition) gives for partition p alone. A generic-field result lists the
-    RK4 count of each of its levels in diagnostics["substeps"].
+    own slice of levels, from the level offset k_1 + ... + k_{p-1}. Result p
+    is, bit for bit, what klv_full (n_samples None) or klv_sampled (n_samples
+    draws, seeded with seed afresh for every partition) gives for partition
+    p alone; on generic fields it lists each level's RK4 count in
+    diagnostics["substeps"]. Calls on one model share the step, keyed by
+    sys, the support tuple (by identity), the gaps, cfg.flow and degree.
     """
     partitions = tuple(partitions)
     if not partitions:
@@ -300,9 +321,9 @@ def klv_sweep(
     _check_unit_horizon(formula.horizon, "formula")
     x = _start_state(sys, x)
     _check_block_fields(sys, x)
-    gaps = [gap for part in partitions for gap in part.gaps]
-    step = _LevelStep(sys, formula.paths or formula.lie_polys, gaps, cfg.flow,
-                      formula.degree)
+    gaps = tuple(gap for part in partitions for gap in part.gaps)
+    step = _level_step(sys, _Same(formula.paths or formula.lie_polys), gaps,
+                       cfg.flow, formula.degree)
     payoff = _block_payoff(f)
     results, first = [], 0
     for part in partitions:
@@ -406,6 +427,7 @@ def klv_full(
     support point, then parent). Every GenericField of sys must map a
     (P, N) block of states row by row; this is checked near x first.
     diagnostics["weight_mass"] is the exact sum of the formula's weights.
+    Calls on one model share the level step, keyed as in klv_sweep.
     """
     return klv_sweep(formula, sys, f, x, (partition,), cfg)[0]
 

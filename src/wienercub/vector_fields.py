@@ -70,14 +70,14 @@ def _affine_columns(matrix: np.ndarray, offset, columns) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AffineField:
-    """x -> matrix @ x + offset, exact under brackets and flows."""
+    """x -> matrix @ x + offset (read-only copies), exact under brackets and flows."""
 
     matrix: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
-        b = np.asarray(self.offset, dtype=float)
+        a = np.array(self.matrix, dtype=float)
+        b = np.array(self.offset, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         if b.shape != (a.shape[0],):
@@ -89,6 +89,7 @@ class AffineField:
                 f"matrix and offset must be finite, got {a.tolist()} "
                 f"and {b.tolist()}"
             )
+        a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "offset", b)
 
@@ -441,17 +442,17 @@ class _LevelStep:
     """The level operator of a cubature tree: moves a block of states along
     the support of one level, Brownian-rescaled to that level's gap.
 
-    Built once per solve from a formula's unit-horizon support (paths or
-    certified Lie elements) and the partition's gaps, into one (level,
-    point, segment, field) table of coefficients. Paths run on the system's
-    fields, padded with zero segments to the longest path: dt is
-    diff(knots * gap) and dx diff(points * sqrt(gap)), the arithmetic of
-    path_signature.brownian_rescale and increments(), to the bit. A Lie
-    element is one segment on the fields of _bracket_terms, dilated by
-    sqrt(gap): the field gamma_field forms. On affine fields one batched
-    expm call gives every segment map, composed once per (level, point) as
-    M_m @ ... @ M_1; a zero segment's map is exactly I. Level j flows a
-    generic segment by substeps[j] RK4 steps (_substeps).
+    Built once per model (klv_solver._level_step) from a formula's
+    unit-horizon support (paths or certified Lie elements) and the
+    partition's gaps, into one read-only (level, point, segment, field) table
+    of coefficients. Paths run on the system's fields, padded with zero
+    segments to the longest path: dt is diff(knots * gap) and dx
+    diff(points * sqrt(gap)), the arithmetic of brownian_rescale and
+    increments(), to the bit. A Lie element is one segment on the fields of
+    _bracket_terms, dilated by sqrt(gap): the field gamma_field forms. On
+    affine fields one batched expm call gives every segment map, composed
+    once per (level, point) as M_m @ ... @ M_1; a zero segment's map is
+    exactly I. Level j flows a generic segment by substeps[j] RK4 steps.
     """
 
     def __init__(self, sys: VectorFieldSystem, support, gaps, cfg: FlowConfig,
@@ -476,6 +477,7 @@ class _LevelStep:
                 self.coefficients[:, i, :m, 0] = np.diff(knots * gaps[:, None])
                 self.coefficients[:, i, :m, 1:] = np.diff(
                     points * np.sqrt(gaps)[:, None, None], axis=-2)
+        self.coefficients.flags.writeable = self.lengths.flags.writeable = False
         self.maps = self.composed = None
         if all(isinstance(v, AffineField) for v in self.fields):
             self.maps = expm(_augmented(self.fields, self.coefficients))
@@ -487,6 +489,7 @@ class _LevelStep:
             # (level, N, point, N+1), so that along's take broadcasts as is
             self.composed = np.ascontiguousarray(
                 composed[..., :sys.dimension, :].transpose(0, 2, 1, 3))
+            self.maps.flags.writeable = self.composed.flags.writeable = False
 
     def along(self, level: int, columns: np.ndarray, point) -> np.ndarray:
         """Columns x (N, ...) of states moved along the support of `point`,

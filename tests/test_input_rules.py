@@ -100,6 +100,13 @@ def test_gamma_partition_refuses_fewer_than_one_step():
         gamma_partition(1.0, 0, 2.0)
 
 
+@pytest.mark.parametrize("gamma", [0.5, -1.0, math.nan, math.inf, -math.inf])
+def test_gamma_partition_refuses_a_gamma_that_is_not_finite_and_at_least_one(gamma):
+    with pytest.raises(ValueError, match=re.escape(
+            f"gamma must be finite and >= 1, got {gamma!r}")):
+        gamma_partition(1.0, 3, gamma)
+
+
 # -- positive finite horizons and gaps --------------------------------------
 
 LINE = PiecewiseLinearPath.straight_line((0.3,))

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from wienercub import vector_fields
 from wienercub.cubature import degree3, degree5_d1, lie_form, rescale
 from wienercub.vector_fields import (
     AffineField,
@@ -31,6 +32,7 @@ from wienercub.klv_solver import (
     kusuoka_step,
     euler_mc,
     _exact_sum,
+    _level_step,
 )
 
 from conftest import A0, A1, B0, B1, X_START
@@ -842,6 +844,93 @@ def test_sweep_rejects_an_empty_sequence_of_partitions():
                   np.array([1.0]), [])
 
 
+# -- the level step is built once per model -----------------------------------
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """The shapes of every vector_fields.expm call from here on."""
+    calls, expm = [], vector_fields.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(vector_fields, "expm", counted)
+    return calls
+
+
+DEGREE3, DEGREE5 = degree3(1), degree5_d1()
+LIE_DEGREE3 = lie_form(DEGREE3)
+SOLVES = {
+    "klv_full": lambda sys, f, x: _result_bits(klv_full(
+        DEGREE3, sys, f, x, gamma_partition(1.0, 3, 2.0))),
+    "klv_sampled": lambda sys, f, x: _result_bits(klv_sampled(
+        DEGREE5, sys, f, x, gamma_partition(1.0, 4, 2.0), 500, 3)),
+    "klv_sweep": lambda sys, f, x: [_result_bits(r) for r in klv_sweep(
+        DEGREE5, sys, f, x, [gamma_partition(1.0, k, 2.0) for k in (2, 3)])],
+    "kusuoka_step": lambda sys, f, x: _bits(kusuoka_step(LIE_DEGREE3, sys, f, x, 0.25)),
+}
+
+
+@pytest.mark.parametrize("solve", sorted(SOLVES))
+def test_a_second_solve_on_one_model_reuses_its_level_step(solve, expm_calls):
+    sys, f = gbm(0.05, 0.3), MultiPoly.coordinate(1, 0)
+    first = SOLVES[solve](sys, f, np.array([1.0]))
+    assert len(expm_calls) == 1
+    assert SOLVES[solve](sys, f, np.array([1.0])) == first
+    # another payoff and start point on the same objects: still no rebuild
+    other = SOLVES[solve](sys, MultiPoly(1, {(2,): 1.0}), np.array([0.5]))
+    assert len(expm_calls) == 1 and other != first
+
+
+def test_an_equal_but_new_model_builds_its_own_step(expm_calls):
+    f, x, part = MultiPoly.coordinate(1, 0), np.array([1.0]), gamma_partition(1.0, 3, 2.0)
+    first = klv_full(DEGREE3, gbm(0.05, 0.3), f, x, part)
+    second = klv_full(DEGREE3, gbm(0.05, 0.3), f, x, part)
+    assert len(expm_calls) == 2 and _result_bits(second) == _result_bits(first)
+
+
+def test_filling_the_step_cache_past_its_bound_rebuilds_the_oldest(expm_calls):
+    bound = _level_step.cache_info().maxsize
+    f, x, part = MultiPoly.coordinate(1, 0), np.array([1.0]), Partition((0.0, 1.0))
+    oldest = gbm(0.05, 0.3)
+    first = klv_full(DEGREE3, oldest, f, x, part)
+    for _ in range(bound - 1):
+        klv_full(DEGREE3, gbm(0.05, 0.3), f, x, part)
+    assert len(expm_calls) == bound
+    klv_full(DEGREE3, oldest, f, x, part)
+    assert len(expm_calls) == bound            # the bound still holds it
+    for _ in range(bound):
+        klv_full(DEGREE3, gbm(0.05, 0.3), f, x, part)
+    assert len(expm_calls) == 2 * bound
+    again = klv_full(DEGREE3, oldest, f, x, part)
+    assert len(expm_calls) == 2 * bound + 1 and _result_bits(again) == _result_bits(first)
+
+
+def test_one_model_gets_a_step_per_partition_and_flow():
+    c = lambda x: np.sqrt(1.0 + x * x)
+
+    def sinh_like():
+        return VectorFieldSystem((GenericField(lambda x: 0.1 * c(x), 1),
+                                  GenericField(c, 1)))
+
+    sys, f, x = sinh_like(), MultiPoly.coordinate(1, 0), np.array([0.4])
+    cases = [(gamma_partition(1.0, 3, gamma), SolverConfig(flow=FlowConfig(substeps=n)))
+             for gamma in (1.0, 2.0) for n in (1, 2)]
+    shared = [_result_bits(klv_full(DEGREE5, sys, f, x, *case)) for case in cases]
+    fresh = [_result_bits(klv_full(degree5_d1(), sinh_like(), f, x, *case))
+             for case in cases]
+    assert shared == fresh and len(set(shared)) == len(cases)
+
+
+def test_a_level_step_keeps_its_arrays_read_only():
+    step = _LevelStep(gbm(0.05, 0.3), DEGREE3.paths, [0.5, 0.5], FlowConfig())
+    for arr in (step.coefficients, step.lengths, step.maps, step.composed):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1.0
+
+
 @pytest.mark.parametrize("batch", [0, -3])
 def test_euler_rejects_a_batch_below_one(batch):
     with pytest.raises(ValueError, match=f"batch must be an integer >= 1, got {batch}"):
@@ -968,7 +1057,7 @@ def test_full_tree_refuses_a_polynomial_payoff_of_another_dimension(
     ))
     f = MultiPoly(payoff_vars, {(1,) + (0,) * (payoff_vars - 1): 1.0})
     with pytest.raises(ValueError, match="expected point of shape"):
-        klv_full(degree3(1), sys, f, np.ones(state_dim), gamma_partition(1.0, 3, 2.0))
+        klv_full(DEGREE3, sys, f, np.ones(state_dim), gamma_partition(1.0, 3, 2.0))
 
 
 def test_full_tree_diagnostics_are_the_same_for_every_batch_size(
@@ -1002,7 +1091,7 @@ _BAD_STARTS = {"long": [1.0, 2.0], "empty": [], "scalar": 1.0, "nan": [np.nan]}
 def _start_state_calls():
     sys, f, part = gbm(0.05, 0.3), MultiPoly.coordinate(1, 0), Partition((0.0, 1.0))
     return {
-        "klv_full": lambda x: klv_full(degree3(1), sys, f, x, part),
+        "klv_full": lambda x: klv_full(DEGREE3, sys, f, x, part),
         "klv_sampled": lambda x: klv_sampled(degree3(1), sys, f, x, part, 10, 0),
         "klv_sweep": lambda x: klv_sweep(degree3(1), sys, f, x, [part, part]),
         "euler_mc": lambda x: euler_mc(sys, f, x, 1.0, 4, 10, 0),
@@ -1091,7 +1180,7 @@ def test_generic_solves_report_the_rk4_count_of_each_level():
         (GenericField(v0, 1), GenericField(lambda x: np.sqrt(1.0 + x * x), 1))
     )
     part = gamma_partition(1.0, 8, 2.0)
-    result = klv_sampled(degree5_d1(), sys, lambda y: float(y[0]), np.array([0.4]),
+    result = klv_sampled(DEGREE5, sys, lambda y: float(y[0]), np.array([0.4]),
                          part, 2_000, 5)
     counts = result.diagnostics["substeps"]
     assert counts == [10, 10, 10, 11, 11, 12, 12, 14]
@@ -1099,10 +1188,10 @@ def test_generic_solves_report_the_rk4_count_of_each_level():
     assert len(calls) == sum(3 * 4 * n for n in counts) + 3
     # a sweep reports each partition's own levels; an explicit count is
     # every level's
-    swept = klv_sweep(degree5_d1(), sys, lambda y: float(y[0]), np.array([0.4]),
+    swept = klv_sweep(DEGREE5, sys, lambda y: float(y[0]), np.array([0.4]),
                       [gamma_partition(1.0, k, 1.0) for k in (1, 3)])
     assert [r.diagnostics["substeps"] for r in swept] == [[8], [10, 10, 10]]
-    pinned = klv_full(degree3(1), sys, lambda y: float(y[0]), np.array([0.4]),
+    pinned = klv_full(DEGREE3, sys, lambda y: float(y[0]), np.array([0.4]),
                       gamma_partition(1.0, 3, 1.0), FLOW64)
     assert pinned.diagnostics["substeps"] == [64, 64, 64]
     affine = klv_full(degree5_d1(), gbm(0.05, 0.3), lambda y: float(y[0]),
@@ -1207,10 +1296,10 @@ def _layout_values():
         sys = _MULTI_SEGMENT_BLOWUPS[system]()
         for batch in (1 << 16, 3):
             out.append(_divergence_bits(lambda: klv_full(
-                degree5_d1(), sys, f, np.array([1.0]), blowup_part,
+                DEGREE5, sys, f, np.array([1.0]), blowup_part,
                 SolverConfig(batch=batch))))
         out.append(_divergence_bits(lambda: klv_sampled(
-            degree5_d1(), sys, f, np.array([1.0]), blowup_part, 200, 3)))
+            DEGREE5, sys, f, np.array([1.0]), blowup_part, 200, 3)))
     return out
 
 

@@ -4,7 +4,7 @@ An AST scan over all modules of `src/wienercub`: the message text of a rule
 may appear in the `raise` statements of exactly one function, so a second,
 inline copy of a rule (grid, positivity, config integer, count, control
 dimension, unit horizon, letter range, tolerance, coefficient count, flow
-time) fails here instead of drifting apart from the first.
+time, partition gamma) fails here instead of drifting apart from the first.
 """
 import ast
 from pathlib import Path
@@ -17,7 +17,7 @@ RULES = ("must increase strictly", "must start at 0", "must be positive and fini
          "must be integer", "must be an integer >=", "controls, system has",
          "rescale expects a unit-horizon", "outside alphabet",
          "must be finite and >= 0", "coefficients, got shape",
-         "flow time must be finite")
+         "flow time must be finite", "gamma must be finite and >= 1")
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

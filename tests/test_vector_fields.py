@@ -47,6 +47,21 @@ def test_affine_field_rejects_non_finite_entries():
             AffineField(matrix, offset)
 
 
+def test_an_affine_field_keeps_read_only_copies_of_its_arrays():
+    a, b = np.array([[0.5]]), np.array([0.25])
+    g = AffineField(a, b)
+    a[0, 0], b[0] = 9.0, 9.0
+    assert g.matrix.tolist() == [[0.5]] and g.offset.tolist() == [0.25]
+    h = AffineField([[0.2, 0.1], [0.0, -0.3]], [0.1, 0.4])
+    fields = {"AffineField": g, "combine_fields": combine_fields([g, g], [0.5, 2.0]),
+              "bracket_field": bracket_field(h, AffineField(h.matrix.T, h.offset))}
+    for name, field in fields.items():
+        assert isinstance(field, AffineField), name
+        for arr in (field.matrix, field.offset):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+
+
 def test_affine_bracket_by_hand():
     # [V, W](x) = JW V - JV W = (BA - AB) x + (B a - A b)
     a, av = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0])
