@@ -24,6 +24,7 @@ from .path_signature import (
     _check_positive,
     _check_unit_horizon,
     _horizons_match,
+    _is_real,
     brownian_rescale,
     log_signature,
     signature,
@@ -48,8 +49,9 @@ class CubatureFormula:
 
     Path support lives over [0, horizon]; Lie support is a list of certified
     log-signature-like elements, by convention also at the stated horizon.
-    Weight positivity is enforced here; the moment-matching claim implied by
-    `degree` is checked by validate(), never assumed.
+    Weights are real numbers (path_signature._is_real), strictly positive
+    and finite; the moment-matching claim implied by `degree` is checked by
+    validate(), never assumed.
     """
 
     dimension: int
@@ -68,7 +70,7 @@ class CubatureFormula:
         if not support or len(self.weights) != len(support):
             raise ValueError(f"{len(self.weights)} weights for {len(support)} support points")
         for j, w in enumerate(self.weights):
-            if not (w > 0.0 and math.isfinite(w)):
+            if not (_is_real(w) and w > 0.0 and math.isfinite(w)):
                 raise ValueError(f"weight {j} must be strictly positive, got {w!r}")
         _check_positive(self.horizon)
         kind = "path" if self.paths is not None else "Lie element"
@@ -256,10 +258,11 @@ def from_dict(data: dict, where: str = "<dict>") -> CubatureFormula:
     """Rebuild a formula from its to_dict record.
 
     Every rule on the values is CubatureFormula's (and the path and Lie
-    checks of its support), so this only reads the record. A missing key,
-    a value of the wrong type or a refused value raises one
-    CubatureLoadError that names `where` and, for a bad support element,
-    its index: "formula.json: lie_polys[1]: bracketing certificate failed".
+    checks of its support), so this only reads the record and converts no
+    value: "degree": 5.9, true or "5" is refused, not read as 5. A missing
+    key, a value of the wrong type or a refused value raises one
+    CubatureLoadError that names `where` and, for a bad support element, its
+    index: "formula.json: lie_polys[1]: bracketing certificate failed".
     """
     at = where
     try:
@@ -276,10 +279,10 @@ def from_dict(data: dict, where: str = "<dict>") -> CubatureFormula:
             elements.append(load(rec))
         at = where
         return CubatureFormula(
-            dimension=int(data["dimension"]),
-            degree=int(data["degree"]),
-            weights=tuple(float(w) for w in data["weights"]),
-            horizon=float(data.get("horizon", 1.0)),
+            dimension=data["dimension"],
+            degree=data["degree"],
+            weights=tuple(data["weights"]),
+            horizon=data.get("horizon", 1.0),
             **{kind: tuple(elements)},
         )
     except (KeyError, TypeError, ValueError) as exc:

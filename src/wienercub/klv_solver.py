@@ -7,7 +7,8 @@ value is the product of level operators Q_{s_1} ... Q_{s_k} f. The
 full-tree evaluator sums all n^k branches; the sampled one draws branches
 i.i.d. by weight and flows each distinct drawn node once, so level j costs
 at most min(N, n^(j+1)) rows for N samples. klv_sweep runs either over
-partitions from one prologue: checks, field probe and one level step
+partitions from one prologue: checks, the field probe of the block rule
+(vector_fields._check_block_fields) and one level step
 (vector_fields._LevelStep) over the gaps of every partition, each on its own
 slice of levels; klv_full and klv_sampled are its one-partition cases,
 kusuoka_step klv_full's one-level case. Calls on one model share the step,
@@ -38,9 +39,9 @@ from .vector_fields import (
     DEFAULT_FLOW,
     FlowConfig,
     FlowDivergence,
-    GenericField,
     VectorFieldSystem,
     _LevelStep,
+    _check_block_fields,
     _check_controls,
     _check_finite,
 )
@@ -174,33 +175,6 @@ def _start_state(sys: VectorFieldSystem, x) -> np.ndarray:
     return x
 
 
-def _check_block_fields(sys: VectorFieldSystem, x: np.ndarray):
-    """The solvers call each field on whole (P, N) blocks of states. Probe
-    every GenericField on two distinct states near x and require the block
-    call to agree with one call per state."""
-    probe = np.stack([x, x + 0.01 * (1.0 + np.abs(x))])
-    for i, v in enumerate(sys.fields):
-        if not isinstance(v, GenericField):
-            continue
-        rows = np.stack([v(p) for p in probe])
-        try:
-            block = v(probe)
-        except Exception as exc:
-            raise ValueError(
-                f"field V_{i} must map a (P, N) block of states row by row: "
-                f"its call on a block of two states raised "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        scale = np.max(np.abs(rows), initial=0.0, where=np.isfinite(rows))
-        if block.shape != rows.shape or not np.allclose(
-                block, rows, rtol=1e-12, atol=1e-12 * scale, equal_nan=True):
-            raise ValueError(
-                f"field V_{i} must map a (P, N) block of states row by row: "
-                f"on two states near x it gave {block.tolist()} for the block "
-                f"and {rows.tolist()} state by state"
-            )
-
-
 def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
     """A divergence of the level step, restated at the tree position `where`;
     row is the position's index in the solver's own numbering."""
@@ -209,32 +183,36 @@ def _diverged(exc: FlowDivergence, where: str, row: int) -> FlowDivergence:
 
 
 class _TreeWalker:
-    """Level-synchronous expansion of the whole tree, leaves in branch order.
-    The tree's k levels are the step's levels first, ..., first + k - 1.
+    """Level-synchronous expansion of the whole tree, leaves in branch order;
+    run returns the partition's full-mode SolverResult. The tree's k levels
+    are the step's levels first, ..., first + k - 1.
     A block's nodes go as (N, P) columns, moved along every support point by
     one along call into (N, n, P), one copy per level; its leaves reach the
     payoff as a view, i-major (row i * P + r), terms go to branch order."""
 
     def __init__(self, step: _LevelStep, weights, payoff, cfg: SolverConfig,
-                 first: int, k: int):
+                 first: int, partition: Partition):
         self.step = step
         self.weights = np.asarray(weights, dtype=float)
         self.payoff = payoff
         self.cfg = cfg
         self.n = len(weights)
         self.first = first
-        self.k = k
+        self.partition = partition
         self.points = np.arange(self.n)[:, None]
 
-    def run(self, state: np.ndarray) -> dict:
+    def run(self, state: np.ndarray) -> SolverResult:
         blocks: list[tuple[np.ndarray, float, float]] = []
         self._expand(state[:, None], np.ones(1), 0, 0, blocks)
         # one exact sum over all leaf terms in branch order: the value cannot
         # depend on how the expansion was chunked
         terms = np.concatenate([block[0] for block in blocks])
-        return {"sum": _exact_sum(terms), "naive": float(np.sum(terms)),
-                "min": min(block[1] for block in blocks),
-                "max": max(block[2] for block in blocks), "count": terms.size}
+        value = _exact_sum(terms)
+        return SolverResult(value, "full", terms.size, self.partition, diagnostics={
+            "compensation": abs(value - float(np.sum(terms))),
+            "min_leaf": min(block[1] for block in blocks),
+            "max_leaf": max(block[2] for block in blocks),
+            "weight_mass": math.fsum(self.weights)})
 
     def _expand(self, columns, branch_weights, level, rank, blocks):
         # columns holds the nodes of `level` whose branch ranks start at rank;
@@ -252,7 +230,7 @@ class _TreeWalker:
             branch = tuple(map(int, np.unravel_index(child, (self.n,) * (level + 1))))
             raise _diverged(exc, f"on branch {branch} (level {level + 1})",
                             child // self.n) from exc
-        if level + 1 < self.k:
+        if level + 1 < self.partition.k:
             return self._expand(y.transpose(0, 2, 1).reshape(dim, -1),
                                 np.outer(branch_weights, self.weights).ravel(),
                                 level + 1, rank * self.n, blocks)
@@ -328,30 +306,13 @@ def klv_sweep(
     results, first = [], 0
     for part in partitions:
         results.append(
-            _full_tree(formula, step, payoff, x, part, first, cfg)
+            _TreeWalker(step, formula.weights, payoff, cfg, first, part).run(x)
             if n_samples is None else
             _sampled_tree(formula, step, payoff, x, part, first, n_samples, seed))
         if step.composed is None:
             results[-1].diagnostics["substeps"] = step.substeps[first:first + part.k]
         first += part.k
     return results
-
-
-def _full_tree(formula, step, payoff, x, partition, first, cfg) -> SolverResult:
-    tree = _TreeWalker(step, formula.weights, payoff, cfg, first,
-                       partition.k).run(x)
-    return SolverResult(
-        value=tree["sum"],
-        mode="full",
-        leaves_evaluated=tree["count"],
-        partition=partition,
-        diagnostics={
-            "compensation": abs(tree["sum"] - tree["naive"]),
-            "min_leaf": tree["min"],
-            "max_leaf": tree["max"],
-            "weight_mass": math.fsum(formula.weights),
-        },
-    )
 
 
 def _sampled_tree(formula, step, payoff, x, partition, first, n_samples,
@@ -425,7 +386,8 @@ def klv_full(
     f is called on each (P, N) block of leaf states when it is a MultiPoly,
     and once per leaf state otherwise, i-major within a block (by last
     support point, then parent). Every GenericField of sys must map a
-    (P, N) block of states row by row; this is checked near x first.
+    (P, N) block of states row by row; vector_fields._check_block_fields
+    checks this near x first.
     diagnostics["weight_mass"] is the exact sum of the formula's weights.
     Calls on one model share the level step, keyed as in klv_sweep.
     """

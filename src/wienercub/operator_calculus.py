@@ -10,7 +10,6 @@ genuine remainder term, never to the operator side.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import lru_cache
 from itertools import product
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .tensor_algebra import GradedTensor, _check_count, check_word, exp
 from .lie_structures import LiePolynomial
-from .path_signature import _check_positive
+from .path_signature import _check_positive, _is_real
 from .vector_fields import (AffineField, VectorFieldSystem, _check_controls,
                             affine_flow_exact, gamma_field)
 
@@ -41,10 +40,8 @@ class MultiPoly:
         clean: dict[Exponents, float] = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != n_vars or not all(isinstance(e, numbers.Real) and
-                                              not isinstance(e, bool) and
-                                              math.isfinite(e) and e == int(e) >= 0
-                                              for e in exps):
+            if len(exps) != n_vars or not all(_is_real(e) and math.isfinite(e) and
+                                              e == int(e) >= 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {n_vars} variables")
             exps = tuple(int(e) for e in exps)
             c = float(c)
@@ -82,26 +79,20 @@ class MultiPoly:
 
     def __call__(self, x):
         """Value at a point (N,), as a float, or at each row of a block
-        (P, N), as a (P,) array.
+        (P, N), as a (P,) array; a point is a one-row block.
 
-        A point is summed exactly (math.fsum over the terms). A block is
-        summed term by term in storage order, each a product of contiguous
-        columns (x.T, copied unless contiguous), so each row's value is the
-        same for every block size and layout, within a few ulp of the point
-        value.
+        Each row is summed term by term in storage order, each term a product
+        of contiguous columns (x.T, copied unless contiguous), so its value is
+        the same for every block size and layout.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2 and x.shape[1] == self.n_vars:
-            return self._eval_block(x)
-        if x.shape != (self.n_vars,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n_vars:
             raise ValueError(
                 f"expected point of shape ({self.n_vars},) or block of shape "
                 f"(P, {self.n_vars}), got {x.shape}"
             )
-        return math.fsum(
-            c * math.prod(x[j] ** e[j] for j in range(self.n_vars) if e[j])
-            for e, c in self._terms.items()
-        )
+        values = self._eval_block(x.reshape(-1, self.n_vars))
+        return values if x.ndim == 2 else float(values[0])
 
     def _eval_block(self, x: np.ndarray) -> np.ndarray:
         columns = np.ascontiguousarray(x.T)

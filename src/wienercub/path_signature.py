@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -55,10 +56,15 @@ def _check_times(times: Sequence[float], name: str) -> None:
             raise ValueError(f"{name} must increase strictly: {a!r} !< {b!r}")
 
 
+def _is_real(value) -> bool:
+    """Whether value is an int or float (a numpy one too), never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive(value: float, name: str = "horizon") -> None:
-    """Refuse a horizon or gap (`name`) that is not positive and finite;
-    NaN fails too."""
-    if not (value > 0 and math.isfinite(value)):
+    """Refuse a horizon or gap (`name`) that is not a positive finite real
+    number (_is_real); NaN fails too."""
+    if not (_is_real(value) and value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

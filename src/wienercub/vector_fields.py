@@ -3,7 +3,8 @@
 A system holds fields V_0, ..., V_d: V_0 is paired with the time coordinate
 of a driving path, V_1..V_d with its space coordinates. Affine fields
 (x -> Ax + b) are kept symbolic so brackets and flows stay exact; generic
-callback fields fall back to finite differences and RK4 only.
+callback fields fall back to finite differences and RK4 only, and must map
+(P, N) blocks of states row by row: the rule _check_block_fields probes.
 
 Every certified Lie element corresponds to a concrete field: brackets of
 letters become iterated field brackets, so the word-basis coefficients are
@@ -197,6 +198,29 @@ def _check_controls(dimension: int, sys: VectorFieldSystem, what: str) -> None:
     space letters that is not one per driving field V_1..V_d of sys."""
     if dimension != sys.n_controls:
         raise ValueError(f"{what} drives {dimension} controls, system has {sys.n_controls}")
+
+
+def _check_block_fields(sys: VectorFieldSystem, x: np.ndarray):
+    """The block rule: the level step, flow_along_path and euler_mc call each
+    field on whole (P, N) blocks of states. Probe every GenericField on two
+    distinct states near x and require the block call to agree with one call
+    per state."""
+    probe = np.stack([x, x + 0.01 * (1.0 + np.abs(x))])
+    for i, v in enumerate(sys.fields):
+        if not isinstance(v, GenericField):
+            continue
+        rule = f"field V_{i} must map a (P, N) block of states row by row"
+        rows = np.stack([v(p) for p in probe])
+        try:
+            block = v(probe)
+        except Exception as exc:
+            raise ValueError(f"{rule}: its call on a block of two states raised "
+                             f"{type(exc).__name__}: {exc}") from exc
+        scale = np.max(np.abs(rows), initial=0.0, where=np.isfinite(rows))
+        if block.shape != rows.shape or not np.allclose(
+                block, rows, rtol=1e-12, atol=1e-12 * scale, equal_nan=True):
+            raise ValueError(f"{rule}: on two states near x it gave {block.tolist()} "
+                             f"for the block and {rows.tolist()} state by state")
 
 
 def _augmented(fields: Sequence[AffineField], c: np.ndarray) -> np.ndarray:
@@ -547,9 +571,10 @@ def flow_along_path(
 
     Each linear segment contributes the autonomous field
     dt*V_0 + sum_i dw^i*V_i flowed over unit parameter; segments chain.
-    x is one state (N,) or a block of states (P, N). An affine segment field
-    flows in closed form, any other by RK4 (cfg.substeps or 32); a non-finite
-    state raises FlowDivergence naming the segment and the first bad row.
+    x is one state (N,) or a block of states (P, N); _check_block_fields
+    probes the fields near the first. An affine segment field flows in
+    closed form, any other by RK4 (cfg.substeps or 32); a non-finite state
+    raises FlowDivergence naming the segment and the first bad row.
     This is the one-path case of the tree solvers' level step.
     """
     x = np.asarray(x, dtype=float)
@@ -558,5 +583,7 @@ def flow_along_path(
                          f"got shape {x.shape}")
     _check_controls(path.dimension, sys, "path")
     columns = x.reshape(-1, sys.dimension).T
+    if columns.size:
+        _check_block_fields(sys, columns[:, 0])
     y = _LevelStep(sys, [path], [1.0], cfg).along(0, columns, np.zeros(1, int))
     return y.T.reshape(x.shape)

@@ -226,9 +226,17 @@ def test_loader_refuses_support_without_paths_or_lie_polys(support):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("dimension", None, "int() argument"),
+    ("dimension", None, "dimension must be an integer >= 1, got None"),
     ("support", 3, "argument of type 'int' is not iterable"),
     ("support", {"paths": None}, "'NoneType' object is not iterable"),
+    # the loader converts no value: 5.9 is not read as degree 5, nor true as
+    # horizon 1.0, nor "0.5" as a weight
+    ("degree", 5.9, "degree must be an integer >= 1, got 5.9"),
+    ("degree", True, "degree must be an integer >= 1, got True"),
+    ("degree", "5", "degree must be an integer >= 1, got '5'"),
+    ("dimension", 1.7, "dimension must be an integer >= 1, got 1.7"),
+    ("horizon", True, "horizon must be positive and finite, got True"),
+    ("weights", ["0.5", "0.5"], "weight 0 must be strictly positive, got '0.5'"),
 ])
 def test_loader_refuses_a_value_of_the_wrong_type(key, value, message):
     record = lie_record()

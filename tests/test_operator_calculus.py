@@ -60,17 +60,31 @@ def test_multipoly_refuses_a_coefficient_that_is_not_finite(c):
                   (0, 0, 2): -0.3, (1, 0, 0): 4.0, (0, 0, 0): 0.2}),
 ])
 def test_multipoly_block_matches_point_evaluation(poly):
-    # a block is summed term by term, a point exactly: they may differ only
-    # by rounding, at most 8 ulp of the sum of the absolute terms
+    # a block is summed term by term: it may miss the exact sum of the terms
+    # only by rounding, at most 8 ulp of the sum of the absolute terms
     pts = np.random.default_rng(5).uniform(-2.0, 2.0, (500, 3))
     block = poly(pts)
     assert block.shape == (500,)
     for row, got in zip(pts, block):
-        size = math.fsum(abs(c * math.prod(row**np.array(e)))
-                         for e, c in poly.items())
-        assert abs(got - poly(row)) <= 8 * math.ulp(size)
+        terms = [c * math.prod(row**np.array(e)) for e, c in poly.items()]
+        assert abs(got - math.fsum(terms)) <= 8 * math.ulp(math.fsum(map(abs, terms)))
     # a row's value does not depend on the block it sits in
     assert np.array_equal(np.concatenate([poly(pts[:7]), poly(pts[7:])]), block)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
+def test_multipoly_point_is_its_one_row_block_bit_for_bit(n_vars):
+    rng = np.random.default_rng([n_vars, 11])
+    for _ in range(20):
+        poly = MultiPoly(n_vars, {tuple(rng.integers(0, 4, n_vars)): rng.normal()
+                                  for _ in range(8)})
+        for row in rng.uniform(-3.0, 3.0, (25, n_vars)):
+            value = poly(row)
+            assert type(value) is float
+            assert value.hex() == float(poly(row[None])[0]).hex()
+    # inf - inf is nan, as in a block
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(MultiPoly(1, {(1,): 1.0, (2,): -1.0})(np.array([math.inf])))
 
 
 def test_multipoly_block_does_not_depend_on_its_memory_layout():

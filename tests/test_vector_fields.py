@@ -490,6 +490,25 @@ def test_flow_along_path_keeps_the_shape_of_one_state():
     assert np.array_equal(y, flow_along_path(path, sys, x[None, :])[0])
 
 
+def test_flow_along_path_refuses_a_field_written_for_one_state():
+    # fed the block [[1], [2], [3]], these fields read only its first row:
+    # flowed block-wise they gave [1.858, 2.858, 3.858] against the
+    # [1.858, 3.716, 5.575] of one state at a time, and nothing refused them
+    per_state = VectorFieldSystem((GenericField(lambda x: np.array([0.1 * x[0]]), 1),
+                                   GenericField(lambda x: np.array([0.3 * x[0]]), 1)))
+    path = degree5_d1().paths[0]
+    for x in (np.array([1.0]), np.array([[1.0], [2.0], [3.0]])):
+        with pytest.raises(ValueError, match="^field V_0 must map a "
+                                             r"\(P, N\) block of states row by row"):
+            flow_along_path(path, per_state, x)
+    block = VectorFieldSystem((GenericField(lambda x: 0.1 * x, 1),
+                               GenericField(lambda x: 0.3 * x, 1)))
+    y = flow_along_path(path, block, np.array([[1.0], [2.0], [3.0]]))
+    np.testing.assert_allclose(y[:, 0], [1.858, 3.716, 5.575], rtol=1e-3)
+    # an empty block has no state to probe near
+    assert flow_along_path(path, gbm(0.1, 0.3), np.empty((0, 1))).shape == (0, 1)
+
+
 def test_nested_bracket_field_words():
     sys = gbm(0.1, 0.4)
     v = nested_bracket_field(sys, (1,))
