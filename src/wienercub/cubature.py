@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .tensor_algebra import GradedTensor, Word, _check_count, exp
+from .tensor_algebra import GradedTensor, Word, _check_count, _is_real, exp
 from .lie_structures import LiePolynomial, certify
 from .path_signature import (
     PiecewiseLinearPath,
@@ -24,7 +24,6 @@ from .path_signature import (
     _check_positive,
     _check_unit_horizon,
     _horizons_match,
-    _is_real,
     brownian_rescale,
     log_signature,
     signature,
@@ -49,7 +48,7 @@ class CubatureFormula:
 
     Path support lives over [0, horizon]; Lie support is a list of certified
     log-signature-like elements, by convention also at the stated horizon.
-    Weights are real numbers (path_signature._is_real), strictly positive
+    Weights are real numbers (tensor_algebra._is_real), strictly positive
     and finite; the moment-matching claim implied by `degree` is checked by
     validate(), never assumed.
     """

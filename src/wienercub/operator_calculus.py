@@ -15,9 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from .tensor_algebra import GradedTensor, _check_count, check_word, exp
+from .tensor_algebra import GradedTensor, _check_count, _is_real, check_word, exp
 from .lie_structures import LiePolynomial
-from .path_signature import _check_positive, _is_real
+from .path_signature import _check_positive
 from .vector_fields import (AffineField, VectorFieldSystem, _check_controls,
                             affine_flow_exact, gamma_field)
 

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .tensor_algebra import (GradedTensor, Word, _check_count, graded_degree, log,
-                             word_program)
+from .tensor_algebra import (GradedTensor, Word, _check_count, _is_real, graded_degree,
+                             log, word_program)
 from .lie_structures import LiePolynomial, certify
 
 _KNOT_TOL = 1e-12
@@ -42,11 +41,13 @@ _HORIZON_TOL = 1e-9
 
 def _check_times(times: Sequence[float], name: str) -> None:
     """The grid rule 0 = t_0 < t_1 < ... < t_k of partitions and path knots:
-    at least two entries, all finite, the first within 1e-12 of 0, strictly
-    increasing. `name` leads each message ("partition times", "knots")."""
+    at least two entries, all finite numbers, the first within 1e-12 of 0,
+    strictly increasing. `name` leads each message ("partition times", "knots")."""
     if len(times) < 2:
         raise ValueError(f"{name} need at least two entries, got {times!r}")
     for t in times:
+        if not _is_real(t):
+            raise ValueError(f"{name} must be numbers, got {t!r}")
         if not math.isfinite(t):
             raise ValueError(f"{name} must be finite, got {t!r}")
     if abs(times[0]) > _KNOT_TOL:
@@ -54,11 +55,6 @@ def _check_times(times: Sequence[float], name: str) -> None:
     for a, b in zip(times, times[1:]):
         if not b > a:
             raise ValueError(f"{name} must increase strictly: {a!r} !< {b!r}")
-
-
-def _is_real(value) -> bool:
-    """Whether value is an int or float (a numpy one too), never a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_positive(value: float, name: str = "horizon") -> None:
@@ -88,7 +84,7 @@ class PiecewiseLinearPath:
 
     The knots obey the grid rule of `_check_times` (at least two, finite,
     the first within 1e-12 of 0, strictly increasing); points[0] is the
-    origin and the points are finite.
+    origin and the points are finite numbers (_is_real).
     """
 
     knots: tuple[float, ...]
@@ -104,8 +100,9 @@ class PiecewiseLinearPath:
         _check_count(d, "path dimension")
         if any(len(p) != d for p in self.points):
             raise ValueError("inconsistent point dimensions")
-        if not all(math.isfinite(c) for p in self.points for c in p):
-            raise ValueError(f"points must be finite, got {self.points!r}")
+        for c in itertools.chain(*self.points):
+            if not (_is_real(c) and math.isfinite(c)):
+                raise ValueError(f"points must be finite numbers, got {c!r}")
         if any(abs(c) > _KNOT_TOL for c in self.points[0]):
             raise ValueError(f"path must start at the origin, got {self.points[0]!r}")
 
@@ -172,12 +169,12 @@ class PiecewiseLinearPath:
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseLinearPath":
         try:
-            knots = tuple(float(t) for t in data["knots"])
-            points = tuple(tuple(float(c) for c in p) for p in data["points"])
-        except (KeyError, TypeError, ValueError) as exc:
+            knots, points = tuple(data["knots"]), tuple(tuple(p) for p in data["points"])
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed path record: {exc}") from exc
         path = cls(knots, points)
-        if "horizon" in data and not _horizons_match(float(data["horizon"]), path.horizon):
+        horizon = data.get("horizon", path.horizon)
+        if not (_is_real(horizon) and _horizons_match(horizon, path.horizon)):
             raise ValueError(
                 f"declared horizon {data['horizon']!r} != final knot {path.horizon!r}"
             )

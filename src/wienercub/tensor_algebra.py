@@ -19,6 +19,7 @@ product would have skipped the pair.
 """
 from __future__ import annotations
 
+import numbers
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
@@ -40,18 +41,21 @@ def _check_count(value, name: str, minimum: int = 1) -> None:
         raise AlgebraError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """The number rule: value is an int or float (a numpy one too), never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def graded_degree(word: Word) -> int:
     """Length of the word plus the number of occurrences of the letter 0."""
     return len(word) + word.count(0)
 
 
 def check_word(word: Word, dimension: int) -> None:
-    """The letter rule: every letter of `word` is in 0..dimension."""
+    """The letter rule: every letter of `word` is an integer in 0..dimension."""
     for a in word:
-        if not (0 <= a <= dimension):
-            raise AlgebraError(
-                f"letter {a} outside alphabet 0..{dimension} in word {word!r}"
-            )
+        if isinstance(a, bool) or not isinstance(a, (int, np.integer)) or not 0 <= a <= dimension:
+            raise AlgebraError(f"letter {a!r} outside alphabet 0..{dimension} in word {word!r}")
 
 
 def all_words(dimension: int, max_degree: int) -> list[Word]:
@@ -132,7 +136,8 @@ class GradedTensor:
                     f"word {w!r} has graded degree {graded_degree(w)} "
                     f"> truncation {truncation}"
                 )
-            c = float(c)
+            if not _is_real(c):
+                raise AlgebraError(f"coefficient of word {w!r} must be a number, got {c!r}")
             if c != 0.0:
                 v[program.index[w]] = c
         self.dimension, self.truncation = program.dimension, program.truncation
@@ -281,19 +286,14 @@ class GradedTensor:
     @classmethod
     def from_dict(cls, data: dict) -> "GradedTensor":
         try:
-            dimension = int(data["dimension"])
-            truncation = int(data["truncation"])
-            terms = data["terms"]
+            terms = [(tuple(t["word"]), t["coeff"]) for t in data["terms"]]
+            dimension, truncation, coeffs = data["dimension"], data["truncation"], dict(terms)
         except (KeyError, TypeError) as exc:
             raise AlgebraError(f"malformed tensor record: {exc}") from exc
-        coeffs: dict[Word, float] = {}
-        for i, term in enumerate(terms):
-            try:
-                w = tuple(int(a) for a in term["word"])
-                c = float(term["coeff"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise AlgebraError(f"malformed tensor term at index {i}: {exc}") from exc
-            coeffs[w] = coeffs.get(w, 0.0) + c
+        if len(coeffs) < len(terms):
+            words = [w for w, _ in terms]
+            repeated = next(w for w in words if words.count(w) > 1)
+            raise AlgebraError(f"word {repeated!r} repeated in tensor record")
         return cls(dimension, truncation, coeffs)
 
 

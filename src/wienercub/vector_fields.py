@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lie_structures import LiePolynomial
-from .tensor_algebra import _check_count, check_word, graded_degree
+from .tensor_algebra import _check_count, _is_real, check_word, graded_degree
 
 # default finite-difference step scale: cube root of machine epsilon,
 # the optimum for central differences
@@ -71,24 +71,23 @@ def _affine_columns(matrix: np.ndarray, offset, columns) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AffineField:
-    """x -> matrix @ x + offset (read-only copies), exact under brackets and flows."""
+    """x -> matrix @ x + offset (read-only float copies of entries that are
+    numbers, tensor_algebra._is_real), exact under brackets and flows."""
 
     matrix: np.ndarray
     offset: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.matrix, dtype=float)
-        b = np.array(self.offset, dtype=float)
+        a, b = (np.array(x, dtype=object) for x in (self.matrix, self.offset))
+        for c in (*a.flat, *b.flat):
+            if not (_is_real(c) and math.isfinite(c)):
+                raise ValueError(f"matrix and offset must be finite numbers, got {c!r}")
+        a, b = a.astype(float), b.astype(float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         if b.shape != (a.shape[0],):
             raise ValueError(
                 f"offset shape {b.shape} does not match matrix {a.shape}"
-            )
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError(
-                f"matrix and offset must be finite, got {a.tolist()} "
-                f"and {b.tolist()}"
             )
         a.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "matrix", a)
