@@ -168,6 +168,9 @@ class PiecewiseLinearPath:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseLinearPath":
+        """Unpack a to_dict record; the constructor's rules refuse its values
+        (a knot "1" or a point coordinate true is not read as 1.0), and a
+        declared horizon must be a number that matches the final knot."""
         try:
             knots, points = tuple(data["knots"]), tuple(tuple(p) for p in data["points"])
         except (KeyError, TypeError) as exc:

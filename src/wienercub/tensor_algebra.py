@@ -285,6 +285,9 @@ class GradedTensor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradedTensor":
+        """Unpack a to_dict record; the constructor's rules refuse its values
+        (a letter 1.9, a coefficient "2" or a dimension true is not read as
+        1, 2.0 or 1), and a word given twice is refused: to_dict gives one."""
         try:
             terms = [(tuple(t["word"]), t["coeff"]) for t in data["terms"]]
             dimension, truncation, coeffs = data["dimension"], data["truncation"], dict(terms)

@@ -23,8 +23,8 @@ import numpy as np
 from .lie_structures import LiePolynomial
 from .tensor_algebra import _check_count, _is_real, check_word, graded_degree
 
-# default finite-difference step scale: cube root of machine epsilon,
-# the optimum for central differences
+# finite-difference step scale of GenericField's Jacobian: cube root of
+# machine epsilon, the optimum for central differences
 FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
@@ -115,14 +115,13 @@ class GenericField:
 
     jacobian(x) maps (N,) to (N, N) and (P, N) to (P, N, N). A jacobian_func
     takes one state and is called once per row of a block; without one, the
-    Jacobian is taken by central differences of step fd_step * (1 + |x_j|)
+    Jacobian is taken by central differences of step FD_STEP * (1 + |x_j|)
     on the whole block, with the same arithmetic for every row.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     dimension: int
     jacobian_func: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = FD_STEP
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
@@ -136,7 +135,7 @@ class GenericField:
         jac = np.empty(x.shape + (self.dimension,))
         for j in range(self.dimension):
             e = np.zeros_like(x)
-            e[..., j] = self.fd_step * (1.0 + np.abs(x[..., j]))
+            e[..., j] = FD_STEP * (1.0 + np.abs(x[..., j]))
             jac[..., j] = (self(x + e) - self(x - e)) / (2.0 * e[..., j, None])
         return jac
 
@@ -354,7 +353,7 @@ class FlowConfig:
     count of at least 1 (tensor_algebra._check_count), or None for
     _substeps' default; exact_affine: let flow_exp use the closed-form
     affine flow, which the level step (the tree solvers and kusuoka_step) and
-    flow_along_path always use. GenericField.fd_step is the FD Jacobian step."""
+    flow_along_path always use."""
 
     substeps: int | None = None
     exact_affine: bool = False
@@ -550,7 +549,7 @@ class _LevelStep:
                 segment=seg + 1, row=row)
         y, cfg = states.copy(), FlowConfig(self.substeps[level])
         lengths = self.lengths[points]
-        for seg in range(lengths.max()):
+        for seg in range(lengths.max(initial=0)):
             live = np.flatnonzero(lengths > seg)
             c = self.coefficients[level, points[live], seg]
             try:
