@@ -14,7 +14,9 @@ function with one message that names the bad value:
 - unit horizons of the support that rescaling starts from, checked by
   path_signature._check_unit_horizon through the horizon match
   (path_signature._horizons_match) that formulas and path records share;
-- letters of words in 0..d, checked by tensor_algebra.check_word.
+- letters of words in 0..d, checked by tensor_algebra.check_word;
+- tensor, path and affine-system records, which their loaders only unpack:
+  each value meets the rules of the constructor it is handed to.
 
 Boundary values stay accepted. The CLI reports a config value of the wrong
 JSON type, or a key it does not know, as one error line.
@@ -60,7 +62,8 @@ from wienercub import (
     word_operator,
 )
 from wienercub.cubature import from_dict
-from wienercub.tensor_algebra import word_program
+from wienercub.tensor_algebra import AlgebraError, word_program
+from wienercub.vector_fields import affine_from_file
 
 # -- time grids ------------------------------------------------------------
 
@@ -490,3 +493,89 @@ def test_a_letter_must_lie_in_the_alphabet(user, word):
     with pytest.raises(ValueError, match="^" + re.escape(
             f"letter {word[-1]} outside alphabet 0..1 in word {word!r}") + "$"):
         LETTER_USERS[user](word)
+
+
+# -- records read by the constructors' rules -------------------------------------
+
+
+def tensor_term(record, key, value):
+    record["terms"][0][key] = value
+
+
+TENSOR_RECORDS = {
+    "letter 1.9": (lambda r: tensor_term(r, "word", [1.9]),
+                   "letter 1.9 outside alphabet 0..1 in word (1.9,)"),
+    "letter true": (lambda r: tensor_term(r, "word", [True]),
+                    "letter True outside alphabet 0..1 in word (True,)"),
+    "coefficient '2'": (lambda r: tensor_term(r, "coeff", "2"),
+                        "coefficient of word (1,) must be a number, got '2'"),
+    "dimension 1.0": (lambda r: r.update(dimension=1.0),
+                      "dimension must be an integer >= 1, got 1.0"),
+    "dimension true": (lambda r: r.update(dimension=True),
+                       "dimension must be an integer >= 1, got True"),
+    "repeated word": (lambda r: r["terms"].append(dict(r["terms"][0])),
+                      "word (1,) repeated in tensor record"),
+    "no terms": (lambda r: r.pop("terms"), "malformed tensor record: 'terms'"),
+}
+
+
+@pytest.mark.parametrize("case", TENSOR_RECORDS)
+def test_a_tensor_record_is_read_by_the_constructor_rules(case):
+    change, message = TENSOR_RECORDS[case]
+    record = lie_record()
+    change(record["support"]["lie_polys"][0])
+    with pytest.raises(AlgebraError, match="^" + re.escape(message) + "$"):
+        GradedTensor.from_dict(record["support"]["lie_polys"][0])
+    with pytest.raises(CubatureLoadError, match="^" + re.escape(
+            f"f.json: lie_polys[0]: {message}") + "$"):
+        from_dict(record, where="f.json")
+
+
+PATH_RECORDS = {
+    "knot '1'": (lambda r: r.update(knots=[0.0, "1"]), "knots must be numbers, got '1'"),
+    "knot true": (lambda r: r.update(knots=[0.0, True]), "knots must be numbers, got True"),
+    "point true": (lambda r: r["points"][1].__setitem__(0, True),
+                   "points must be finite numbers, got True"),
+    "point '0.5'": (lambda r: r["points"][1].__setitem__(0, "0.5"),
+                    "points must be finite numbers, got '0.5'"),
+    "horizon '1'": (lambda r: r.update(horizon="1"),
+                    "declared horizon '1' != final knot 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", PATH_RECORDS)
+def test_a_path_record_is_read_by_the_constructor_rules(case):
+    change, message = PATH_RECORDS[case]
+    record = degree3(1).to_dict()
+    change(record["support"]["paths"][0])
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        PiecewiseLinearPath.from_dict(record["support"]["paths"][0])
+    with pytest.raises(CubatureLoadError, match="^" + re.escape(
+            f"f.json: paths[0]: {message}") + "$"):
+        from_dict(record, where="f.json")
+
+
+@pytest.mark.parametrize("key", ["matrix", "offset"])
+@pytest.mark.parametrize("value", ["1", True])
+def test_an_affine_system_file_is_read_by_the_constructor_rules(tmp_path, key, value):
+    # next to a float, numpy itself would read true as 1.0
+    field = {"matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.25]}
+    bad = dict(field)
+    bad[key] = [[0.5, value], [0.0, 0.5]] if key == "matrix" else [0.0, value]
+    target = tmp_path / "system.json"
+    target.write_text(json.dumps({"fields": [field, bad]}))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{target}: malformed affine system: matrix and offset must be finite "
+            f"numbers, got {value!r}") + "$"):
+        affine_from_file(str(target))
+
+
+@pytest.mark.parametrize("formula", [degree3(1), degree3(2), degree3(3), degree5_d1()])
+@pytest.mark.parametrize("form", ["paths", "lie_polys"])
+def test_records_read_back_to_the_same_values_bit_for_bit(formula, form):
+    formula = formula if form == "paths" else lie_form(formula)
+    record = json.loads(json.dumps(formula.to_dict()))
+    again = from_dict(record)
+    assert json.dumps(again.to_dict()) == json.dumps(formula.to_dict())
+    m = formula.degree
+    assert again.aggregate(m)._v.tobytes() == formula.aggregate(m)._v.tobytes()

@@ -1,15 +1,24 @@
 """Inputs that the CLI and the library refuse with one clear message: the
-Euler reference's step count in converge, and gaps that are not positive
-and finite in the lemma-gap experiment."""
+Euler reference's step count in converge, gaps that are not positive and
+finite in the lemma-gap experiment, and a table of the refusals and
+branches that no other test reaches."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wienercub import cli
-from wienercub.cubature import degree3, validate
-from wienercub.operator_calculus import flow_tensor_gap, remainder_box_bound
+from wienercub.cubature import CubatureFormula, degree3, lie_form, rescale, validate
+from wienercub.lie_structures import LiePolynomial, certify, dynkin_map
+from wienercub.operator_calculus import (MultiPoly, flow_tensor_gap, lie_derivative,
+                                         remainder_box_bound, word_operator)
+from wienercub.path_signature import PiecewiseLinearPath, concat
+from wienercub.tensor_algebra import GradedTensor, exp as tensor_exp
+from wienercub.vector_fields import (AffineField, GenericField, VectorFieldSystem,
+                                     affine_from_file, bracket_field, flow_along_path,
+                                     flow_exp, gamma_field, gbm, nested_bracket_field)
 
 
 def run(argv, capsys):
@@ -376,3 +385,166 @@ def test_no_flag_could_be_read_as_a_negative_number():
         for action in p._actions:
             for flag in action.option_strings:
                 assert flag == "-h" or flag.startswith("--"), (name, flag)
+
+
+# -- refusals and branches that no other test reaches ---------------------------
+
+GBM_1D = gbm(0.05, 0.3)
+LINE_1D = PiecewiseLinearPath.straight_line((0.3,))
+LINE_2D = PiecewiseLinearPath.straight_line((0.3, 0.1))
+UNCERTIFIED = LiePolynomial(GradedTensor(1, 3, {(1,): 1.0}))
+
+
+def refused(call, kind=ValueError):
+    """A case that must raise `kind`; it gives the message."""
+    def case(tmp_path, capsys):
+        with pytest.raises(kind) as err:
+            call(tmp_path)
+        return str(err.value)
+    return case
+
+
+def cli_error(*argv, **config):
+    """A CLI run that must fail; it gives its one error line. `config`
+    changes gbm_config's keys and is passed as --config; OUT stands for a
+    fresh output directory."""
+    def case(tmp_path, capsys):
+        extra = ["--config", gbm_config(tmp_path, **config)] if config else []
+        args = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+        code, _, err = run([*args, *extra], capsys)
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+        return err[len("error: "):-1]
+    return case
+
+
+def no_fields(tmp_path):
+    target = tmp_path / "system.json"
+    target.write_text(json.dumps({"system": []}))
+    return affine_from_file(str(target))
+
+
+def one_state_only(x):
+    # reads a single state as a scalar, so a block of two raises
+    return np.array([0.1 * x.item()])
+
+
+UNREACHED = {
+    "cli: unknown system": (
+        cli_error("solve", system={"name": "heston"}),
+        "unknown system 'heston' (use gbm, ou, or affine)"),
+    "cli: payoff index outside the state": (
+        cli_error("solve", payoff={"name": "identity", "index": 1}),
+        "payoff index 1 outside state dimension 1"),
+    "cli: unknown payoff": (
+        cli_error("solve", payoff={"name": "digital"}),
+        "unknown payoff 'digital' (use identity, power, or poly)"),
+    "cli: monte carlo check": (
+        cli_error("expected-signature", "--dimension", "1", "--degree", "2",
+                  "--mc-paths", "20", "--mc-steps", "2", "--z-limit", "0.001"),
+        re.compile(r"monte carlo disagrees: z=\d+\.\d\d on word '[01.]+'")),
+    "cli: slope fit of two points": (
+        cli_error("converge", "--out", "OUT", partition={"gamma": 2.0, "k_list": [1, 2]}),
+        "slope fit: need >= 3 positive-error points, have 2"),
+    "cli: seeded lemma-gap below its slope": (
+        cli_error("lemma-gap", "--seed", "5", "--min-slope", "100"),
+        re.compile(r"gap slope \d+\.\d{3} below required 100\.000")),
+    "CubatureFormula: weight count": (
+        refused(lambda _: CubatureFormula(1, 3, (0.5, 0.5), paths=(LINE_1D,))),
+        "2 weights for 1 support points"),
+    "CubatureFormula: path dimension": (
+        refused(lambda _: CubatureFormula(2, 3, (1.0,), paths=(LINE_1D,))),
+        "path 0 has dimension 1, formula says 2"),
+    "CubatureFormula: uncertified Lie element": (
+        refused(lambda _: CubatureFormula(1, 3, (1.0,), lie_polys=(UNCERTIFIED,))),
+        "Lie element 0 is not certified"),
+    "dynkin_map: constant term": (
+        refused(lambda _: dynkin_map(GradedTensor.unit(1, 2))),
+        "bracketing map undefined on the empty word"),
+    "MultiPoly.coordinate: out of range": (
+        refused(lambda _: MultiPoly.coordinate(2, 2)),
+        "coordinate 2 out of range for 2 variables"),
+    "MultiPoly.max_coeff_difference: variable count": (
+        refused(lambda _: MultiPoly(1).max_coeff_difference(MultiPoly(2))),
+        "variable count mismatch: 1 vs 2"),
+    "word_operator: field and polynomial dimensions": (
+        refused(lambda _: word_operator((1,), GBM_1D, MultiPoly.coordinate(2, 0))),
+        "field on R^1, polynomial in 2 variables"),
+    "lie_derivative: generic field": (
+        refused(lambda _: lie_derivative(GenericField(np.sin, 1), MultiPoly(1)), TypeError),
+        "lie_derivative requires an affine field"),
+    "PiecewiseLinearPath: knot and point counts": (
+        refused(lambda _: PiecewiseLinearPath((0.0, 1.0), ((0.0,),))),
+        "knot/point count mismatch: 2 vs 1"),
+    "from_increments: no increment": (
+        refused(lambda _: PiecewiseLinearPath.from_increments([])),
+        "at least one increment required"),
+    "concat: dimensions": (
+        refused(lambda _: concat(LINE_1D, LINE_2D)),
+        "dimension mismatch: 1 vs 2"),
+    "GradedTensor: not a tensor": (
+        refused(lambda _: GradedTensor(1, 2) + 1.0),
+        "expected GradedTensor, got float"),
+    "GradedTensor: truncations": (
+        refused(lambda _: GradedTensor(1, 2) + GradedTensor(1, 3)),
+        "truncation mismatch: 2 vs 3"),
+    "exp: constant term": (
+        refused(lambda _: tensor_exp(GradedTensor.unit(1, 2))),
+        "exp requires zero constant term"),
+    "AffineField: matrix not square": (
+        refused(lambda _: AffineField([[1.0, 2.0]], [0.0])),
+        "matrix must be square, got shape (1, 2)"),
+    "AffineField: offset shape": (
+        refused(lambda _: AffineField([[1.0]], [0.0, 1.0])),
+        "offset shape (2,) does not match matrix (1, 1)"),
+    "bracket_field: dimensions": (
+        refused(lambda _: bracket_field(AffineField.zero(1), AffineField.zero(2))),
+        "dimension mismatch: 1 vs 2"),
+    "VectorFieldSystem: dimensions": (
+        refused(lambda _: VectorFieldSystem((AffineField.zero(1), AffineField.zero(2)))),
+        "all fields must share the state dimension"),
+    "flow_along_path: field that fails on a block": (
+        refused(lambda _: flow_along_path(LINE_1D, VectorFieldSystem(
+            (GenericField(one_state_only, 1), GenericField(one_state_only, 1))),
+            np.array([1.0]))),
+        "field V_0 must map a (P, N) block of states row by row: its call on a "
+        "block of two states raised ValueError: can only convert an array of size 1 "
+        "to a Python scalar"),
+    "affine_from_file: no fields": (
+        refused(no_fields),
+        re.compile(r".*system\.json: malformed affine system: 'fields'")),
+    "nested_bracket_field: empty word": (
+        refused(lambda _: nested_bracket_field(GBM_1D, ())),
+        "empty word has no bracket field"),
+    "gamma_field: uncertified Lie element": (
+        refused(lambda _: gamma_field(UNCERTIFIED, GBM_1D)),
+        "a Lie element must be certified to map to a field"),
+}
+
+
+@pytest.mark.parametrize("case", UNREACHED)
+def test_a_rule_no_other_test_reaches_is_refused_with_its_message(tmp_path, capsys, case):
+    call, message = UNREACHED[case]
+    got = call(tmp_path, capsys)
+    if isinstance(message, re.Pattern):
+        assert message.fullmatch(got), got
+    else:
+        assert got == message
+
+
+def test_branches_no_other_test_reaches():
+    # rescale of Lie support dilates each element by sqrt(horizon)
+    lie = lie_form(degree3(1))
+    quarter = rescale(lie, 0.25)
+    assert quarter.horizon == 0.25 and quarter.weights == lie.weights
+    assert validate(quarter).ok
+    assert [p.tensor for p in quarter.lie_polys] == [p.tensor.dilate(0.5)
+                                                     for p in lie.lie_polys]
+    # lie_form of Lie support is that support; certify unwraps an
+    # uncertified element and checks its tensor
+    assert lie_form(lie) is lie
+    checked = certify(UNCERTIFIED)
+    assert checked.certified and checked.tensor is UNCERTIFIED.tensor
+    # a flow over no time is a copy of its start
+    x = np.array([[1.0], [2.0]])
+    y = flow_exp(GBM_1D.fields[1], 0.0, x)
+    assert np.array_equal(y, x) and y is not x
