@@ -168,9 +168,8 @@ class PiecewiseLinearPath:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseLinearPath":
-        """Unpack a to_dict record; the constructor's rules refuse its values
-        (a knot "1" or a point coordinate true is not read as 1.0), and a
-        declared horizon must be a number that matches the final knot."""
+        """Unpack a to_dict record, whose values the constructor's rules refuse
+        unconverted (knot "1", point true); a stated horizon is the last knot's."""
         try:
             knots, points = tuple(data["knots"]), tuple(tuple(p) for p in data["points"])
         except (KeyError, TypeError) as exc:
@@ -179,7 +178,7 @@ class PiecewiseLinearPath:
         horizon = data.get("horizon", path.horizon)
         if not (_is_real(horizon) and _horizons_match(horizon, path.horizon)):
             raise ValueError(
-                f"declared horizon {data['horizon']!r} != final knot {path.horizon!r}"
+                f"declared horizon {horizon!r} != final knot {path.horizon!r}"
             )
         return path
 

@@ -168,7 +168,7 @@ class GradedTensor:
     def basis(
         cls, dimension: int, truncation: int, word: Iterable[int], coeff: float = 1.0
     ) -> "GradedTensor":
-        return cls(dimension, truncation, {tuple(word): float(coeff)})
+        return cls(dimension, truncation, {tuple(word): coeff})
 
     # -- access ------------------------------------------------------------
 
@@ -285,9 +285,8 @@ class GradedTensor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradedTensor":
-        """Unpack a to_dict record; the constructor's rules refuse its values
-        (a letter 1.9, a coefficient "2" or a dimension true is not read as
-        1, 2.0 or 1), and a word given twice is refused: to_dict gives one."""
+        """Unpack a to_dict record, whose values the constructor's rules refuse
+        unconverted (letter 1.9, coefficient "2"); to_dict gives no word twice."""
         try:
             terms = [(tuple(t["word"]), t["coeff"]) for t in data["terms"]]
             dimension, truncation, coeffs = data["dimension"], data["truncation"], dict(terms)
