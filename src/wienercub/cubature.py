@@ -42,7 +42,7 @@ class CubatureLoadError(ValueError):
     """Raised when a formula file is malformed or fails basic checks."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubatureFormula:
     """Positive weights plus either path or Lie-polynomial support.
 
@@ -50,7 +50,8 @@ class CubatureFormula:
     log-signature-like elements, by convention also at the stated horizon.
     Weights are real numbers (tensor_algebra._is_real), strictly positive
     and finite; the moment-matching claim implied by `degree` is checked by
-    validate(), never assumed.
+    validate(), never assumed. A formula compares and hashes by identity, as
+    the solvers' step cache keys it: two equal formulas are two keys.
     """
 
     dimension: int

@@ -241,23 +241,10 @@ class _TreeWalker:
                        float(np.max(vals))))
 
 
-@dataclass(frozen=True, eq=False)
-class _Same:
-    """A cache key that holds obj and compares it by identity: its id stays taken."""
-
-    obj: object
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return self.obj is other.obj
-
-
 @lru_cache(maxsize=32)
-def _level_step(sys, support: _Same, gaps, flow, degree) -> _LevelStep:
+def _level_step(sys, formula, gaps, flow) -> _LevelStep:
     """One step per model: it calls no field, and affine arrays are read-only."""
-    return _LevelStep(sys, support.obj, gaps, flow, degree)
+    return _LevelStep(sys, formula.paths or formula.lie_polys, gaps, flow, formula.degree)
 
 
 def klv_sweep(
@@ -283,7 +270,7 @@ def klv_sweep(
     draws, seeded with seed afresh for every partition) gives for partition
     p alone; on generic fields it lists each level's RK4 count in
     diagnostics["substeps"]. Calls on one model share the step, keyed by
-    sys, the support tuple (by identity), the gaps, cfg.flow and degree.
+    sys and formula (both by identity), the gaps and cfg.flow.
     """
     partitions = tuple(partitions)
     if not partitions:
@@ -300,8 +287,7 @@ def klv_sweep(
     x = _start_state(sys, x)
     _check_block_fields(sys, x)
     gaps = tuple(gap for part in partitions for gap in part.gaps)
-    step = _level_step(sys, _Same(formula.paths or formula.lie_polys), gaps,
-                       cfg.flow, formula.degree)
+    step = _level_step(sys, formula, gaps, cfg.flow)
     payoff = _block_payoff(f)
     results, first = [], 0
     for part in partitions:

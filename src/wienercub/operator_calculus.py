@@ -37,7 +37,7 @@ class MultiPoly:
     def __init__(self, n_vars: int, terms: dict[Exponents, float] | None = None):
         _check_count(n_vars, "n_vars")
         self.n_vars = n_vars
-        clean: dict[Exponents, float] = {}
+        self._terms: dict[Exponents, float] = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != n_vars or not all(_is_real(e) and math.isfinite(e) and
@@ -48,8 +48,7 @@ class MultiPoly:
             if not math.isfinite(c):
                 raise ValueError(f"coefficient of {exps} is not finite: {c!r}")
             if c != 0.0:
-                clean[exps] = clean.get(exps, 0.0) + c
-        self._terms = {e: c for e, c in clean.items() if c != 0.0}
+                self._terms[exps] = c
 
     @classmethod
     def constant(cls, n_vars: int, value: float) -> "MultiPoly":

@@ -132,20 +132,17 @@ class PiecewiseLinearPath:
     def from_increments(
         cls, steps: Iterable[tuple[float, Iterable[float]]]
     ) -> "PiecewiseLinearPath":
-        knots = [0.0]
-        points: list[tuple[float, ...]] = []
-        x: np.ndarray | None = None
-        for dt, dx in steps:
-            dx = np.asarray(dx, dtype=float)
-            if x is None:
-                x = np.zeros_like(dx)
-                points.append(tuple(x))
-            knots.append(knots[-1] + float(dt))
-            x = x + dx
-            points.append(tuple(x))
-        if x is None:
+        """The path from the origin that moves by dx (of the first dx's length)
+        over each time dt; knots and points are running sums in step order."""
+        steps = [(dt, tuple(dx)) for dt, dx in steps]
+        if not steps:
             raise ValueError("at least one increment required")
-        return cls(tuple(knots), tuple(points))
+        if any(len(dx) != len(steps[0][1]) for _, dx in steps):
+            raise ValueError("inconsistent point dimensions")
+        dts, dxs = zip(*steps)
+        knots = np.cumsum((0.0,) + dts)
+        points = np.cumsum(((0.0,) * len(dxs[0]),) + dxs, axis=0)
+        return cls(tuple(knots.tolist()), tuple(map(tuple, points.tolist())))
 
     @classmethod
     def straight_line(
