@@ -12,7 +12,7 @@ partitions from one prologue: checks, the field probe of the block rule
 (vector_fields._LevelStep) over the gaps of every partition, each on its own
 slice of levels; klv_full and klv_sampled are its one-partition cases,
 kusuoka_step klv_full's one-level case. Calls on one model share the step,
-cached by sys, support tuple (by identity), gaps, cfg.flow and degree. Both
+cached by sys and formula (both by identity), gaps and cfg.flow. Both
 trees reach a level only through the step's along, on (N, ...) columns of
 states and support points that broadcast against them: the full tree's
 (N, 1, P) nodes against every point, the sampled tree's (N, R) children
@@ -34,7 +34,7 @@ from .cubature import CubatureFormula
 from .operator_calculus import MultiPoly
 from .path_signature import (_brownian_mean, _check_positive, _check_times,
                              _check_unit_horizon)
-from .tensor_algebra import _check_count
+from .tensor_algebra import _check_count, _is_real
 from .vector_fields import (
     DEFAULT_FLOW,
     FlowConfig,
@@ -76,7 +76,7 @@ def gamma_partition(horizon: float, k: int, gamma: float) -> Partition:
     gamma packs the short steps toward T; gamma must be finite and >= 1."""
     _check_positive(horizon)
     _check_count(k, "k")
-    if not 1.0 <= gamma < math.inf:
+    if not (_is_real(gamma) and 1.0 <= gamma < math.inf):
         raise ValueError(f"gamma must be finite and >= 1, got {gamma!r}")
     times = [horizon * (1.0 - (1.0 - j / k) ** gamma) for j in range(k + 1)]
     times[0], times[-1] = 0.0, horizon
@@ -424,8 +424,9 @@ def kusuoka_step(
     Each certified element is dilated by sqrt(s), mapped to its field
     (gamma_field's rule) and flowed over unit parameter by the level step:
     exactly on affine fields, by RK4 otherwise (sized as klv_full's); f is
-    called as klv_full calls it. Path support is converted first by
-    cubature.lie_form, whose truncation sets the step's accuracy order.
+    called as klv_full calls it. Path support is refused: the caller
+    converts it with cubature.lie_form, whose truncation sets the step's
+    accuracy order.
     """
     if formula.lie_polys is None:
         raise ValueError("kusuoka_step needs Lie support; use cubature.lie_form")

@@ -28,8 +28,9 @@ class MultiPoly:
     """Polynomial in n_vars real variables, stored as exponent -> coefficient.
 
     Built from a term dict whose exponents are nonnegative integers (4.0 is
-    4; 1.5 and a bool are refused) and whose coefficients are finite. It has no
-    arithmetic: the operators below act on its coefficient vector.
+    4; 1.5 and a bool are refused) and whose coefficients are finite
+    numbers (_is_real). It has no arithmetic: the operators below act on
+    its coefficient vector.
     """
 
     __slots__ = ("n_vars", "_terms")
@@ -44,11 +45,10 @@ class MultiPoly:
                                               e == int(e) >= 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {n_vars} variables")
             exps = tuple(int(e) for e in exps)
-            c = float(c)
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient of {exps} is not finite: {c!r}")
+            if not (_is_real(c) and math.isfinite(c)):
+                raise ValueError(f"coefficient of {exps} is not finite or not a number: {c!r}")
             if c != 0.0:
-                self._terms[exps] = c
+                self._terms[exps] = float(c)
 
     @classmethod
     def constant(cls, n_vars: int, value: float) -> "MultiPoly":

@@ -132,14 +132,18 @@ class PiecewiseLinearPath:
     def from_increments(
         cls, steps: Iterable[tuple[float, Iterable[float]]]
     ) -> "PiecewiseLinearPath":
-        """The path from the origin that moves by dx (of the first dx's length)
-        over each time dt; knots and points are running sums in step order."""
+        """The path from the origin that moves by dx over each time dt: every dt
+        and dx entry a number (_is_real), every dx of the first one's length.
+        Knots and points are running sums, added in step order."""
         steps = [(dt, tuple(dx)) for dt, dx in steps]
         if not steps:
             raise ValueError("at least one increment required")
         if any(len(dx) != len(steps[0][1]) for _, dx in steps):
             raise ValueError("inconsistent point dimensions")
         dts, dxs = zip(*steps)
+        for v in itertools.chain(dts, *dxs):
+            if not _is_real(v):
+                raise ValueError(f"increments must be numbers, got {v!r}")
         knots = np.cumsum((0.0,) + dts)
         points = np.cumsum(((0.0,) * len(dxs[0]),) + dxs, axis=0)
         return cls(tuple(knots.tolist()), tuple(map(tuple, points.tolist())))

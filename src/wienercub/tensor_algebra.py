@@ -235,6 +235,8 @@ class GradedTensor:
         return self.scale(-1.0)
 
     def scale(self, scalar: float) -> "GradedTensor":
+        if not _is_real(scalar):
+            raise AlgebraError(f"scale factor must be a number, got {scalar!r}")
         scalar = float(scalar)
         if scalar == 0.0:
             return GradedTensor.zero(self.dimension, self.truncation)
@@ -267,6 +269,8 @@ class GradedTensor:
         With scalar = sqrt(s) this is the Brownian scaling of signatures from
         horizon 1 to horizon s: dB picks up sqrt(s), dt picks up s.
         """
+        if not _is_real(scalar):
+            raise AlgebraError(f"dilation factor must be a number, got {scalar!r}")
         lam = float(scalar)
         # powers past the top nonzero degree stay 0, so they cannot overflow
         top = int(self._program.degrees[self._v != 0.0].max(initial=0))

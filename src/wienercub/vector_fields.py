@@ -416,7 +416,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _check_flow_time(t: float) -> None:
-    if not np.isfinite(t):
+    if not (_is_real(t) and math.isfinite(t)):
         raise ValueError(f"flow time must be finite, got {t!r}")
 
 

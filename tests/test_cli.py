@@ -302,7 +302,8 @@ def test_converge_csv_equals_one_full_solve_per_k(tmp_path, capsys):
                        partition={"gamma": 2.0, "k_list": [3, 4, 5, 6]})
     code, _, _ = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)
     assert code == 0
-    config = json.loads(open(cfg).read())
+    with open(cfg) as fh:
+        config = json.load(fh)
     expected = _per_k_csv(config, lambda f, x0, part: klv_full(
         degree5_d1(), gbm(0.05, 0.3), f, x0, part))
     assert (tmp_path / "converge.csv").read_text() == expected
@@ -314,7 +315,8 @@ def test_converge_csv_equals_one_sampled_solve_per_k(tmp_path, capsys):
                        partition={"gamma": 2.0, "k_list": [3, 4, 5, 6]})
     code, _, _ = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)
     assert code == 0
-    config = json.loads(open(cfg).read())
+    with open(cfg) as fh:
+        config = json.load(fh)
     expected = _per_k_csv(config, lambda f, x0, part: klv_sampled(
         degree3(1), ou(0.7, 0.4), f, x0, part, 3000, 5))
     assert (tmp_path / "converge.csv").read_text() == expected

@@ -45,6 +45,7 @@ from wienercub import (
     degree5_d1,
     euler_mc,
     flow_along_path,
+    flow_exp,
     flow_tensor_gap,
     gamma_field,
     gamma_partition,
@@ -553,6 +554,41 @@ def test_a_path_record_is_read_by_the_constructor_rules(case):
     with pytest.raises(CubatureLoadError, match="^" + re.escape(
             f"f.json: paths[0]: {message}") + "$"):
         from_dict(record, where="f.json")
+
+
+TENSOR = GradedTensor(1, 2, {(1,): 1.0})
+CASTS = {
+    "MultiPoly coefficient '2'": (lambda: MultiPoly(1, {(1,): "2"}),
+                                  "coefficient of (1,) is not finite or not a number: '2'"),
+    "MultiPoly coefficient true": (lambda: MultiPoly(1, {(1,): True}),
+                                   "coefficient of (1,) is not finite or not a number: True"),
+    "scale '3'": (lambda: TENSOR.scale("3"), "scale factor must be a number, got '3'"),
+    "dilate '2'": (lambda: TENSOR.dilate("2"), "dilation factor must be a number, got '2'"),
+    "Lie dilate true": (lambda: lie_form(degree3(1)).lie_polys[0].dilate(True),
+                        "dilation factor must be a number, got True"),
+    "increment dt '0.5'": (lambda: PiecewiseLinearPath.from_increments([("0.5", [1.0])]),
+                           "increments must be numbers, got '0.5'"),
+    "increment dt true": (lambda: PiecewiseLinearPath.from_increments(
+        [(0.5, [1.0]), (True, [1.0])]), "increments must be numbers, got True"),
+    "increment dx '1'": (lambda: PiecewiseLinearPath.from_increments([(0.5, ["1"])]),
+                         "increments must be numbers, got '1'"),
+    "increment dx true": (lambda: PiecewiseLinearPath.from_increments(
+        [(0.5, [1.0]), (0.5, [True])]), "increments must be numbers, got True"),
+    "straight_line horizon true": (lambda: PiecewiseLinearPath.straight_line(
+        [1.0], horizon=True), "increments must be numbers, got True"),
+    "gamma_partition gamma true": (lambda: gamma_partition(1.0, 2, True),
+                                   "gamma must be finite and >= 1, got True"),
+    "flow_exp time true": (lambda: flow_exp(GBM.fields[1], True, X1),
+                           "flow time must be finite, got True"),
+}
+
+
+@pytest.mark.parametrize("case", CASTS)
+def test_a_value_that_was_cast_meets_the_number_rule(case):
+    # each of these used to be read as the float it converts to
+    call, message = CASTS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
 
 
 @pytest.mark.parametrize("key", ["matrix", "offset"])

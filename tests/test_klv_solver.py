@@ -891,6 +891,18 @@ def test_an_equal_but_new_model_builds_its_own_step(expm_calls):
     assert len(expm_calls) == 2 and _result_bits(second) == _result_bits(first)
 
 
+def test_a_lie_support_formula_keys_the_step_by_identity(expm_calls):
+    sys, f, x = gbm(0.05, 0.3), MultiPoly.coordinate(1, 0), np.array([1.0])
+    formula = lie_form(degree3(1))
+    assert hash(formula) == hash(formula)
+    first = kusuoka_step(formula, sys, f, x, 0.25)
+    assert kusuoka_step(formula, sys, f, x, 0.25) == first and len(expm_calls) == 1
+    # two conversions of one formula are two keys, though their values agree
+    twin = lie_form(degree3(1))
+    assert twin != formula
+    assert kusuoka_step(twin, sys, f, x, 0.25) == first and len(expm_calls) == 2
+
+
 def test_filling_the_step_cache_past_its_bound_rebuilds_the_oldest(expm_calls):
     bound = _level_step.cache_info().maxsize
     f, x, part = MultiPoly.coordinate(1, 0), np.array([1.0]), Partition((0.0, 1.0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wienercub.cubature import degree3
 from wienercub.tensor_algebra import (AlgebraError, GradedTensor, all_words, exp, mul,
                                      word_program)
 from wienercub.path_signature import (
@@ -44,6 +45,38 @@ def test_increments_and_constructors():
     line = PiecewiseLinearPath.straight_line((0.3,), horizon=2.0)
     assert line.n_segments == 1 and line.horizon == 2.0
     assert PiecewiseLinearPath.zero(3).points[-1] == (0.0, 0.0, 0.0)
+
+
+def test_from_increments_refuses_increments_of_differing_lengths():
+    with pytest.raises(ValueError, match="^inconsistent point dimensions$"):
+        PiecewiseLinearPath.from_increments([(0.5, [1.0, 2.0]), (0.5, [3.0])])
+
+
+def _running_sums(steps):
+    """The knots and points of `steps`, summed one step at a time."""
+    knots, points = [0.0], [np.zeros(len(steps[0][1]))]
+    for dt, dx in steps:
+        knots.append(knots[-1] + dt)
+        points.append(points[-1] + dx)
+    return np.array(knots), np.array(points)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_from_increments_sums_step_by_step_to_the_bit(d):
+    rng = np.random.default_rng(d)
+    steps = [(float(g), rng.uniform(-0.8, 0.8, d)) for g in rng.uniform(0.1, 1.0, 7)]
+    path = PiecewiseLinearPath.from_increments(steps)
+    knots, points = _running_sums(steps)
+    assert np.array(path.knots).tobytes() == knots.tobytes()
+    assert np.array(path.points).tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_degree3_paths_round_trip_through_their_increments_to_the_bit(d):
+    for path in degree3(d).paths:
+        again = PiecewiseLinearPath.from_increments(path.increments())
+        assert np.array(again.knots).tobytes() == np.array(path.knots).tobytes()
+        assert np.array(again.points).tobytes() == np.array(path.points).tobytes()
 
 
 def test_serialization_roundtrip_and_horizon_check():
