@@ -138,9 +138,9 @@ class PiecewiseLinearPath:
         steps = [(dt, tuple(dx)) for dt, dx in steps]
         if not steps:
             raise ValueError("at least one increment required")
-        if any(len(dx) != len(steps[0][1]) for _, dx in steps):
-            raise ValueError("inconsistent point dimensions")
         dts, dxs = zip(*steps)
+        if any(len(dx) != len(dxs[0]) for dx in dxs):
+            raise ValueError("inconsistent point dimensions")
         for v in itertools.chain(dts, *dxs):
             if not _is_real(v):
                 raise ValueError(f"increments must be numbers, got {v!r}")

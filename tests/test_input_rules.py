@@ -15,6 +15,10 @@ function with one message that names the bad value:
   path_signature._check_unit_horizon through the horizon match
   (path_signature._horizons_match) that formulas and path records share;
 - letters of words in 0..d, checked by tensor_algebra.check_word;
+- numbers (an int or float, never a bool or a string), checked by
+  tensor_algebra._is_real where a value is read, not converted: MultiPoly
+  coefficients, scale and dilate factors, path increments, the gamma of
+  gamma_partition and flow times;
 - tensor, path and affine-system records, which their loaders only unpack:
   each value meets the rules of the constructor it is handed to.
 
@@ -557,7 +561,7 @@ def test_a_path_record_is_read_by_the_constructor_rules(case):
 
 
 TENSOR = GradedTensor(1, 2, {(1,): 1.0})
-CASTS = {
+NUMBER_ARGS = {
     "MultiPoly coefficient '2'": (lambda: MultiPoly(1, {(1,): "2"}),
                                   "coefficient of (1,) is not finite or not a number: '2'"),
     "MultiPoly coefficient true": (lambda: MultiPoly(1, {(1,): True}),
@@ -583,10 +587,9 @@ CASTS = {
 }
 
 
-@pytest.mark.parametrize("case", CASTS)
-def test_a_value_that_was_cast_meets_the_number_rule(case):
-    # each of these used to be read as the float it converts to
-    call, message = CASTS[case]
+@pytest.mark.parametrize("case", NUMBER_ARGS)
+def test_a_numeric_argument_meets_the_number_rule(case):
+    call, message = NUMBER_ARGS[case]
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
 
