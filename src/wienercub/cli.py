@@ -123,16 +123,26 @@ def _read(value, kind, key: str):
 
 
 def _load_config(args) -> tuple[dict, int]:
-    """The JSON run config of args.config read through _CONFIG, its mode and
-    k_list checked, and the seed: --seed if given, else the config's (default 0)."""
+    """The JSON run config of args.config read through _CONFIG, its mode, T,
+    partition and (sampled) samples checked by their keys, and the seed:
+    --seed if given, else the config's (default 0)."""
     with open(args.config) as fh:
         config = _read(json.load(fh), _CONFIG, "")
     mode = config.get("mode", "full")
     if mode not in ("full", "sampled"):
         raise ValueError(f"mode must be 'full' or 'sampled', got {mode!r}")
-    k_list = config.get("partition", {}).get("k_list")
+    if "T" in config:
+        _check_positive(config["T"], "config T")
+    partition = config.get("partition", {})
+    k_list = partition.get("k_list")
     if k_list is not None and (not k_list or sorted(set(k_list)) != k_list):
         raise ValueError("config partition.k_list must be nonempty and strictly increasing")
+    if "k" in partition:
+        _check_count(partition["k"], "config partition.k")
+    for k in k_list or []:
+        _check_count(k, "config partition.k_list")
+    if mode == "sampled" and "samples" in config:
+        _check_count(config["samples"], "config samples", 2)
     seed = config.get("seed", 0) if args.seed is None else args.seed
     _check_count(seed, "config seed" if args.seed is None else "--seed", 0)
     return config, seed
@@ -194,17 +204,20 @@ def _builtin_formula(label: str) -> CubatureFormula | None:
 
 
 def _closed_form_reference(system_spec: dict, payoff_spec: dict, x0, horizon):
-    """E[f(X_T)] in closed form where the builtin admits one; the payoff
-    spec is read with _build_payoff's defaults."""
+    """E[f(X_T)] in closed form where the builtin admits one, inf where it
+    overflows; the payoff spec is read with _build_payoff's defaults."""
     name = system_spec.get("name")
     payoff = payoff_spec.get("name", "identity")
     x = float(x0[payoff_spec.get("index", 0)])
-    if name == "gbm" and payoff in ("identity", "power"):
-        mu, sigma = system_spec["mu"], system_spec["sigma"]
-        p = payoff_spec["exponent"] if payoff == "power" else 1.0
-        return x**p * math.exp(p * mu * horizon + 0.5 * p**2 * sigma**2 * horizon)
-    if name == "ou" and payoff == "identity":
-        return x * math.exp(-system_spec["theta"] * horizon)
+    try:
+        if name == "gbm" and payoff in ("identity", "power"):
+            mu, sigma = system_spec["mu"], system_spec["sigma"]
+            p = payoff_spec["exponent"] if payoff == "power" else 1.0
+            return x**p * math.exp(p * mu * horizon + 0.5 * p**2 * sigma**2 * horizon)
+        if name == "ou" and payoff == "identity":
+            return x * math.exp(-system_spec["theta"] * horizon)
+    except (OverflowError, ZeroDivisionError):  # past the float range, or 0 ** -p
+        return math.inf
     return None
 
 
@@ -309,6 +322,14 @@ def _sweep(config: dict, seed: int, k_list: list[int]):
     return results, reference, problem
 
 
+def _reference(config: dict) -> tuple[int, int]:
+    """The steps and paths of the config's Euler reference, _REFERENCE's
+    where it gives none; paths checked by euler_mc's rule, under its key."""
+    steps, paths = (_REFERENCE | config.get("reference", {})).values()
+    _check_count(paths, "config reference.paths", 2)
+    return steps, paths
+
+
 def cmd_solve(args) -> int:
     config, seed = _load_config(args)
     part_spec = config.get("partition", {})
@@ -336,7 +357,7 @@ def cmd_converge(args) -> int:
     config, seed = _load_config(args)
     _check_count(args.threads, "--threads")
     k_list = config.get("partition", {})["k_list"]
-    steps, paths = (_REFERENCE | config.get("reference", {})).values()
+    steps, paths = _reference(config)
     if steps < 2 or steps % 2:
         return _fail(f"config reference.steps must be an even integer >= 2, got {steps}")
     ref_meta: dict = {"kind": "closed_form"}
@@ -382,7 +403,8 @@ def cmd_converge(args) -> int:
 
 def cmd_mc_reference(args) -> int:
     config, seed = _load_config(args)
-    steps, paths = (_REFERENCE | config.get("reference", {})).values()
+    steps, paths = _reference(config)
+    _check_count(steps, "config reference.steps")
     mean, stderr = euler_mc(*_problem(config), steps, paths, seed)
     _require_finite(("reference mean", mean), ("reference stderr", stderr))
     print(json.dumps({"mean": mean, "stderr": stderr, "steps": steps, "paths": paths,

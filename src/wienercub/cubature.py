@@ -89,14 +89,12 @@ class CubatureFormula:
         return len(self.weights)
 
     def aggregate(self, truncation: int) -> GradedTensor:
-        """sum_j lambda_j * (signature or exp of Lie element), truncated."""
+        """sum_j lambda_j * S_j, truncated and added in support order: S_j is
+        the signature of path j or the exponential of Lie element j."""
         total = GradedTensor.zero(self.dimension, truncation)
-        if self.paths is not None:
-            for lam, p in zip(self.weights, self.paths):
-                total = total + signature(p, truncation).scale(lam)
-        else:
-            for lam, L in zip(self.weights, self.lie_polys):
-                total = total + exp(L.tensor.with_truncation(truncation)).scale(lam)
+        for lam, s in zip(self.weights, self.paths or self.lie_polys):
+            total = total + (signature(s, truncation) if self.paths is not None
+                             else exp(s.tensor.with_truncation(truncation))).scale(lam)
         return total
 
     def to_dict(self) -> dict:
@@ -147,8 +145,7 @@ def validate(
     agg = formula.aggregate(m)
     defects = [(w, abs(c)) for w, c in (agg - target).items()]
     # largest defect first, ties in (length, lex) order; a NaN defect leads
-    defects.sort(key=lambda t: (len(t[0]), t[0]))
-    defects.sort(key=lambda t: -t[1] if t[1] == t[1] else -math.inf)
+    defects.sort(key=lambda t: (-t[1] if t[1] == t[1] else -math.inf, len(t[0]), t[0]))
     worst, max_defect = defects[0] if defects else (None, 0.0)
     return ValidationReport(
         dimension=formula.dimension,

@@ -59,10 +59,6 @@ class Partition:
         _check_times(self.times, "partition times")
 
     @property
-    def horizon(self) -> float:
-        return self.times[-1]
-
-    @property
     def k(self) -> int:
         return len(self.times) - 1
 

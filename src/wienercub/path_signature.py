@@ -119,12 +119,9 @@ class PiecewiseLinearPath:
         return len(self.knots) - 1
 
     def increments(self) -> list[tuple[float, np.ndarray]]:
-        """Per-segment (dt, dx) pairs."""
-        pts = np.asarray(self.points, dtype=float)
-        return [
-            (self.knots[j + 1] - self.knots[j], pts[j + 1] - pts[j])
-            for j in range(self.n_segments)
-        ]
+        """Per-segment (dt, dx) pairs: consecutive differences of the knots
+        and of the points, each dx a float array."""
+        return list(zip(np.diff(self.knots), np.diff(np.array(self.points, float), axis=0)))
 
     # -- constructors --------------------------------------------------------
 
@@ -252,13 +249,14 @@ def signature(path: PiecewiseLinearPath, truncation: int) -> GradedTensor:
 
     Chen's relation, one segment at a time: S <- S (x) exp(dt e_0 + dx),
     each step the Horner program of the module docstring (one multiply-add
-    per program entry).
+    per program entry). dt and dx are differences of consecutive knots and
+    points, the values increments() gives.
     """
     program = word_program(path.dimension, truncation)
     plan = _chen_plan(path.dimension, truncation)
     coeffs = [1.0] + [0.0] * (len(program.words) - 1)
-    for dt, dx in path.increments():
-        _chen_step(coeffs, [float(dt), *dx.tolist()], plan)
+    for t0, t1, x0, x1 in zip(path.knots, path.knots[1:], path.points, path.points[1:]):
+        _chen_step(coeffs, [t1 - t0, *(b - a for a, b in zip(x0, x1))], plan)
     return GradedTensor._of(program, np.array(coeffs))
 
 

@@ -468,8 +468,8 @@ class _LevelStep:
     unit-horizon support (paths or certified Lie elements) and the
     partition's gaps, into one read-only (level, point, segment, field) table
     of coefficients. Paths run on the system's fields, padded with zero
-    segments to the longest path: dt is diff(knots * gap) and dx
-    diff(points * sqrt(gap)), the arithmetic of brownian_rescale and
+    segments to the longest path: diff of the rows (knot, *point) scaled by
+    (gap, sqrt(gap), ...) first, the arithmetic of brownian_rescale and
     increments(), to the bit. A Lie element is one segment on the fields of
     _bracket_terms, dilated by sqrt(gap): the field gamma_field forms. On
     affine fields one batched expm call gives every segment map, composed
@@ -492,13 +492,11 @@ class _LevelStep:
             self.lengths = np.array([p.n_segments for p in support])
             self.coefficients = np.zeros(
                 (gaps.size, len(support), self.lengths.max(), sys.n_controls + 1))
+            scale = np.repeat(np.sqrt(gaps)[:, None, None], sys.n_controls + 1, axis=2)
+            scale[:, 0, 0] = gaps
             for i, path in enumerate(support):
-                m = path.n_segments
-                knots = np.asarray(path.knots, dtype=float)
-                points = np.asarray(path.points, dtype=float)
-                self.coefficients[:, i, :m, 0] = np.diff(knots * gaps[:, None])
-                self.coefficients[:, i, :m, 1:] = np.diff(
-                    points * np.sqrt(gaps)[:, None, None], axis=-2)
+                self.coefficients[:, i, :path.n_segments] = np.diff(
+                    np.column_stack([path.knots, path.points]) * scale, axis=1)
         self.coefficients.flags.writeable = self.lengths.flags.writeable = False
         self.maps = self.composed = None
         if all(isinstance(v, AffineField) for v in self.fields):

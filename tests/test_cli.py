@@ -395,3 +395,10 @@ def test_a_closed_standard_output_is_one_error_line(monkeypatch, capsys):
     code = cli.main(["validate-cubature", "degree3:2"])
     assert code == 1
     assert capsys.readouterr().err == "error: I/O failed: Broken pipe\n"
+
+
+def test_a_valid_tolerance_flag_reaches_the_check(capsys):
+    code, out, err = run(["validate-cubature", "degree3:2", "--tol", "1e-8"], capsys)
+    assert (code, err) == (0, "")
+    assert "tol=1e-08 -> PASS" in out
+    assert cli.tolerance("0") == 0.0

@@ -259,3 +259,8 @@ def test_matrix_operators_match_the_dict_reference(n, p):
         for e, a in reference[w].items():
             expected[e] = expected.get(e, 0.0) + c * a
     assert_matches_reference(taylor_operator(g, sys, f), expected)
+
+
+def test_repr_gives_variables_terms_and_degree():
+    poly = MultiPoly(2, {(3, 0): 1.0, (0, 2): 0.5, (1, 1): -1.0})
+    assert repr(poly) == "MultiPoly(n_vars=2, terms=3, degree=3)"

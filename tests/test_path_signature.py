@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from wienercub.cubature import degree3
+from wienercub.cubature import degree3, degree5_d1, validate
 from wienercub.tensor_algebra import (AlgebraError, GradedTensor, all_words, exp, mul,
                                      word_program)
 from wienercub.path_signature import (
@@ -17,6 +18,7 @@ from wienercub.path_signature import (
     brownian_expected_signature,
     monte_carlo_expected_signature,
 )
+from wienercub.vector_fields import AffineField, FlowConfig, VectorFieldSystem, _LevelStep
 
 
 def test_path_validation():
@@ -355,3 +357,44 @@ def test_one_chen_step_serves_float_lists_and_coefficient_arrays(d, m):
         for dt, dx in segments:
             assert _chen_step(column, [dt, *dx[:, path].tolist()], plan) is column
         assert coeffs[:, path].tolist() == column
+
+
+def _random_path(rng, d):
+    # 1 to 5 segments of random durations and Gaussian increments
+    n = int(rng.integers(1, 6))
+    knots = np.concatenate(([0.0], np.cumsum(rng.uniform(0.05, 1.0, n))))
+    points = np.vstack((np.zeros(d), np.cumsum(rng.standard_normal((n, d)), axis=0)))
+    return PiecewiseLinearPath(tuple(knots.tolist()), tuple(map(tuple, points.tolist())))
+
+
+def _increment_values():
+    # float hex of signatures, increments and level-step tables of seeded
+    # random paths (one of integer points), then the aggregate and validate
+    # report of each builtin formula two degrees past its own
+    out = []
+    rng = np.random.default_rng(2011)
+    integer = PiecewiseLinearPath((0, 1, 3), ((0, 0), (2, -1), (5, 4)))
+    for d, m in ((1, 9), (2, 6), (3, 4)):
+        paths = [_random_path(rng, d) for _ in range(20)]
+        for path in paths + [integer] * (d == 2):
+            out.append([c for _, c in signature(path, m).items()])
+            out.append([v for dt, dx in path.increments() for v in (dt, *dx)])
+        sys = VectorFieldSystem(tuple(AffineField.zero(1) for _ in range(d + 1)))
+        gaps = np.diff(np.linspace(0.0, 1.0, 4) ** 1.5)
+        out.append(_LevelStep(sys, paths, gaps, FlowConfig()).coefficients.ravel())
+    for formula in (degree3(1), degree3(2), degree5_d1()):
+        m = formula.degree + 2
+        report = validate(formula, degree=m)
+        out.append([c for _, c in formula.aggregate(m).items()])
+        out.append([report.max_defect, *(c for _, c in report.failures)])
+        out.append([str(report.worst_word), *(str(w) for w, _ in report.failures)])
+    return out
+
+
+def test_signatures_and_increments_keep_their_bits():
+    # the digest was taken while increments, signature and the level-step
+    # table each walked the segments by index and validate sorted twice
+    text = "\n".join(",".join(v if isinstance(v, str) else float(v).hex() for v in row)
+                     for row in _increment_values())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "ca4eb4cef28086ec1fcfd1abd9c8104e2daf8f3c3d1dc20577a4ec04b70c05c4"

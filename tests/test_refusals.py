@@ -548,3 +548,53 @@ def test_branches_no_other_test_reaches():
     x = np.array([[1.0], [2.0]])
     y = flow_exp(GBM_1D.fields[1], 0.0, x)
     assert np.array_equal(y, x) and y is not x
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_a_closed_form_reference_past_the_float_range_is_refused(tmp_path, capsys,
+                                                                command):
+    # the tree values of y ** 800 are finite; the closed form overflows
+    cfg = gbm_config(tmp_path, payoff={"name": "power", "exponent": 800},
+                     partition={"gamma": 2.0, "k": 2, "k_list": [1, 2, 3]})
+    out_dir = ["--out", str(tmp_path / "out")] if command == "converge" else []
+    code, out, err = run([command, "--config", cfg, *out_dir], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: reference is not finite: inf\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exponent, x0", [(1e308, 1.0), (800.0, 1.0), (-1.0, 0.0)],
+                         ids=["square_overflows", "power_overflows", "zero_to_negative"])
+def test_a_closed_form_that_raises_is_infinite(exponent, x0):
+    reference = cli._closed_form_reference({"name": "gbm", "mu": 0.05, "sigma": 0.3},
+                                           {"name": "power", "exponent": exponent},
+                                           [x0], 1.0)
+    assert reference == math.inf
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("solve", {"partition": {"gamma": 2.0, "k": 0}},
+     "config partition.k must be an integer >= 1, got 0"),
+    ("converge", {"partition": {"gamma": 2.0, "k_list": [0, 2, 3]}},
+     "config partition.k_list must be an integer >= 1, got 0"),
+    ("solve", {"mode": "sampled", "samples": 1},
+     "config samples must be an integer >= 2, got 1"),
+    ("solve", {"T": 0}, "config T must be positive and finite, got 0.0"),
+    ("mc-reference", {"reference": {"paths": 1}},
+     "config reference.paths must be an integer >= 2, got 1"),
+    ("converge", {"partition": {"gamma": 2.0, "k_list": [1, 2, 3]},
+                  "reference": {"paths": 1}},
+     "config reference.paths must be an integer >= 2, got 1"),
+    ("mc-reference", {"reference": {"steps": 0}},
+     "config reference.steps must be an integer >= 1, got 0"),
+], ids=["k", "k_list", "samples", "T", "paths", "converge_paths", "steps"])
+def test_a_config_value_is_refused_by_its_key_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, overrides, message):
+    for solver in ("klv_sweep", "euler_mc"):
+        monkeypatch.setattr(cli, solver, lambda *args: pytest.fail("solved"))
+    cfg = gbm_config(tmp_path, **overrides)
+    out_dir = ["--out", str(tmp_path / "out")] if command == "converge" else []
+    code, out, err = run([command, "--config", cfg, *out_dir], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()

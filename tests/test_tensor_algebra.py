@@ -367,3 +367,16 @@ def test_dilate_overflows_only_on_nonzero_words():
     assert t.dilate(1e40).coeff((1,)) == 1e40
     with pytest.raises(OverflowError):
         GradedTensor(1, 9, {(1,) * 9: 1.0}).dilate(1e40)
+
+
+def test_repr_lists_six_terms_then_an_ellipsis():
+    short = GradedTensor(1, 2, {(): 1.0, (1,): 0.5})
+    assert repr(short) == "GradedTensor(d=1, m=2, {(): 1, (1,): 0.5})"
+    long = GradedTensor(2, 2, {w: 0.25 * i for i, w in enumerate(all_words(2, 2))})
+    assert repr(long) == ("GradedTensor(d=2, m=2, {(1,): 0.25, (2,): 0.5, (0,): 0.75, "
+                          "(1, 1): 1, (1, 2): 1.25, (2, 1): 1.5, ...})")
+
+
+def test_a_tensor_equals_no_other_type():
+    assert (GradedTensor.unit(1, 2) == 3) is False
+    assert GradedTensor.unit(1, 2) != "unit"

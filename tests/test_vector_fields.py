@@ -551,3 +551,19 @@ def test_gamma_map_of_line_log_signature_is_segment_field():
     w = combine_fields(list(sys.fields), np.array([1.0, 0.6]))
     for x in (np.array([0.5]), np.array([2.0])):
         np.testing.assert_allclose(v(x), w(x), atol=1e-12)
+
+
+def test_a_jacobian_func_serves_one_state_and_each_row_of_a_block():
+    calls = []
+
+    def jac(x):
+        calls.append(x.shape)
+        return [[2.0 * x[0], 0.0], [x[1], x[0]]]
+
+    field = GenericField(lambda x: np.stack([x[..., 0] ** 2, x[..., 0] * x[..., 1]], -1),
+                         2, jacobian_func=jac)
+    one = field.jacobian([3.0, -1.0])
+    assert one.dtype == float and one.tolist() == [[6.0, 0.0], [-1.0, 3.0]]
+    block = field.jacobian([[3.0, -1.0], [0.5, 2.0]])
+    assert block.tolist() == [[[6.0, 0.0], [-1.0, 3.0]], [[1.0, 0.0], [2.0, 0.5]]]
+    assert calls == [(2,), (2,), (2,)]
