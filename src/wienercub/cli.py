@@ -566,7 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # no numpy warning precedes the one error line: spoiled values are refused
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except FileNotFoundError as exc:
         return _fail(f"missing file: {exc.filename}")
     except OSError as exc:

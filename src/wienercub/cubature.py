@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .tensor_algebra import GradedTensor, Word, _check_count, _is_real, exp
-from .lie_structures import LiePolynomial, certify
+from .lie_structures import LiePolynomial
 from .path_signature import (
     PiecewiseLinearPath,
     brownian_expected_signature,
@@ -46,12 +46,13 @@ class CubatureLoadError(ValueError):
 class CubatureFormula:
     """Positive weights plus either path or Lie-polynomial support.
 
-    Path support lives over [0, horizon]; Lie support is a list of certified
-    log-signature-like elements, by convention also at the stated horizon.
-    Weights are real numbers (tensor_algebra._is_real), strictly positive
-    and finite; the moment-matching claim implied by `degree` is checked by
-    validate(), never assumed. A formula compares and hashes by identity, as
-    the solvers' step cache keys it: two equal formulas are two keys.
+    Path support lives over [0, horizon]; Lie support is a tuple of
+    LiePolynomials, by convention also at the stated horizon. Weights are
+    real numbers (tensor_algebra._is_real), strictly positive and finite,
+    held as Python floats as the horizon is; the moment-matching claim
+    implied by `degree` is checked by validate(), never assumed. A formula
+    compares and hashes by identity, as the solvers' step cache keys it:
+    two equal formulas are two keys.
     """
 
     dimension: int
@@ -73,16 +74,18 @@ class CubatureFormula:
             if not (_is_real(w) and w > 0.0 and math.isfinite(w)):
                 raise ValueError(f"weight {j} must be strictly positive, got {w!r}")
         _check_positive(self.horizon)
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        object.__setattr__(self, "horizon", float(self.horizon))
         kind = "path" if self.paths is not None else "Lie element"
         for j, s in enumerate(support):
+            if self.lie_polys is not None and not isinstance(s, LiePolynomial):
+                raise TypeError(f"Lie element {j} is a {type(s).__name__}, not a LiePolynomial")
             if s.dimension != self.dimension:
                 raise ValueError(
                     f"{kind} {j} has dimension {s.dimension}, formula says {self.dimension}")
             if self.paths is not None and not _horizons_match(self.horizon, s.horizon):
                 raise ValueError(
                     f"path {j} has horizon {s.horizon!r}, formula says {self.horizon!r}")
-            if self.lie_polys is not None and not s.certified:
-                raise ValueError(f"Lie element {j} is not certified")
 
     @property
     def n_points(self) -> int:
@@ -224,7 +227,7 @@ def rescale(formula: CubatureFormula, horizon: float) -> CubatureFormula:
 
 
 def lie_form(formula: CubatureFormula, truncation: int | None = None) -> CubatureFormula:
-    """Replace path support by certified truncated log-signatures.
+    """Replace path support by truncated log-signatures (LiePolynomials).
 
     kusuoka_step needs this form and every tree solver takes it; the
     default truncation is the formula's degree.
@@ -267,7 +270,7 @@ def from_dict(data: dict, where: str = "<dict>") -> CubatureFormula:
         if "paths" in support:
             kind, load = "paths", PiecewiseLinearPath.from_dict
         elif "lie_polys" in support:
-            kind, load = "lie_polys", lambda rec: certify(GradedTensor.from_dict(rec))
+            kind, load = "lie_polys", lambda rec: LiePolynomial(GradedTensor.from_dict(rec))
         else:
             raise ValueError("support must hold 'paths' or 'lie_polys'")
         elements = []

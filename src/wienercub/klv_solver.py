@@ -51,12 +51,13 @@ from .vector_fields import (
 class Partition:
     """0 = t_0 < t_1 < ... < t_k = T: the grid rule of
     path_signature._check_times (at least two finite times, the first within
-    1e-12 of 0, strictly increasing), as for path knots."""
+    1e-12 of 0, strictly increasing), as for path knots; held as Python floats."""
 
     times: tuple[float, ...]
 
     def __post_init__(self):
         _check_times(self.times, "partition times")
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
 
     @property
     def k(self) -> int:
@@ -417,7 +418,7 @@ def kusuoka_step(
     """One flow-level approximation step over a gap s: klv_full on
     Partition((0, s)), the one-level tree of Lie support.
 
-    Each certified element is dilated by sqrt(s), mapped to its field
+    Each Lie element is dilated by sqrt(s), mapped to its field
     (gamma_field's rule) and flowed over unit parameter by the level step:
     exactly on affine fields, by RK4 otherwise (sized as klv_full's); f is
     called as klv_full calls it. Path support is refused: the caller

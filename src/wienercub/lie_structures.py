@@ -1,7 +1,7 @@
 """Lie elements inside the truncated tensor algebra.
 
 A Lie polynomial is a tensor generated by iterated brackets of the letters.
-Membership is certified with the classical criterion: on words of length k,
+Membership is checked with the classical criterion: on words of length k,
 the right-nested bracketing map acts as multiplication by k exactly on Lie
 elements. Bracketing permutes the letters of a word, so it keeps word length
 and graded degree: the map is one cached sparse table over the word basis of
@@ -62,50 +62,40 @@ def _dynkin_table(dimension: int, truncation: int) -> tuple[np.ndarray, ...]:
     return src, dst, mult.astype(float)
 
 
-def dynkin_map(a: GradedTensor) -> GradedTensor:
-    """Apply the right-nested bracketing map word by word.
-
-    Sends a word (w1,...,wk) to [e_{w1},[e_{w2},[...,e_{wk}]]]; extended
-    linearly. Lie elements are exactly the fixed points of dynkin_map(a)/k
-    on each word-length level.
-    """
-    if a.coeff(EMPTY_WORD) != 0.0:
-        raise AlgebraError("bracketing map undefined on the empty word")
-    return a._like(_bracketed(a))
-
-
 def _bracketed(a: GradedTensor) -> np.ndarray:
     src, dst, mult = _dynkin_table(a.dimension, a.truncation)
     return np.bincount(dst, a._v[src] * mult, minlength=len(a._v))
 
 
 def dynkin_defect(a: GradedTensor) -> float:
-    """Worst coefficient of dynkin_map(level_k) - k * level_k over all levels,
-    or of the empty word.
+    """Worst coefficient of b(level_k) - k * level_k over all levels, or of
+    the empty word; b sends a word (w1, ..., wk) to [e_{w1}, [..., e_{wk}]].
 
     Bracketing keeps word length, so this is one pass: the largest entry of
-    |dynkin_map(a) - length * a|. A NaN or inf coefficient makes the defect
-    NaN or inf, never a finite number.
+    |b(a) - length * a|. A NaN or inf coefficient makes the defect NaN or
+    inf, never a finite number.
     """
     r = np.abs(_bracketed(a) - a._program.lengths * a._v)
     r[0] = abs(a._v[0])
     return float(np.max(r))
 
 
-def is_lie_element(a: GradedTensor, tol: float = DYNKIN_TOL) -> bool:
-    return dynkin_defect(a) <= tol
-
-
 @dataclass(frozen=True)
 class LiePolynomial:
-    """A tensor together with a bracketing certificate.
-
-    Build instances through `certify` (or `bch`); the flag records that the
-    wrapped tensor passed the levelwise check at construction time.
-    """
+    """A tensor that passed the bracketing certificate: LiePolynomial(t) checks
+    t as certify(t) does and raises NotLieElement if it fails. certify (at its
+    own tolerance) and dilate skip the check through _trusted."""
 
     tensor: GradedTensor
-    certified: bool = False
+
+    def __post_init__(self):
+        _check_lie(self.tensor, DYNKIN_TOL)
+
+    @classmethod
+    def _trusted(cls, tensor: GradedTensor) -> "LiePolynomial":
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "tensor", tensor)
+        return poly
 
     @property
     def dimension(self) -> int:
@@ -117,21 +107,14 @@ class LiePolynomial:
 
     def dilate(self, scalar: float) -> "LiePolynomial":
         # graded scaling maps brackets to brackets, so the certificate survives
-        return LiePolynomial(self.tensor.dilate(scalar), self.certified)
+        return LiePolynomial._trusted(self.tensor.dilate(scalar))
 
     def to_dict(self) -> dict:
         return self.tensor.to_dict()
 
 
-def certify(a: GradedTensor | LiePolynomial, tol: float = DYNKIN_TOL) -> LiePolynomial:
-    """Check the bracketing criterion and wrap the tensor on success.
-
-    A NaN or inf coefficient fails the check, and the error names its word.
-    """
-    if isinstance(a, LiePolynomial):
-        if a.certified:
-            return a
-        a = a.tensor
+def _check_lie(a: GradedTensor, tol: float) -> None:
+    """The bracketing certificate at tol; the error names a NaN or inf's word."""
     if not np.isfinite(a._v).all():
         w, c = next((w, c) for w, c in a.items() if not np.isfinite(c))
         raise NotLieElement(f"non-finite coefficient {c!r} on word {w!r}", abs(c))
@@ -145,7 +128,15 @@ def certify(a: GradedTensor | LiePolynomial, tol: float = DYNKIN_TOL) -> LiePoly
             f"bracketing certificate failed: defect {defect:.3e} > tol {tol:.1e}",
             defect,
         )
-    return LiePolynomial(a, certified=True)
+
+
+def certify(a: GradedTensor | LiePolynomial, tol: float = DYNKIN_TOL) -> LiePolynomial:
+    """Check the bracketing criterion at tol and wrap the tensor on success;
+    a LiePolynomial passed the check when built and comes back as it is."""
+    if isinstance(a, LiePolynomial):
+        return a
+    _check_lie(a, tol)
+    return LiePolynomial._trusted(a)
 
 
 def bch(a: GradedTensor | LiePolynomial, b: GradedTensor | LiePolynomial) -> LiePolynomial:

@@ -84,7 +84,8 @@ class PiecewiseLinearPath:
 
     The knots obey the grid rule of `_check_times` (at least two, finite,
     the first within 1e-12 of 0, strictly increasing); points[0] is the
-    origin and the points are finite numbers (_is_real).
+    origin and the points are finite numbers (_is_real). After the checks
+    both hold Python floats, so a numpy float32 entry is read at its value.
     """
 
     knots: tuple[float, ...]
@@ -105,6 +106,8 @@ class PiecewiseLinearPath:
                 raise ValueError(f"points must be finite numbers, got {c!r}")
         if any(abs(c) > _KNOT_TOL for c in self.points[0]):
             raise ValueError(f"path must start at the origin, got {self.points[0]!r}")
+        object.__setattr__(self, "knots", tuple(map(float, self.knots)))
+        object.__setattr__(self, "points", tuple(tuple(map(float, p)) for p in self.points))
 
     @property
     def dimension(self) -> int:
@@ -121,7 +124,7 @@ class PiecewiseLinearPath:
     def increments(self) -> list[tuple[float, np.ndarray]]:
         """Per-segment (dt, dx) pairs: consecutive differences of the knots
         and of the points, each dx a float array."""
-        return list(zip(np.diff(self.knots), np.diff(np.array(self.points, float), axis=0)))
+        return list(zip(np.diff(self.knots), np.diff(self.points, axis=0)))
 
     # -- constructors --------------------------------------------------------
 
@@ -187,12 +190,10 @@ def concat(first: PiecewiseLinearPath, second: PiecewiseLinearPath) -> Piecewise
         raise ValueError(
             f"dimension mismatch: {first.dimension} vs {second.dimension}"
         )
-    t0 = first.horizon
-    end = np.asarray(first.points[-1], dtype=float)
+    t0, end = first.horizon, first.points[-1]
     knots = first.knots + tuple(t0 + t for t in second.knots[1:])
     points = first.points + tuple(
-        tuple(end + np.asarray(p, dtype=float)) for p in second.points[1:]
-    )
+        tuple(e + c for e, c in zip(end, p)) for p in second.points[1:])
     return PiecewiseLinearPath(knots, points)
 
 
@@ -270,7 +271,7 @@ def brownian_rescale(path: PiecewiseLinearPath, horizon: float) -> PiecewiseLine
     _check_unit_horizon(path.horizon, "path")
     _check_positive(horizon)
     root = math.sqrt(horizon)
-    knots = tuple(t * horizon for t in path.knots)
+    knots = tuple(t * float(horizon) for t in path.knots)
     points = tuple(tuple(c * root for c in p) for p in path.points)
     return PiecewiseLinearPath(knots, points)
 

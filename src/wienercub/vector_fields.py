@@ -6,7 +6,7 @@ of a driving path, V_1..V_d with its space coordinates. Affine fields
 callback fields fall back to finite differences and RK4 only, and must map
 (P, N) blocks of states row by row: the rule _check_block_fields probes.
 
-Every certified Lie element corresponds to a concrete field: brackets of
+Every Lie element (LiePolynomial) corresponds to a concrete field: brackets of
 letters become iterated field brackets, so the word-basis coefficients are
 re-expressed through right-nested bracketing (level k carries a factor 1/k),
 by _bracket_terms for gamma_field and the tree solvers' level step alike.
@@ -114,7 +114,8 @@ class GenericField:
     """Callback field on one state (N,) or a block of states (P, N).
 
     jacobian(x) maps (N,) to (N, N) and (P, N) to (P, N, N). A jacobian_func
-    takes one state and is called once per row of a block; without one, the
+    takes one state and is called once per row of a block, and a result of
+    another shape is refused with both shapes named; without one, the
     Jacobian is taken by central differences of step FD_STEP * (1 + |x_j|)
     on the whole block, with the same arithmetic for every row.
     """
@@ -129,9 +130,13 @@ class GenericField:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.jacobian_func is not None:
-            if x.ndim > 1:
-                return np.array([self.jacobian_func(row) for row in x], dtype=float)
-            return np.asarray(self.jacobian_func(x), dtype=float)
+            jac = (np.array([self.jacobian_func(row) for row in x], dtype=float)
+                   if x.ndim > 1 else np.asarray(self.jacobian_func(x), dtype=float))
+            n = self.dimension
+            if jac.shape != x.shape[:-1] + (n, n):
+                raise ValueError(f"jacobian_func must give shape (..., {n}, {n}) for "
+                                 f"states of shape {x.shape}, got {jac.shape}")
+            return jac
         jac = np.empty(x.shape + (self.dimension,))
         for j in range(self.dimension):
             e = np.zeros_like(x)
@@ -321,13 +326,11 @@ def nested_bracket_field(sys: VectorFieldSystem, word: tuple[int, ...]) -> Field
 
 
 def _bracket_terms(polys: Sequence[LiePolynomial], sys: VectorFieldSystem):
-    """The right-nested bracket fields of the words that the certified Lie
+    """The right-nested bracket fields of the words that the Lie
     elements polys use, in word order (the zero field if none), and one row
     of coefficients per element: c_w / len(w) on the field of word w (Dynkin:
     bracketing a level-k Lie element word by word scales it by k)."""
     for poly in polys:
-        if not poly.certified:
-            raise ValueError("a Lie element must be certified to map to a field")
         _check_controls(poly.dimension, sys, "Lie element")
     terms = [dict(poly.tensor.items()) for poly in polys]
     words = sorted(set().union(*terms), key=lambda w: (graded_degree(w), len(w), w))
@@ -338,7 +341,7 @@ def _bracket_terms(polys: Sequence[LiePolynomial], sys: VectorFieldSystem):
 
 
 def gamma_field(poly: LiePolynomial, sys: VectorFieldSystem) -> Field:
-    """The field of a certified Lie element: the combination that
+    """The field of a Lie element: the combination that
     _bracket_terms gives, by which the tree's level step flows Lie support."""
     fields, coefficients = _bracket_terms([poly], sys)
     return combine_fields(fields, coefficients[0])
@@ -465,7 +468,7 @@ class _LevelStep:
     the support of one level, Brownian-rescaled to that level's gap.
 
     Built once per model (klv_solver._level_step) from a formula's
-    unit-horizon support (paths or certified Lie elements) and the
+    unit-horizon support (paths or Lie elements) and the
     partition's gaps, into one read-only (level, point, segment, field) table
     of coefficients. Paths run on the system's fields, padded with zero
     segments to the longest path: diff of the rows (knot, *point) scaled by

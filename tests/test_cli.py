@@ -158,6 +158,18 @@ def test_converge_writes_csv_and_summary(tmp_path, capsys):
     assert "slope" in out
 
 
+def test_a_failing_solve_writes_one_stderr_line(tmp_path, capsys):
+    # y ** 0.5 of a negative state is nan; numpy's warning stays off stderr
+    # and the value is refused in the one error line
+    cfg = write_config(tmp_path, payoff={"name": "power", "exponent": 0.5}, x0=[-1.0],
+                       partition={"gamma": 2.0, "k": 3})
+    before = np.geterr()
+    code, out, err = run(["solve", "--config", cfg], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: value at k=3 is not finite: nan\n"
+    assert np.geterr() == before
+
+
 def test_converge_rejects_bad_k_list(tmp_path, capsys):
     cfg = write_config(tmp_path, partition={"gamma": 2.0, "k_list": [4, 2]})
     code, _, err = run(["converge", "--config", cfg, "--out", str(tmp_path)], capsys)

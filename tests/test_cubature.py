@@ -18,7 +18,7 @@ from wienercub.cubature import (
 )
 from wienercub.lie_structures import LiePolynomial
 from wienercub.path_signature import PiecewiseLinearPath, signature
-from wienercub.tensor_algebra import GradedTensor, exp
+from wienercub.tensor_algebra import exp
 
 
 def test_degree3_structure():
@@ -112,7 +112,7 @@ def test_lie_form_log_signatures():
     lie = lie_form(formula)
     assert lie.n_points == formula.n_points
     for poly, path in zip(lie.lie_polys, formula.paths):
-        assert poly.certified
+        assert isinstance(poly, LiePolynomial)
         assert exp(poly.tensor).equals(signature(path, poly.truncation), tol=1e-12)
     assert validate(lie, tol=1e-10).ok
 
@@ -183,14 +183,30 @@ def test_loader_rejects_non_lie_coefficients(tmp_path):
     assert "defect" in str(err.value)
 
 
+def test_a_float32_formula_round_trips_through_its_file(tmp_path):
+    # weights, horizon and path entries given as float32 are held as floats
+    h, w = np.float32(0.3), np.float32(0.5)
+    paths = tuple(PiecewiseLinearPath((0.0, h), ((0.0,), (s * np.sqrt(h),)))
+                  for s in (np.float32(1.0), np.float32(-1.0)))
+    formula = CubatureFormula(1, 3, (w, w), paths=paths, horizon=h)
+    assert formula.weights == (0.5, 0.5) and formula.horizon == float(h)
+    assert all(type(v) is float for v in (*formula.weights, formula.horizon))
+    target = tmp_path / "f32.json"
+    to_file(formula, str(target))
+    back = from_file(str(target))
+    assert back.to_dict() == formula.to_dict()
+    assert validate(back, tol=1e-6).ok
+
+
 def test_nan_formula_fails_validation_on_its_word():
-    nan_poly = LiePolynomial(GradedTensor(1, 3, {(0,): 1.0, (1,): math.nan}), certified=True)
-    formula = CubatureFormula(1, 3, (1.0,), lie_polys=(nan_poly,))
-    with np.errstate(invalid="ignore"):
+    # out by 1e200 and back: the level-2 and level-3 space words are inf - inf
+    path = PiecewiseLinearPath.from_increments([(0.5, (1e200,)), (0.5, (-1e200,))])
+    formula = CubatureFormula(1, 3, (1.0,), paths=(path,))
+    with np.errstate(invalid="ignore", over="ignore"):
         report = validate(formula)
     assert not report.ok
-    assert math.isnan(report.max_defect) and report.worst_word == (1,)
-    assert report.failures[0][0] == (1,) and "FAIL" in report.table()
+    assert math.isnan(report.max_defect) and report.worst_word == (1, 1)
+    assert report.failures[0][0] == (1, 1) and "FAIL" in report.table()
 
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan])

@@ -67,6 +67,14 @@ def test_partitions_reject_non_finite_horizons():
             Partition((0.0, 0.5, bad))
 
 
+def test_partition_times_are_held_as_python_floats():
+    t = np.float32(0.3)
+    part = Partition((0, t, 1.0))
+    assert part.times == (0.0, float(t), 1.0)
+    assert all(type(v) is float for v in part.times + part.gaps)
+    assert part.gaps == (float(t), 1.0 - float(t))
+
+
 def test_tree_value_matches_scalar_product_formula():
     # for dX = mu X dt + sigma X dB and the two-point formula, every step
     # multiplies the state by e^{mu s} e^{+/- sigma sqrt(s)}, so the full

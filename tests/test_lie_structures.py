@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,7 @@ from wienercub.lie_structures import (
     LiePolynomial,
     NotLieElement,
     bracket,
-    dynkin_map,
     dynkin_defect,
-    is_lie_element,
     certify,
     bch,
 )
@@ -45,20 +44,20 @@ def test_jacobi_identity():
 
 
 def test_right_bracketing_fixes_homogeneous_lie_parts():
-    # on a word-length-k Lie element the map multiplies by k
+    # on a word-length-k Lie element the map multiplies by k: defect 0
     lie2 = bracket(basis((0,)), basis((1,)))
-    assert dynkin_map(lie2).equals(lie2.scale(2.0), tol=1e-14)
+    assert dynkin_defect(lie2) <= 1e-14
     lie3 = bracket(basis((1,)), bracket(basis((1,)), basis((0,))))
-    assert dynkin_map(lie3).equals(lie3.scale(3.0), tol=1e-14)
+    assert dynkin_defect(lie3) <= 1e-14
 
 
 def test_defect_flags_symmetric_square():
     sq = basis((1, 1))  # e1 e1 is symmetric, not Lie
     assert dynkin_defect(sq) > 0.4
-    assert not is_lie_element(sq)
-    with pytest.raises(NotLieElement) as err:
-        certify(sq)
-    assert err.value.defect > 0.4
+    for build in (certify, LiePolynomial):
+        with pytest.raises(NotLieElement) as err:
+            build(sq)
+        assert err.value.defect > 0.4
 
 
 def test_certify_accepts_mixed_levels_and_is_idempotent():
@@ -66,6 +65,23 @@ def test_certify_accepts_mixed_levels_and_is_idempotent():
     poly = certify(elt)
     assert isinstance(poly, LiePolynomial)
     assert certify(poly) is poly
+
+
+def test_building_a_lie_polynomial_certifies_it():
+    # the constructor is certify at DYNKIN_TOL; tensor is the only field
+    assert [f.name for f in dataclasses.fields(LiePolynomial)] == ["tensor"]
+    elt = basis((1,), c=0.3) + bracket(basis((0,)), basis((1,))).scale(0.8)
+    assert LiePolynomial(elt) == certify(elt)
+    off = basis((1,)) + basis((1, 1), c=0.15)  # e1 e1 has defect 2
+    with pytest.raises(NotLieElement, match="defect 3.000e-01 > tol 1.0e-10") as err:
+        LiePolynomial(off)
+    assert err.value.defect == pytest.approx(0.3)
+    # a tolerance of certify's own admits it, and the type then vouches for it
+    assert certify(off, tol=0.5).tensor is off
+    with pytest.raises(NotLieElement, match="non-finite"):
+        LiePolynomial(GradedTensor(1, 3, {(1,): math.nan}))
+    with pytest.raises(NotLieElement, match="nonzero constant term"):
+        LiePolynomial(GradedTensor.unit(1, 3))
 
 
 def test_certify_rejects_constant_term():
@@ -147,7 +163,7 @@ def test_bch_certifies_large_coefficient_products():
 def test_bch_output_is_certified():
     out = bch(basis((0,)), basis((1,)))
     assert isinstance(out, LiePolynomial)
-    assert out.certified
+    assert dynkin_defect(out.tensor) <= 1e-10
 
 
 def test_group_like_elements_are_not_lie():
@@ -204,7 +220,7 @@ def test_non_finite_coefficients_are_never_certified(bad):
     with pytest.raises(NotLieElement, match=r"non-finite coefficient .* on word \(0, 1\)"):
         certify(t)
     with np.errstate(invalid="ignore"):
-        assert not is_lie_element(t)
+        assert not math.isfinite(dynkin_defect(t))
         with pytest.raises(NotLieElement, match="non-finite"):
             bch(t, t)
         with pytest.raises(NotLieElement, match="non-finite"):

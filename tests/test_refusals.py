@@ -11,14 +11,14 @@ import pytest
 
 from wienercub import cli
 from wienercub.cubature import CubatureFormula, degree3, lie_form, rescale, validate
-from wienercub.lie_structures import LiePolynomial, certify, dynkin_map
+from wienercub.lie_structures import LiePolynomial, NotLieElement
 from wienercub.operator_calculus import (MultiPoly, flow_tensor_gap, lie_derivative,
                                          remainder_box_bound, word_operator)
 from wienercub.path_signature import PiecewiseLinearPath, concat
 from wienercub.tensor_algebra import GradedTensor, exp as tensor_exp
 from wienercub.vector_fields import (AffineField, GenericField, VectorFieldSystem,
                                      affine_from_file, bracket_field, flow_along_path,
-                                     flow_exp, gamma_field, gbm, nested_bracket_field)
+                                     flow_exp, gbm, nested_bracket_field)
 
 
 def run(argv, capsys):
@@ -392,7 +392,7 @@ def test_no_flag_could_be_read_as_a_negative_number():
 GBM_1D = gbm(0.05, 0.3)
 LINE_1D = PiecewiseLinearPath.straight_line((0.3,))
 LINE_2D = PiecewiseLinearPath.straight_line((0.3, 0.1))
-UNCERTIFIED = LiePolynomial(GradedTensor(1, 3, {(1,): 1.0}))
+BARE_TENSOR = GradedTensor(1, 3, {(1,): 1.0})
 
 
 def refused(call, kind=ValueError):
@@ -454,12 +454,12 @@ UNREACHED = {
     "CubatureFormula: path dimension": (
         refused(lambda _: CubatureFormula(2, 3, (1.0,), paths=(LINE_1D,))),
         "path 0 has dimension 1, formula says 2"),
-    "CubatureFormula: uncertified Lie element": (
-        refused(lambda _: CubatureFormula(1, 3, (1.0,), lie_polys=(UNCERTIFIED,))),
-        "Lie element 0 is not certified"),
-    "dynkin_map: constant term": (
-        refused(lambda _: dynkin_map(GradedTensor.unit(1, 2))),
-        "bracketing map undefined on the empty word"),
+    "CubatureFormula: bare tensor as Lie element": (
+        refused(lambda _: CubatureFormula(1, 3, (1.0,), lie_polys=(BARE_TENSOR,)), TypeError),
+        "Lie element 0 is a GradedTensor, not a LiePolynomial"),
+    "LiePolynomial: not a Lie element": (
+        refused(lambda _: LiePolynomial(GradedTensor(1, 3, {(1, 1): 0.15})), NotLieElement),
+        "bracketing certificate failed: defect 3.000e-01 > tol 1.0e-10"),
     "MultiPoly.coordinate: out of range": (
         refused(lambda _: MultiPoly.coordinate(2, 2)),
         "coordinate 2 out of range for 2 variables"),
@@ -515,9 +515,6 @@ UNREACHED = {
     "nested_bracket_field: empty word": (
         refused(lambda _: nested_bracket_field(GBM_1D, ())),
         "empty word has no bracket field"),
-    "gamma_field: uncertified Lie element": (
-        refused(lambda _: gamma_field(UNCERTIFIED, GBM_1D)),
-        "a Lie element must be certified to map to a field"),
 }
 
 
@@ -539,11 +536,8 @@ def test_branches_no_other_test_reaches():
     assert validate(quarter).ok
     assert [p.tensor for p in quarter.lie_polys] == [p.tensor.dilate(0.5)
                                                      for p in lie.lie_polys]
-    # lie_form of Lie support is that support; certify unwraps an
-    # uncertified element and checks its tensor
+    # lie_form of Lie support is that support
     assert lie_form(lie) is lie
-    checked = certify(UNCERTIFIED)
-    assert checked.certified and checked.tensor is UNCERTIFIED.tensor
     # a flow over no time is a copy of its start
     x = np.array([[1.0], [2.0]])
     y = flow_exp(GBM_1D.fields[1], 0.0, x)

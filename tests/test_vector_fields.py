@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from wienercub.cubature import degree3, degree5_d1, rescale
+from wienercub.cubature import degree3, degree5_d1, lie_form, rescale
+from wienercub.klv_solver import kusuoka_step
 from wienercub.tensor_algebra import GradedTensor
 from wienercub.lie_structures import bracket, certify
 from wienercub.path_signature import PiecewiseLinearPath, log_signature
@@ -120,6 +121,22 @@ def test_jacobian_func_is_called_once_per_row():
     got = field.jacobian(block)
     assert calls == [(2,)] * 4
     np.testing.assert_array_equal(got, np.stack([jac(x) for x in block]))
+
+
+def test_a_jacobian_of_the_wrong_shape_is_refused_with_both_shapes():
+    # np.cos gives (1,) for a state of R^1, not the (1, 1) matrix
+    sys = VectorFieldSystem((GenericField(np.sin, 1, jacobian_func=np.cos),
+                             GenericField(np.cos, 1, jacobian_func=np.sin)))
+    field = sys.fields[0]
+    with pytest.raises(ValueError, match=re.escape(
+            "jacobian_func must give shape (..., 1, 1) for states of shape (1,), got (1,)")):
+        field.jacobian(np.array([0.3]))
+    with pytest.raises(ValueError, match=re.escape(
+            "for states of shape (2, 1), got (2, 1)")):
+        field.jacobian(np.array([[0.3], [0.4]]))
+    # Lie support on the system meets the refusal, not a numpy broadcast error
+    with pytest.raises(ValueError, match=re.escape("jacobian_func must give shape")):
+        kusuoka_step(lie_form(degree3(1)), sys, lambda y: y[..., 0], np.array([0.5]), 0.5)
 
 
 def test_combine_fields_with_one_coefficient_row_per_state():
