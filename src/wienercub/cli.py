@@ -78,7 +78,7 @@ _CONFIG = {
     "system": {"name": str, "mu": float, "sigma": float, "theta": float, "file": str},
     "payoff": {"name": str, "index": int, "exponent": float,
                "terms": [{"exps": (int,), "coeff": float}]},
-    "cubature": {"file": str, "builtin": str, "dimension": int},
+    "cubature": {"file": str, "builtin": str},
     "partition": {"k": int, "k_list": (int,), "gamma": float},
     "caps": {"leaf_cap": int, "batch": int},
     "reference": {"steps": int, "paths": int},
@@ -177,10 +177,7 @@ def _build_payoff(spec: dict, n_vars: int):
 def _build_formula(spec: dict) -> CubatureFormula:
     if "file" in spec:
         return cubature.from_file(spec["file"])
-    label = spec.get("builtin", "")
-    if "dimension" in spec:
-        label += f":{spec['dimension']}"
-    formula = _builtin_formula(label)
+    formula = _builtin_formula(spec.get("builtin", ""))
     if formula is None:
         raise ValueError("cubature spec needs 'file' or builtin in "
                          f"{{degree3, degree5_d1}}: {spec!r}")

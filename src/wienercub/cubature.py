@@ -94,7 +94,7 @@ class CubatureFormula:
     def aggregate(self, truncation: int) -> GradedTensor:
         """sum_j lambda_j * S_j, truncated and added in support order: S_j is
         the signature of path j or the exponential of Lie element j."""
-        total = GradedTensor.zero(self.dimension, truncation)
+        total = GradedTensor(self.dimension, truncation)
         for lam, s in zip(self.weights, self.paths or self.lie_polys):
             total = total + (signature(s, truncation) if self.paths is not None
                              else exp(s.tensor.with_truncation(truncation))).scale(lam)
@@ -173,7 +173,7 @@ def degree3(dimension: int) -> CubatureFormula:
         for sign in (root, -root):
             z = [0.0] * dimension
             z[i] = sign
-            paths.append(PiecewiseLinearPath.straight_line(z))
+            paths.append(PiecewiseLinearPath.from_increments([(1.0, z)]))
     lam = 1.0 / (2 * dimension)
     return CubatureFormula(dimension, 3, (lam,) * (2 * dimension), paths=tuple(paths))
 
@@ -209,7 +209,7 @@ def degree5_d1() -> CubatureFormula:
     down = PiecewiseLinearPath(
         _D5_KNOTS, ((0.0,), (-_D5_V,), (-_D5_V - _D5_W,), (-2 * _D5_V - _D5_W,))
     )
-    center = PiecewiseLinearPath.zero(1)
+    center = PiecewiseLinearPath.from_increments([(1.0, (0.0,))])
     return CubatureFormula(1, 5, (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), paths=(up, center, down))
 
 

@@ -19,6 +19,7 @@ from .tensor_algebra import (
     AlgebraError,
     GradedTensor,
     Word,
+    _check_tensor,
     exp,
     log,
     mul,
@@ -75,6 +76,7 @@ def dynkin_defect(a: GradedTensor) -> float:
     |b(a) - length * a|. A NaN or inf coefficient makes the defect NaN or
     inf, never a finite number.
     """
+    _check_tensor(a)
     r = np.abs(_bracketed(a) - a._program.lengths * a._v)
     r[0] = abs(a._v[0])
     return float(np.max(r))
@@ -115,6 +117,7 @@ class LiePolynomial:
 
 def _check_lie(a: GradedTensor, tol: float) -> None:
     """The bracketing certificate at tol; the error names a NaN or inf's word."""
+    _check_tensor(a)
     if not np.isfinite(a._v).all():
         w, c = next((w, c) for w, c in a.items() if not np.isfinite(c))
         raise NotLieElement(f"non-finite coefficient {c!r} on word {w!r}", abs(c))

@@ -51,10 +51,6 @@ class MultiPoly:
                 self._terms[exps] = float(c)
 
     @classmethod
-    def constant(cls, n_vars: int, value: float) -> "MultiPoly":
-        return cls(n_vars, {(0,) * n_vars: value})
-
-    @classmethod
     def coordinate(cls, n_vars: int, j: int) -> "MultiPoly":
         if not 0 <= j < n_vars:
             raise ValueError(f"coordinate {j} out of range for {n_vars} variables")

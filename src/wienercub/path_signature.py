@@ -148,16 +148,6 @@ class PiecewiseLinearPath:
         points = np.cumsum(((0.0,) * len(dxs[0]),) + dxs, axis=0)
         return cls(tuple(knots.tolist()), tuple(map(tuple, points.tolist())))
 
-    @classmethod
-    def straight_line(
-        cls, increment: Iterable[float], horizon: float = 1.0
-    ) -> "PiecewiseLinearPath":
-        return cls.from_increments([(horizon, increment)])
-
-    @classmethod
-    def zero(cls, dimension: int, horizon: float = 1.0) -> "PiecewiseLinearPath":
-        return cls.from_increments([(horizon, [0.0] * dimension)])
-
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:

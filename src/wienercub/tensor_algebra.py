@@ -154,22 +154,6 @@ class GradedTensor:
     def _like(self, vector: np.ndarray) -> "GradedTensor":
         return GradedTensor._of(self._program, vector)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dimension: int, truncation: int) -> "GradedTensor":
-        return cls(dimension, truncation)
-
-    @classmethod
-    def unit(cls, dimension: int, truncation: int) -> "GradedTensor":
-        return cls(dimension, truncation, {EMPTY_WORD: 1.0})
-
-    @classmethod
-    def basis(
-        cls, dimension: int, truncation: int, word: Iterable[int], coeff: float = 1.0
-    ) -> "GradedTensor":
-        return cls(dimension, truncation, {tuple(word): coeff})
-
     # -- access ------------------------------------------------------------
 
     def coeff(self, word: Iterable[int]) -> float:
@@ -192,8 +176,7 @@ class GradedTensor:
     # -- structure checks --------------------------------------------------
 
     def _check_compat(self, other: "GradedTensor") -> None:
-        if not isinstance(other, GradedTensor):
-            raise AlgebraError(f"expected GradedTensor, got {type(other).__name__}")
+        _check_tensor(other)
         if self.dimension != other.dimension:
             raise AlgebraError(
                 f"dimension mismatch: {self.dimension} vs {other.dimension}"
@@ -215,9 +198,11 @@ class GradedTensor:
         return float(np.max(np.abs(self._v - other._v)))
 
     def __eq__(self, other) -> bool:
+        """equals, but a tensor of another dimension or truncation is unequal."""
         if not isinstance(other, GradedTensor):
             return NotImplemented
-        return self.equals(other)
+        return (self.dimension == other.dimension and self.truncation == other.truncation
+                and self.equals(other))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -239,7 +224,7 @@ class GradedTensor:
             raise AlgebraError(f"scale factor must be a number, got {scalar!r}")
         scalar = float(scalar)
         if scalar == 0.0:
-            return GradedTensor.zero(self.dimension, self.truncation)
+            return GradedTensor(self.dimension, self.truncation)
         return self._like(self._v * scalar)
 
     # -- graded operations ---------------------------------------------------
@@ -306,6 +291,12 @@ class GradedTensor:
 # -- module-level operations ---------------------------------------------
 
 
+def _check_tensor(value) -> None:
+    """The type rule of the algebra's operands: value is a GradedTensor."""
+    if not isinstance(value, GradedTensor):
+        raise AlgebraError(f"expected GradedTensor, got {type(value).__name__}")
+
+
 def mul(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     """Truncated concatenation product: one bincount over the pair table.
 
@@ -313,6 +304,7 @@ def mul(a: GradedTensor, b: GradedTensor) -> GradedTensor:
     order, the order of a loop over the terms of a, then of b, with every
     pair past the cut-off skipped.
     """
+    _check_tensor(a)
     a._check_compat(b)
     program = a._program
     iu, iv, iw = program.pairs
@@ -325,10 +317,10 @@ def exp(a: GradedTensor) -> GradedTensor:
     The series terminates: a term of the sum with k factors has graded degree
     at least k, so powers beyond the truncation vanish.
     """
+    _check_tensor(a)
     if a.coeff(EMPTY_WORD) != 0.0:
         raise AlgebraError("exp requires zero constant term")
-    result = GradedTensor.unit(a.dimension, a.truncation)
-    term = GradedTensor.unit(a.dimension, a.truncation)
+    result = term = GradedTensor(a.dimension, a.truncation, {EMPTY_WORD: 1.0})
     for k in range(1, a.truncation + 1):
         term = mul(term, a).scale(1.0 / k)
         if not term._v.any():
@@ -339,11 +331,11 @@ def exp(a: GradedTensor) -> GradedTensor:
 
 def log(g: GradedTensor) -> GradedTensor:
     """Truncated logarithm; requires unit coefficient on the empty word."""
+    _check_tensor(g)
     if g.coeff(EMPTY_WORD) != 1.0:
         raise AlgebraError("log requires unit constant term")
-    x = g - GradedTensor.unit(g.dimension, g.truncation)
-    result = GradedTensor.zero(g.dimension, g.truncation)
-    term = GradedTensor.unit(g.dimension, g.truncation)
+    term = GradedTensor(g.dimension, g.truncation, {EMPTY_WORD: 1.0})
+    x, result = g - term, GradedTensor(g.dimension, g.truncation)
     for k in range(1, g.truncation + 1):
         term = mul(term, x)
         if not term._v.any():

@@ -104,10 +104,6 @@ class AffineField:
         """The matrix, once per row of a block (a read-only view)."""
         return np.broadcast_to(self.matrix, np.shape(x)[:-1] + self.matrix.shape)
 
-    @classmethod
-    def zero(cls, dimension: int) -> "AffineField":
-        return cls(np.zeros((dimension, dimension)), np.zeros(dimension))
-
 
 @dataclass(frozen=True, eq=False)
 class GenericField:
@@ -166,11 +162,12 @@ def bracket_field(v: Field, w: Field) -> Field:
 
 @dataclass(frozen=True)
 class VectorFieldSystem:
-    """Fields V_0..V_d on a common state space."""
+    """Fields V_0..V_d on a common state space, held as a tuple."""
 
     fields: tuple[Field, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "fields", tuple(self.fields))
         if len(self.fields) < 2:
             raise ValueError("need at least V_0 and V_1")
         n = self.fields[0].dimension
@@ -335,7 +332,8 @@ def _bracket_terms(polys: Sequence[LiePolynomial], sys: VectorFieldSystem):
     terms = [dict(poly.tensor.items()) for poly in polys]
     words = sorted(set().union(*terms), key=lambda w: (graded_degree(w), len(w), w))
     if not words:
-        return [AffineField.zero(sys.dimension)], np.zeros((len(polys), 1))
+        n = sys.dimension
+        return [AffineField(np.zeros((n, n)), np.zeros(n))], np.zeros((len(polys), 1))
     return ([nested_bracket_field(sys, w) for w in words],
             np.array([[t.get(w, 0.0) / len(w) for w in words] for t in terms]))
 

@@ -202,7 +202,7 @@ def test_criterion_4_time_component_removal():
             sig = signature(path, 4)
             # multiplying by exp of the dilated negative time letter must
             # cancel the bare time word of the log-signature
-            adjust = GradedTensor.basis(d, 4, (0,), -1.0).dilate(math.sqrt(s))
+            adjust = GradedTensor(d, 4, {(0,): -1.0}).dilate(math.sqrt(s))
             shifted = log(mul(exp(adjust), sig))
             assert abs(shifted.coeff((0,))) <= 1e-12
 
@@ -235,9 +235,9 @@ def test_criterion_5_convergence_rates():
 def test_criterion_6_flow_vs_truncated_operator_gap():
     with criterion(6, "flow vs truncated-operator gap", 30.0):
         lie = certify(
-            GradedTensor.basis(1, 3, (1,))
+            GradedTensor(1, 3, {(1,): 1.0})
             + bracket(
-                GradedTensor.basis(1, 3, (0,)), GradedTensor.basis(1, 3, (1,))
+                GradedTensor(1, 3, {(0,): 1.0}), GradedTensor(1, 3, {(1,): 1.0})
             ).scale(0.6)
         )
         gaps = [flow_tensor_gap(lie, NC_SYSTEM, CUBIC, X_NC, s) for s in S_GRID]

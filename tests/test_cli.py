@@ -22,7 +22,7 @@ def write_config(tmp_path, **overrides):
         "payoff": {"name": "identity"},
         "x0": [1.0],
         "T": 1.0,
-        "cubature": {"builtin": "degree3", "dimension": 1},
+        "cubature": {"builtin": "degree3:1"},
         "partition": {"gamma": 2.0, "k_list": [2, 3, 4, 5]},
         "mode": "full",
         "seed": 5,
@@ -183,10 +183,10 @@ def test_solve_rejects_unknown_mode(tmp_path, capsys):
 
 
 def test_config_builtins_are_the_command_line_builtins(tmp_path, capsys):
-    assert cli._build_formula({"builtin": "degree3", "dimension": 2}).dimension == 2
+    assert cli._build_formula({"builtin": "degree3:2"}).dimension == 2
     assert cli._build_formula({"builtin": "degree3"}).dimension == 1
-    assert cli._build_formula({"builtin": "degree5_d1", "dimension": 1}).degree == 5
-    for spec in ({"builtin": "degree7"}, {"builtin": "degree5_d1", "dimension": 2},
+    assert cli._build_formula({"builtin": "degree5_d1:1"}).degree == 5
+    for spec in ({"builtin": "degree7"}, {"builtin": "degree5_d1:2"},
                  {}):
         cfg = write_config(tmp_path, cubature=spec)
         code, _, err = run(["solve", "--config", cfg], capsys)

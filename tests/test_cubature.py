@@ -124,7 +124,7 @@ def test_aggregate_equivalence_between_forms():
 
 
 def test_formula_constructor_rejects_bad_input():
-    path = PiecewiseLinearPath.straight_line((1.0,), 1.0)
+    path = PiecewiseLinearPath.from_increments([(1.0, (1.0,))])
     with pytest.raises(ValueError):
         CubatureFormula(1, 3, (0.5, -0.5), paths=(path, path))  # negative weight
     with pytest.raises(ValueError):
@@ -211,6 +211,6 @@ def test_nan_formula_fails_validation_on_its_word():
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan])
 def test_formula_rejects_non_finite_weights(weight):
-    path = PiecewiseLinearPath.straight_line((1.0,), 1.0)
+    path = PiecewiseLinearPath.from_increments([(1.0, (1.0,))])
     with pytest.raises(ValueError, match="strictly positive"):
         CubatureFormula(1, 3, (weight, 0.5), paths=(path, path))

@@ -117,7 +117,7 @@ def test_gamma_partition_refuses_a_gamma_that_is_not_finite_and_at_least_one(gam
 
 # -- positive finite horizons and gaps --------------------------------------
 
-LINE = PiecewiseLinearPath.straight_line((0.3,))
+LINE = PiecewiseLinearPath.from_increments([(1.0, (0.3,))])
 GBM = gbm(0.05, 0.3)
 X1 = np.array([1.0])
 
@@ -262,7 +262,7 @@ def ou_config(tmp_path, **changes):
         "payoff": {"name": "identity"},
         "x0": [0.8],
         "T": 1.0,
-        "cubature": {"builtin": "degree3", "dimension": 1},
+        "cubature": {"builtin": "degree3:1"},
         "partition": {"gamma": 2.0, "k_list": [2, 3]},
         "reference": {"steps": 4, "paths": 200},
         "seed": 3,
@@ -291,6 +291,7 @@ def test_a_config_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys,
     ({"caps": {"leaf_caps": 1}}, "'caps.leaf_caps'"),
     ({"sample": 5}, "'sample'"),
     ({"reference": {"steps": 4, "path": 200}}, "'reference.path'"),
+    ({"cubature": {"builtin": "degree3", "dimension": 2}}, "'cubature.dimension'"),
 ])
 def test_a_config_key_the_cli_does_not_know_is_one_error_line(tmp_path, capsys,
                                                              changes, key):
@@ -335,11 +336,19 @@ def dotted_keys(kind, key=""):
             yield from dotted_keys(sub, dotted)
 
 
+def readme_key_table() -> list[str]:
+    """Every key that the first column of README's config key table names."""
+    table = readme_config_section().split("| Key | Type |", 1)[1].split("\n\n", 1)[0]
+    rows = [row.split("|")[1] for row in table.splitlines()[2:]]
+    return [key for row in rows for key in row.split("`")[1::2]]
+
+
 def test_the_readme_gives_every_config_key():
     section = readme_config_section()
     keys = list(dotted_keys(cli._CONFIG))
-    assert "payoff.terms[i].coeff" in keys and len(keys) == 32
+    assert "payoff.terms[i].coeff" in keys and len(keys) == 31
     assert [key for key in keys if f"`{key}`" not in section] == []
+    assert [key for key in readme_key_table() if key not in keys] == []
 
 
 # -- counts -------------------------------------------------------------------
@@ -448,7 +457,7 @@ def test_support_must_drive_one_control_per_field(what):
 
 
 def line_at(horizon):
-    return PiecewiseLinearPath.straight_line((0.3,), horizon)
+    return PiecewiseLinearPath.from_increments([(horizon, (0.3,))])
 
 
 def formula_at(horizon):
@@ -578,8 +587,8 @@ NUMBER_ARGS = {
                          "increments must be numbers, got '1'"),
     "increment dx true": (lambda: PiecewiseLinearPath.from_increments(
         [(0.5, [1.0]), (0.5, [True])]), "increments must be numbers, got True"),
-    "straight_line horizon true": (lambda: PiecewiseLinearPath.straight_line(
-        [1.0], horizon=True), "increments must be numbers, got True"),
+    "first increment dt true": (lambda: PiecewiseLinearPath.from_increments(
+        [(True, [1.0])]), "increments must be numbers, got True"),
     "gamma_partition gamma true": (lambda: gamma_partition(1.0, 2, True),
                                    "gamma must be finite and >= 1, got True"),
     "flow_exp time true": (lambda: flow_exp(GBM.fields[1], True, X1),

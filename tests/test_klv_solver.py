@@ -93,6 +93,17 @@ def test_tree_value_matches_scalar_product_formula():
     assert result.mode == "full"
 
 
+def test_a_system_built_from_a_list_is_the_tuple_system(cubic_payoff, x_start):
+    # the tree's step cache hashes the system, so its fields must be a tuple
+    fields = [AffineField(A0, B0), AffineField(A1, B1)]
+    listed, tupled = VectorFieldSystem(fields), VectorFieldSystem(tuple(fields))
+    assert listed == tupled and isinstance(listed.fields, tuple)
+    part = gamma_partition(1.0, 3, 2.0)
+    values = [klv_full(degree3(1), sys, cubic_payoff, x_start, part).value
+              for sys in (listed, tupled)]
+    assert values[0].hex() == values[1].hex()
+
+
 def test_unit_payoff_is_exactly_one():
     part = gamma_partition(1.0, 5, 2.0)
     result = klv_full(
@@ -523,7 +534,7 @@ def test_generic_bracket_field_drives_the_solvers():
 @pytest.mark.parametrize("formula", [degree5_d1(), degree3(1), degree3(2), degree3(3)],
                          ids=["degree5_d1", "degree3_1", "degree3_2", "degree3_3"])
 def test_level_step_table_equals_rescaled_path_increments(formula, gamma):
-    sys = VectorFieldSystem(tuple(AffineField.zero(1)
+    sys = VectorFieldSystem(tuple(AffineField(np.zeros((1, 1)), np.zeros(1))
                                   for _ in range(formula.dimension + 1)))
     for k in (1, 5, 12):
         gaps = gamma_partition(1.0, k, gamma).gaps

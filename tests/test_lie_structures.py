@@ -16,7 +16,7 @@ from wienercub.lie_structures import (
 
 
 def basis(word, d=1, m=5, c=1.0):
-    return GradedTensor.basis(d, m, word, c)
+    return GradedTensor(d, m, {tuple(word): c})
 
 
 def test_bracket_antisymmetry_and_bilinearity():
@@ -81,7 +81,7 @@ def test_building_a_lie_polynomial_certifies_it():
     with pytest.raises(NotLieElement, match="non-finite"):
         LiePolynomial(GradedTensor(1, 3, {(1,): math.nan}))
     with pytest.raises(NotLieElement, match="nonzero constant term"):
-        LiePolynomial(GradedTensor.unit(1, 3))
+        LiePolynomial(GradedTensor(1, 3, {(): 1.0}))
 
 
 def test_certify_rejects_constant_term():
@@ -170,7 +170,7 @@ def test_group_like_elements_are_not_lie():
     # a signature has nonzero constant term; its defect report must say so
     from wienercub.path_signature import PiecewiseLinearPath, signature
 
-    s = signature(PiecewiseLinearPath.straight_line((0.5, -0.3), 1.0), 4)
+    s = signature(PiecewiseLinearPath.from_increments([(1.0, (0.5, -0.3))]), 4)
     with pytest.raises(NotLieElement):
         certify(s)
 
@@ -230,7 +230,7 @@ def test_non_finite_coefficients_are_never_certified(bad):
 def test_overflowing_log_signature_is_not_certified():
     from wienercub.path_signature import PiecewiseLinearPath, log_signature
 
-    path = PiecewiseLinearPath.straight_line((1e200,), 1.0)
+    path = PiecewiseLinearPath.from_increments([(1.0, (1e200,))])
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NotLieElement, match="non-finite"):
             log_signature(path, 3)

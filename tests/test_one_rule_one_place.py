@@ -17,7 +17,8 @@ RULES = ("must increase strictly", "must start at 0", "must be positive and fini
          "must be integer", "must be an integer >=", "controls, system has",
          "rescale expects a unit-horizon", "outside alphabet",
          "must be finite and >= 0", "coefficients, got shape",
-         "flow time must be finite", "gamma must be finite and >= 1")
+         "flow time must be finite", "gamma must be finite and >= 1",
+         "expected GradedTensor")
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -35,8 +35,8 @@ def test_multipoly_terms_and_values():
     assert f.degree == 3
     assert MultiPoly(2, {(4.0, 0): 1.5}).coeff((4, 0)) == 1.5
     assert MultiPoly.coordinate(2, 1).max_coeff_difference(MultiPoly(2, {(0, 1): 1.0})) == 0.0
-    assert MultiPoly.constant(2, 5.0).coeff((0, 0)) == 5.0
-    assert MultiPoly.constant(2, 0.0).max_coeff_difference(MultiPoly(2)) == 0.0
+    assert MultiPoly(2, {(0, 0): 5.0}).coeff((0, 0)) == 5.0
+    assert MultiPoly(2, {(0, 0): 0.0}).max_coeff_difference(MultiPoly(2)) == 0.0
     assert f.max_coeff_difference(MultiPoly(2, {(2, 1): 1.0})) == 2.0
 
 
@@ -55,7 +55,7 @@ def test_multipoly_refuses_a_coefficient_that_is_not_finite(c):
 
 @pytest.mark.parametrize("poly", [
     MultiPoly(3),
-    MultiPoly.constant(3, -2.5),
+    MultiPoly(3, {(0, 0, 0): -2.5}),
     MultiPoly(3, {(3, 0, 0): 1.5, (1, 1, 1): -2.0, (0, 2, 1): 0.75,
                   (0, 0, 2): -0.3, (1, 0, 0): 4.0, (0, 0, 0): 0.2}),
 ])
@@ -134,7 +134,7 @@ def test_word_operator_applies_rightmost_letter_first(noncommuting_system):
 def test_operator_commutator_matches_bracket_field(noncommuting_system, cubic_payoff):
     # L_i L_j - L_j L_i is the first-order operator of the field bracket
     v0, v1 = noncommuting_system.fields
-    e0, e1 = GradedTensor.basis(1, 3, (0,)), GradedTensor.basis(1, 3, (1,))
+    e0, e1 = GradedTensor(1, 3, {(0,): 1.0}), GradedTensor(1, 3, {(1,): 1.0})
     lhs = taylor_operator(bracket(e0, e1), noncommuting_system, cubic_payoff)
     rhs = lie_derivative(bracket_field(v0, v1), cubic_payoff)
     assert lhs.max_coeff_difference(rhs) < 1e-15
@@ -156,7 +156,7 @@ def test_taylor_operator_reproduces_exponential_series():
         (AffineField([[0.0]], [0.0]), AffineField([[0.0]], [1.0]))
     )
     t = 0.3
-    w = exp(GradedTensor.basis(1, 3, (1,), t))
+    w = exp(GradedTensor(1, 3, {(1,): t}))
     f = MultiPoly(1, {(2,): 1.0})
     shifted = taylor_operator(w, sys, f)
     expected = MultiPoly(1, {(2,): 1.0, (1,): 2 * t, (0,): t**2})
@@ -179,8 +179,8 @@ def test_signature_pairing_matches_path_flow(noncommuting_system, cubic_payoff, 
 
 def test_flow_tensor_gap_shrinks_with_scale(noncommuting_system, cubic_payoff, x_start):
     lie = certify(
-        GradedTensor.basis(1, 3, (1,))
-        + bracket(GradedTensor.basis(1, 3, (0,)), GradedTensor.basis(1, 3, (1,))).scale(0.6)
+        GradedTensor(1, 3, {(1,): 1.0})
+        + bracket(GradedTensor(1, 3, {(0,): 1.0}), GradedTensor(1, 3, {(1,): 1.0})).scale(0.6)
     )
     g_large = flow_tensor_gap(lie, noncommuting_system, cubic_payoff, x_start, 0.4)
     g_small = flow_tensor_gap(lie, noncommuting_system, cubic_payoff, x_start, 0.05)
@@ -191,8 +191,8 @@ def test_flow_tensor_gap_shrinks_with_scale(noncommuting_system, cubic_payoff, x
 
 def test_remainder_bound_dominates_gap(noncommuting_system, cubic_payoff, x_start):
     lie = certify(
-        GradedTensor.basis(1, 3, (1,))
-        + bracket(GradedTensor.basis(1, 3, (0,)), GradedTensor.basis(1, 3, (1,))).scale(0.6)
+        GradedTensor(1, 3, {(1,): 1.0})
+        + bracket(GradedTensor(1, 3, {(0,): 1.0}), GradedTensor(1, 3, {(1,): 1.0})).scale(0.6)
     )
     s = 0.05
     gap = flow_tensor_gap(lie, noncommuting_system, cubic_payoff, x_start, s)
@@ -251,7 +251,7 @@ def test_matrix_operators_match_the_dict_reference(n, p):
         reference[w] = dict_lie_derivative(sys.fields[w[0]], reference[w[1:]])
         assert_matches_reference(word_operator(w, sys, f), reference[w])
     lie = certify(GradedTensor(d, 4, {(a,): float(rng.normal()) for a in range(1, d + 1)})
-                  + bracket(GradedTensor.basis(d, 4, (0,)), GradedTensor.basis(d, 4, (d,)))
+                  + bracket(GradedTensor(d, 4, {(0,): 1.0}), GradedTensor(d, 4, {(d,): 1.0}))
                   .scale(float(rng.normal())))
     g = exp(lie.tensor)
     expected = {}

@@ -47,9 +47,9 @@ def test_increments_and_constructors():
     assert incs[0][0] == 0.5
     np.testing.assert_allclose(incs[1][1], [0.0, 2.0])
     assert path.horizon == 1.0 and path.dimension == 2
-    line = PiecewiseLinearPath.straight_line((0.3,), horizon=2.0)
+    line = PiecewiseLinearPath.from_increments([(2.0, (0.3,))])
     assert line.n_segments == 1 and line.horizon == 2.0
-    assert PiecewiseLinearPath.zero(3).points[-1] == (0.0, 0.0, 0.0)
+    assert PiecewiseLinearPath.from_increments([(1.0, (0.0, 0.0, 0.0))]).points[-1] == (0.0, 0.0, 0.0)
 
 
 def test_from_increments_refuses_increments_of_differing_lengths():
@@ -113,7 +113,7 @@ def test_straight_line_signature_closed_form():
     # one segment: S = exp(dt e0 + dx e1), so the level-k pure-space
     # coefficient is dx^k / k!
     dx = 0.5
-    s = signature(PiecewiseLinearPath.straight_line((dx,), 1.0), 5)
+    s = signature(PiecewiseLinearPath.from_increments([(1.0, (dx,))]), 5)
     for k in range(6):
         assert s.coeff((1,) * k) == pytest.approx(dx**k / math.factorial(k), abs=1e-15)
     assert s.coeff((0,)) == pytest.approx(1.0)
@@ -235,7 +235,7 @@ def test_monte_carlo_reproducible_and_batching_consistent():
 def _product_signature(path, m):
     """Chen's relation read literally: one tensor exponential per segment."""
     d = path.dimension
-    sig = GradedTensor.unit(d, m)
+    sig = GradedTensor(d, m, {(): 1.0})
     for dt, dx in path.increments():
         seg = {(0,): dt, **{(i + 1,): float(c) for i, c in enumerate(dx) if c != 0.0}}
         sig = mul(sig, exp(GradedTensor(d, m, seg)))
@@ -337,7 +337,7 @@ def test_monte_carlo_and_closed_form_reject_bad_horizon():
         with pytest.raises(ValueError, match="horizon must be positive"):
             brownian_expected_signature(1, 2, horizon)
         with pytest.raises(ValueError, match="horizon must be positive"):
-            brownian_rescale(PiecewiseLinearPath.straight_line((0.3,)), horizon)
+            brownian_rescale(PiecewiseLinearPath.from_increments([(1.0, (0.3,))]), horizon)
 
 
 def test_monte_carlo_stderr_of_a_pure_time_word_is_zero():
@@ -398,7 +398,8 @@ def _increment_values():
         for path in paths + [integer] * (d == 2):
             out.append([c for _, c in signature(path, m).items()])
             out.append([v for dt, dx in path.increments() for v in (dt, *dx)])
-        sys = VectorFieldSystem(tuple(AffineField.zero(1) for _ in range(d + 1)))
+        sys = VectorFieldSystem(tuple(AffineField(np.zeros((1, 1)), np.zeros(1))
+                                      for _ in range(d + 1)))
         gaps = np.diff(np.linspace(0.0, 1.0, 4) ** 1.5)
         out.append(_LevelStep(sys, paths, gaps, FlowConfig()).coefficients.ravel())
     for formula in (degree3(1), degree3(2), degree5_d1()):

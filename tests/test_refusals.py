@@ -11,11 +11,11 @@ import pytest
 
 from wienercub import cli
 from wienercub.cubature import CubatureFormula, degree3, lie_form, rescale, validate
-from wienercub.lie_structures import LiePolynomial, NotLieElement
+from wienercub.lie_structures import LiePolynomial, NotLieElement, bch, certify, dynkin_defect
 from wienercub.operator_calculus import (MultiPoly, flow_tensor_gap, lie_derivative,
                                          remainder_box_bound, word_operator)
 from wienercub.path_signature import PiecewiseLinearPath, concat
-from wienercub.tensor_algebra import GradedTensor, exp as tensor_exp
+from wienercub.tensor_algebra import GradedTensor, exp as tensor_exp, log as tensor_log, mul
 from wienercub.vector_fields import (AffineField, GenericField, VectorFieldSystem,
                                      affine_from_file, bracket_field, flow_along_path,
                                      flow_exp, gbm, nested_bracket_field)
@@ -35,7 +35,7 @@ def ou_power_config(tmp_path, reference):
         "payoff": {"name": "power", "exponent": 2},
         "x0": [0.8],
         "T": 1.0,
-        "cubature": {"builtin": "degree3", "dimension": 1},
+        "cubature": {"builtin": "degree3:1"},
         "partition": {"gamma": 2.0, "k_list": [2, 3, 4]},
         "reference": reference,
         "seed": 3,
@@ -135,7 +135,6 @@ INTEGER_KEYS = {
     "caps.batch": lambda v: {"caps": {"batch": v}},
     "samples": lambda v: {"mode": "sampled", "samples": v},
     "seed": lambda v: {"seed": v},
-    "cubature.dimension": lambda v: {"cubature": {"builtin": "degree3", "dimension": v}},
 }
 
 
@@ -303,7 +302,7 @@ def test_a_flag_is_checked_under_its_own_name_before_the_library_sees_it(
 
 
 def test_a_config_builtin_of_dimension_zero_names_its_spec(tmp_path, capsys):
-    cfg = gbm_config(tmp_path, cubature={"builtin": "degree3", "dimension": 0})
+    cfg = gbm_config(tmp_path, cubature={"builtin": "degree3:0"})
     code, out, err = run(["solve", "--config", cfg], capsys)
     assert code == 1 and out == ""
     assert err == "error: cubature spec 'degree3:0': dimension must be an integer >= 1, got 0\n"
@@ -390,9 +389,10 @@ def test_no_flag_could_be_read_as_a_negative_number():
 # -- refusals and branches that no other test reaches ---------------------------
 
 GBM_1D = gbm(0.05, 0.3)
-LINE_1D = PiecewiseLinearPath.straight_line((0.3,))
-LINE_2D = PiecewiseLinearPath.straight_line((0.3, 0.1))
+LINE_1D = PiecewiseLinearPath.from_increments([(1.0, (0.3,))])
+LINE_2D = PiecewiseLinearPath.from_increments([(1.0, (0.3, 0.1))])
 BARE_TENSOR = GradedTensor(1, 3, {(1,): 1.0})
+LIE = LiePolynomial(BARE_TENSOR)
 
 
 def refused(call, kind=ValueError):
@@ -484,11 +484,23 @@ UNREACHED = {
     "GradedTensor: not a tensor": (
         refused(lambda _: GradedTensor(1, 2) + 1.0),
         "expected GradedTensor, got float"),
+    "LiePolynomial: a LiePolynomial": (
+        refused(lambda _: LiePolynomial(LIE)), "expected GradedTensor, got LiePolynomial"),
+    "certify: None": (refused(lambda _: certify(None)), "expected GradedTensor, got NoneType"),
+    "dynkin_defect: a LiePolynomial": (
+        refused(lambda _: dynkin_defect(LIE)), "expected GradedTensor, got LiePolynomial"),
+    "exp: a LiePolynomial": (
+        refused(lambda _: tensor_exp(LIE)), "expected GradedTensor, got LiePolynomial"),
+    "log: a LiePolynomial": (
+        refused(lambda _: tensor_log(LIE)), "expected GradedTensor, got LiePolynomial"),
+    "mul: a LiePolynomial": (
+        refused(lambda _: mul(LIE, BARE_TENSOR)), "expected GradedTensor, got LiePolynomial"),
+    "bch: lists": (refused(lambda _: bch([1], [2])), "expected GradedTensor, got list"),
     "GradedTensor: truncations": (
         refused(lambda _: GradedTensor(1, 2) + GradedTensor(1, 3)),
         "truncation mismatch: 2 vs 3"),
     "exp: constant term": (
-        refused(lambda _: tensor_exp(GradedTensor.unit(1, 2))),
+        refused(lambda _: tensor_exp(GradedTensor(1, 2, {(): 1.0}))),
         "exp requires zero constant term"),
     "AffineField: matrix not square": (
         refused(lambda _: AffineField([[1.0, 2.0]], [0.0])),
@@ -497,10 +509,12 @@ UNREACHED = {
         refused(lambda _: AffineField([[1.0]], [0.0, 1.0])),
         "offset shape (2,) does not match matrix (1, 1)"),
     "bracket_field: dimensions": (
-        refused(lambda _: bracket_field(AffineField.zero(1), AffineField.zero(2))),
+        refused(lambda _: bracket_field(AffineField([[0.0]], [0.0]),
+                                        AffineField(np.zeros((2, 2)), np.zeros(2)))),
         "dimension mismatch: 1 vs 2"),
     "VectorFieldSystem: dimensions": (
-        refused(lambda _: VectorFieldSystem((AffineField.zero(1), AffineField.zero(2)))),
+        refused(lambda _: VectorFieldSystem((AffineField([[0.0]], [0.0]),
+                                             AffineField(np.zeros((2, 2)), np.zeros(2))))),
         "all fields must share the state dimension"),
     "flow_along_path: field that fails on a block": (
         refused(lambda _: flow_along_path(LINE_1D, VectorFieldSystem(

@@ -74,7 +74,7 @@ def test_mul_against_split_convolution():
 
 def test_mul_unit_and_linearity():
     rng = np.random.default_rng(5)
-    one = GradedTensor.unit(2, 3)
+    one = GradedTensor(2, 3, {(): 1.0})
     a = random_tensor(rng, 2, 3)
     b = random_tensor(rng, 2, 3)
     assert mul(one, a).equals(a)
@@ -84,8 +84,8 @@ def test_mul_unit_and_linearity():
 
 
 def test_mul_respects_graded_cutoff():
-    a = GradedTensor.basis(1, 3, (1, 1))
-    b = GradedTensor.basis(1, 3, (0,))
+    a = GradedTensor(1, 3, {(1, 1): 1.0})
+    b = GradedTensor(1, 3, {(0,): 1.0})
     # product word (1,1,0) has graded degree 4 > 3, so it must vanish
     assert len(mul(a, b)) == 0
 
@@ -102,7 +102,7 @@ def _all_pairs_mul(a, b):
 
 
 def _all_pairs_exp(a):
-    result = term = GradedTensor.unit(a.dimension, a.truncation)
+    result = term = GradedTensor(a.dimension, a.truncation, {(): 1.0})
     for k in range(1, a.truncation + 1):
         term = _all_pairs_mul(term, a).scale(1.0 / k)
         if len(term) == 0:
@@ -112,9 +112,9 @@ def _all_pairs_exp(a):
 
 
 def _all_pairs_log(g):
-    x = g - GradedTensor.unit(g.dimension, g.truncation)
-    result = GradedTensor.zero(g.dimension, g.truncation)
-    term = GradedTensor.unit(g.dimension, g.truncation)
+    x = g - GradedTensor(g.dimension, g.truncation, {(): 1.0})
+    result = GradedTensor(g.dimension, g.truncation)
+    term = GradedTensor(g.dimension, g.truncation, {(): 1.0})
     for k in range(1, g.truncation + 1):
         term = _all_pairs_mul(term, x)
         if len(term) == 0:
@@ -131,7 +131,7 @@ def test_mul_exp_log_bit_identical_to_all_pairs_reference(dimension, truncation,
 
     def element(constant):
         t = random_tensor(rng, dimension, truncation, nonzero=nonzero)
-        return t.scale(0.5) + GradedTensor.unit(dimension, truncation).scale(constant)
+        return t.scale(0.5) + GradedTensor(dimension, truncation, {(): 1.0}).scale(constant)
 
     for _ in range(3):
         a, b = element(float(rng.uniform(-1.0, 1.0))), element(0.0)
@@ -153,7 +153,7 @@ def test_dilation_scales_by_graded_degree():
 
 
 def test_exp_of_single_letter_is_power_series():
-    e1 = GradedTensor.basis(1, 5, (1,), 0.7)
+    e1 = GradedTensor(1, 5, {(1,): 0.7})
     g = exp(e1)
     for k in range(6):
         assert abs(g.coeff((1,) * k) - 0.7**k / math.factorial(k)) < 1e-15
@@ -191,8 +191,8 @@ def test_projection_and_truncation_change():
 
 
 def test_dimension_mismatch_rejected():
-    a = GradedTensor.basis(1, 3, (1,))
-    b = GradedTensor.basis(2, 3, (1,))
+    a = GradedTensor(1, 3, {(1,): 1.0})
+    b = GradedTensor(2, 3, {(1,): 1.0})
     with pytest.raises(AlgebraError):
         mul(a, b)
 
@@ -348,7 +348,7 @@ def test_dense_product_turns_inf_times_an_absent_word_into_nan():
 
 
 def test_nan_tensor_never_equals_a_finite_one():
-    zero = GradedTensor.zero(1, 3)
+    zero = GradedTensor(1, 3)
     first = GradedTensor(1, 3, {(1,): math.nan})
     later = GradedTensor(1, 3, {(1,): 1.0, (0, 1): math.nan})
     finite = GradedTensor(1, 3, {(1,): 1.0})
@@ -377,6 +377,15 @@ def test_repr_lists_six_terms_then_an_ellipsis():
                           "(1, 1): 1, (1, 2): 1.25, (2, 1): 1.5, ...})")
 
 
+def test_tensors_of_another_dimension_or_truncation_are_unequal():
+    # == answers, where equals refuses the pair
+    one = GradedTensor(1, 3, {(): 1.0})
+    assert one != GradedTensor(1, 4, {(): 1.0}) and one != GradedTensor(2, 3, {(): 1.0})
+    assert one in [GradedTensor(1, 4), one] and GradedTensor(1, 4) not in [one]
+    with pytest.raises(AlgebraError, match="truncation mismatch: 3 vs 4"):
+        one.equals(GradedTensor(1, 4, {(): 1.0}))
+
+
 def test_a_tensor_equals_no_other_type():
-    assert (GradedTensor.unit(1, 2) == 3) is False
-    assert GradedTensor.unit(1, 2) != "unit"
+    assert (GradedTensor(1, 2, {(): 1.0}) == 3) is False
+    assert GradedTensor(1, 2, {(): 1.0}) != "unit"

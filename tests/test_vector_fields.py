@@ -545,14 +545,14 @@ def test_nested_bracket_field_words():
 
 
 def test_gamma_map_on_generators(noncommuting_system):
-    e1 = certify(GradedTensor.basis(1, 3, (1,)))
+    e1 = certify(GradedTensor(1, 3, {(1,): 1.0}))
     v = gamma_field(e1, noncommuting_system)
     x = np.array([0.7, -0.3])
     np.testing.assert_allclose(v(x), noncommuting_system.fields[1](x))
 
 
 def test_gamma_map_sends_brackets_to_bracket_fields(noncommuting_system):
-    lie = certify(bracket(GradedTensor.basis(1, 3, (0,)), GradedTensor.basis(1, 3, (1,))))
+    lie = certify(bracket(GradedTensor(1, 3, {(0,): 1.0}), GradedTensor(1, 3, {(1,): 1.0})))
     via_gamma = gamma_field(lie, noncommuting_system)
     direct = bracket_field(*noncommuting_system.fields)
     for x in (np.zeros(2), np.array([0.7, -0.3]), np.array([1.1, 0.2])):
@@ -563,7 +563,7 @@ def test_gamma_map_of_line_log_signature_is_segment_field():
     # the log-signature of a straight segment is dt e0 + dx e1, so its field
     # is the same combination that drives the segment flow
     sys = gbm(0.05, 0.3)
-    path = PiecewiseLinearPath.straight_line((0.6,), 1.0)
+    path = PiecewiseLinearPath.from_increments([(1.0, (0.6,))])
     v = gamma_field(log_signature(path, 5), sys)
     w = combine_fields(list(sys.fields), np.array([1.0, 0.6]))
     for x in (np.array([0.5]), np.array([2.0])):
